@@ -193,18 +193,12 @@ def _build_sim(obj, path: str, n_queues: int) -> SimConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     allowed = ("warmup_cycles", "measured_cycles", "replications",
-               "master_seed", "collect_polling", "collect_visit_end",
-               "collect_sojourn", "collect_throughput", "pgf_points")
+               "master_seed", "pgf_points")
     _check_keys(obj, path, allowed)
     kwargs = {}
     for key in allowed[:4]:
         if key in obj:
             kwargs[key] = _as_int(obj[key], f"{path}.{key}")
-    for key in allowed[4:8]:
-        if key in obj:
-            if not isinstance(obj[key], bool):
-                raise ConfigError(f"{path}.{key}: expected true or false")
-            kwargs[key] = obj[key]
     if "pgf_points" in obj:
         points = []
         if not isinstance(obj["pgf_points"], list):

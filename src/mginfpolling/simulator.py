@@ -1,17 +1,29 @@
-"""Discrete-event simulation oracle for the cyclic polling model.
+"""Simulation oracle for the cyclic polling model.
 
-The simulator tracks every customer individually and replays the model
-mechanics literally: at each polling instant every waiting customer draws a
-fresh service requirement and completes during the visit exactly when the
-requirement fits inside the visit time; customers arriving while the server
-is present complete exactly when their requirement fits inside the remaining
-visit; everybody else keeps waiting. No quantity measured here is assumed
-from theory, which is what makes the estimates usable as an independent
-cross-check of the analytic layer.
+The simulator replays the model mechanics literally: at each polling
+instant every waiting customer draws a fresh service requirement and
+completes during the visit exactly when the requirement fits inside the
+visit time; customers arriving while the server is present complete exactly
+when their requirement fits inside the remaining visit; everybody else keeps
+waiting. No quantity measured here is assumed from theory, which is what
+makes the estimates usable as an independent cross-check of the analytic
+layer.
 
-A visit is processed as one batch: within a visit each completion is a
-threshold test against the remaining visit time, so no event heap is needed
-and there are no event-ordering ties to resolve.
+The kernel is schedule-first. The server's visit and switch-over times do
+not depend on the queue contents, and given them every customer evolves
+independently of every other customer. A replication therefore works on
+blocks of cycles: it draws the block's whole schedule as (cycles x N)
+arrays, lays each queue's Poisson arrivals on that timeline, settles the
+arrivals that land in their own queue's visit with one service draw each,
+and resolves every other customer's departure in vectorized retry rounds,
+where a customer completes at the first visit of its queue whose fresh
+requirement B satisfies B <= V and otherwise moves on to the next one.
+Queue lengths at polling and visit-end instants are cumulative sums over
+arrival and departure instants. Customers still waiting at a block's end
+carry into the next block, so memory does not grow with run length.
+
+Ties follow the model: an arrival at a visit's exact end waits for the next
+visit, and a requirement equal to the remaining visit time completes.
 
 Randomness comes from counter-based Philox streams keyed by (master seed,
 replication, queue, purpose), so every replication is an independent,
@@ -53,11 +65,15 @@ _VISIT, _SWITCH, _COUNT, _SERVICE, _POSITION = range(5)
 # salts separating the independent stream families of the two entry points
 _RUN_SALT = 0x706F6C6C
 _CYCLE_SALT = 0x74686574
+# cycles per kernel block; bounds a replication's memory for any run length
+_BLOCK_CYCLES = 4096
+# service draws pooled per queue and block, per customer the block handles
+_DRAWS_PER_CUSTOMER = 4
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run lengths, seeding, and measurement toggles for `run`.
+    """Run lengths and seeding for `run`.
 
     pgf_points lists (queue, z-vector) pairs; for each, the run estimates the
     joint queue-length generating function at that queue's polling instants.
@@ -67,10 +83,6 @@ class SimConfig:
     measured_cycles: int = 100_000
     replications: int = 10
     master_seed: int = 0
-    collect_polling: bool = True
-    collect_visit_end: bool = True
-    collect_sojourn: bool = True
-    collect_throughput: bool = True
     pgf_points: tuple[tuple[int, tuple[float, ...]], ...] = ()
 
     def __post_init__(self):
@@ -103,83 +115,22 @@ class SimulationReport:
     measured_cycles: int
     warmup_cycles: int
     master_seed: int
-    polling_means: np.ndarray | None
-    polling_stderr: np.ndarray | None
-    visit_end_means: np.ndarray | None
-    visit_end_stderr: np.ndarray | None
-    sojourn_means: np.ndarray | None
-    sojourn_stderr: np.ndarray | None
-    sojourn_phase_means: np.ndarray | None
-    sojourn_phase_counts: np.ndarray | None
-    completion_fraction: np.ndarray | None
-    completion_stderr: np.ndarray | None
-    throughput_mean: float | None
-    throughput_stderr: float | None
-    per_queue_throughput: np.ndarray | None
+    polling_means: np.ndarray
+    polling_stderr: np.ndarray
+    visit_end_means: np.ndarray
+    visit_end_stderr: np.ndarray
+    sojourn_means: np.ndarray
+    sojourn_stderr: np.ndarray
+    sojourn_phase_means: np.ndarray
+    sojourn_phase_counts: np.ndarray
+    completion_fraction: np.ndarray
+    completion_stderr: np.ndarray
+    throughput_mean: float
+    throughput_stderr: float
+    per_queue_throughput: np.ndarray
     pgf_estimates: np.ndarray | None
     pgf_stderr: np.ndarray | None
     per_replication: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
-
-
-class _Stream:
-    """Buffered draws from one law on one dedicated generator."""
-
-    __slots__ = ("law", "rng", "buf", "pos", "chunk")
-
-    def __init__(self, law: Distribution, rng: np.random.Generator,
-                 chunk: int = 4096):
-        self.law = law
-        self.rng = rng
-        self.chunk = chunk
-        self.buf = ()
-        self.pos = 0
-
-    def one(self) -> float:
-        if self.pos >= len(self.buf):
-            self.buf = self.law.sample(self.rng, self.chunk)
-            self.pos = 0
-        value = self.buf[self.pos]
-        self.pos += 1
-        return value
-
-    def many(self, count: int) -> np.ndarray:
-        if count == 0:
-            return _EMPTY
-        end = self.pos + count
-        if end > len(self.buf):
-            self.buf = self.law.sample(self.rng, max(self.chunk, count))
-            self.pos = 0
-            end = count
-        out = self.buf[self.pos:end]
-        self.pos = end
-        return out
-
-
-class _Uniforms:
-    """Buffered unit-uniform draws."""
-
-    __slots__ = ("rng", "buf", "pos", "chunk")
-
-    def __init__(self, rng: np.random.Generator, chunk: int = 4096):
-        self.rng = rng
-        self.chunk = chunk
-        self.buf = _EMPTY
-        self.pos = 0
-
-    def many(self, count: int) -> np.ndarray:
-        if count == 0:
-            return _EMPTY
-        end = self.pos + count
-        if end > len(self.buf):
-            self.buf = self.rng.random(max(self.chunk, count))
-            self.pos = 0
-            end = count
-        out = self.buf[self.pos:end]
-        self.pos = end
-        return out
-
-
-_EMPTY = np.empty(0)
 
 
 def _generator(master_seed: int, salt: int, rep: int, queue: int,
@@ -188,150 +139,175 @@ def _generator(master_seed: int, salt: int, rep: int, queue: int,
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _arrivals(rate: float, lengths: np.ndarray, count_rng: np.random.Generator,
+              position_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson arrivals over consecutive intervals of the given lengths.
+
+    Returns each arrival's interval index and its offset from that
+    interval's start; given the count, offsets are uniform on [0, length).
+    """
+    counts = count_rng.poisson(rate * lengths)
+    owner = np.repeat(np.arange(lengths.size), counts)
+    return owner, position_rng.random(owner.size) * lengths[owner]
+
+
+def _service_pool(law: Distribution, rng: np.random.Generator, size: int):
+    """Hand out consecutive requirements from pools of `size` draws.
+
+    Pooling keeps the sampling to about one call per queue and block however
+    many retry rounds the block needs; draws left in the last pool go unused.
+    """
+    pool = np.empty(0)
+    used = 0
+
+    def take(count: int) -> np.ndarray:
+        nonlocal pool, used
+        if used + count > pool.size:
+            pool = np.asarray(law.sample(rng, max(count, size)), dtype=float)
+            used = 0
+        used += count
+        return pool[used - count:used]
+
+    return take
+
+
+def _retry_rounds(attempt, arrival, tag, visit, polled_at, take):
+    """Resolve one queue's waiting customers over one block of cycles.
+
+    attempt holds each customer's next attempt cycle within the block,
+    arrival its arrival time and tag its arrival phase; visit and polled_at
+    are the queue's visit lengths and polling instants per cycle. Each round
+    every customer draws a fresh requirement at its attempt visit and
+    completes there when it fits, or moves on to the queue's next visit.
+    Returns the completing cycle, sojourn time and tag of every customer
+    served in the block, then the arrival time and tag of every customer
+    still waiting at its end.
+    """
+    cycles = visit.size
+    done, sojourn, done_tag = [attempt[:0]], [arrival[:0]], [tag[:0]]
+    kept_time, kept_tag = [arrival[:0]], [tag[:0]]
+    while True:
+        inside = attempt < cycles
+        if not inside.all():
+            kept_time.append(arrival[~inside])
+            kept_tag.append(tag[~inside])
+            attempt, arrival, tag = attempt[inside], arrival[inside], tag[inside]
+        if not attempt.size:
+            break
+        b = take(attempt.size)
+        ok = b <= visit[attempt]
+        done.append(attempt[ok])
+        sojourn.append(polled_at[attempt[ok]] + b[ok] - arrival[ok])
+        done_tag.append(tag[ok])
+        miss = ~ok
+        attempt, arrival, tag = attempt[miss] + 1, arrival[miss], tag[miss]
+    return tuple(np.concatenate(parts) for parts in
+                 (done, sojourn, done_tag, kept_time, kept_tag))
+
+
 def _simulate_replication(system: SystemSpec, config: SimConfig,
                           rep: int) -> dict:
     """One independent replication; returns raw per-replication accumulators."""
     queues = system.queues
     n = len(queues)
-    rates = [q.arrival_rate for q in queues]
-
-    visit = [_Stream(q.visit, _generator(config.master_seed, _RUN_SALT, rep, j, _VISIT))
-             for j, q in enumerate(queues)]
-    switch = [_Stream(q.switch, _generator(config.master_seed, _RUN_SALT, rep, j, _SWITCH))
-              for j, q in enumerate(queues)]
-    service = [_Stream(q.service, _generator(config.master_seed, _RUN_SALT, rep, j, _SERVICE))
-               for j, q in enumerate(queues)]
-    counts_rng = [_generator(config.master_seed, _RUN_SALT, rep, j, _COUNT)
-                  for j in range(n)]
-    position = [_Uniforms(_generator(config.master_seed, _RUN_SALT, rep, j, _POSITION))
-                for j in range(n)]
-
-    # waiting customers per queue: parallel lists of arrival times and tags
-    wait_time: list[list[float]] = [[] for _ in range(n)]
-    wait_tag: list[list[int]] = [[] for _ in range(n)]
+    streams = [[_generator(config.master_seed, _RUN_SALT, rep, j, purpose)
+                for purpose in range(5)] for j in range(n)]
 
     x_sum = np.zeros((n, n))
     y_sum = np.zeros((n, n))
-    sojourn_sum = np.zeros(n)
-    sojourn_count = np.zeros(n)
     phase_sum = np.zeros((n, 3))
     phase_count = np.zeros((n, 3))
-    present_seen = np.zeros(n)
     present_done = np.zeros(n)
-    served_queue = np.zeros(n)
+    served = np.zeros(n)
     pgf_sum = np.zeros(len(config.pgf_points))
+    # customers waiting at a block start, per queue: arrival time relative
+    # to that start and arrival-phase tag; their next attempt is the block's
+    # first visit to the queue
+    carry_time = [np.empty(0)] * n
+    carry_tag = [np.empty(0, dtype=np.intp)] * n
 
-    collect_sojourn = config.collect_sojourn
-    now = 0.0
-    total_cycles = config.warmup_cycles + config.measured_cycles
-    for cycle in range(total_cycles):
-        measuring = cycle >= config.warmup_cycles
-        for q in range(n):
-            v = visit[q].one()
-            if measuring:
-                if config.collect_polling:
-                    for j in range(n):
-                        x_sum[q, j] += len(wait_time[j])
-                for k, (pq, zs) in enumerate(config.pgf_points):
-                    if pq == q:
-                        prod = 1.0
-                        for j in range(n):
-                            prod *= zs[j] ** len(wait_time[j])
-                        pgf_sum[k] += prod
+    total = config.warmup_cycles + config.measured_cycles
+    for first in range(0, total, _BLOCK_CYCLES):
+        cycles = min(_BLOCK_CYCLES, total - first)
+        measured = np.arange(first, first + cycles) >= config.warmup_cycles
+        visits = np.column_stack([
+            np.asarray(q.visit.sample(s[_VISIT], cycles), dtype=float)
+            for q, s in zip(queues, streams)])
+        switches = np.column_stack([
+            np.asarray(q.switch.sample(s[_SWITCH], cycles), dtype=float)
+            for q, s in zip(queues, streams)])
+        # the server's intervals in time order: interval 2(c n + i) is the
+        # visit to queue i in cycle c and the next one its switch-over;
+        # boundary k is the start of interval k
+        lengths = np.stack((visits, switches), axis=2).ravel()
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        pgf_terms = np.ones((len(config.pgf_points), cycles))
 
-            # waiting customers each draw a fresh requirement against v
-            times = wait_time[q]
-            tags = wait_tag[q]
-            if times:
-                if measuring:
-                    present_seen[q] += len(times)
-                draws = service[q].many(len(times))
-                kept_t: list[float] = []
-                kept_g: list[int] = []
-                for idx in range(len(times)):
-                    b = draws[idx]
-                    if b <= v:
-                        if measuring:
-                            present_done[q] += 1
-                            served_queue[q] += 1
-                            if collect_sojourn:
-                                s = now + b - times[idx]
-                                tag = tags[idx]
-                                sojourn_sum[q] += s
-                                sojourn_count[q] += 1
-                                phase_sum[q, tag] += s
-                                phase_count[q, tag] += 1
-                    else:
-                        kept_t.append(times[idx])
-                        kept_g.append(tags[idx])
-                wait_time[q] = kept_t
-                wait_tag[q] = kept_g
+        for j, (queue, s) in enumerate(zip(queues, streams)):
+            owner, offset = _arrivals(queue.arrival_rate, lengths,
+                                      s[_COUNT], s[_POSITION])
+            cycle, slot = np.divmod(owner, 2 * n)
+            own = slot == 2 * j
+            take = _service_pool(queue.service, s[_SERVICE],
+                                 _DRAWS_PER_CUSTOMER
+                                 * (owner.size + carry_time[j].size))
 
-            # arrivals at the visited queue start service immediately
-            if rates[q] > 0.0:
-                k = counts_rng[q].poisson(rates[q] * v)
-                if k:
-                    pos = position[q].many(k)
-                    draws = service[q].many(k)
-                    t_list = wait_time[q]
-                    g_list = wait_tag[q]
-                    for idx in range(k):
-                        t_a = pos[idx] * v
-                        b = draws[idx]
-                        if t_a + b <= v:
-                            if measuring:
-                                served_queue[q] += 1
-                                if collect_sojourn:
-                                    sojourn_sum[q] += b
-                                    sojourn_count[q] += 1
-                                    phase_sum[q, SERVED_SAME_VISIT] += b
-                                    phase_count[q, SERVED_SAME_VISIT] += 1
-                        else:
-                            t_list.append(now + t_a)
-                            g_list.append(CARRIED_FROM_VISIT)
+            # arrivals during the queue's own visit start service at once
+            b = take(int(own.sum()))
+            fits = offset[own] + b <= lengths[owner[own]]
+            counted = measured[cycle[own]] & fits
+            served[j] += counted.sum()
+            phase_sum[j, SERVED_SAME_VISIT] += b[counted].sum()
+            phase_count[j, SERVED_SAME_VISIT] += counted.sum()
 
-            # arrivals elsewhere wait for their own visit
-            for j in range(n):
-                if j != q and rates[j] > 0.0:
-                    k = counts_rng[j].poisson(rates[j] * v)
-                    if k:
-                        pos = position[j].many(k)
-                        t_list = wait_time[j]
-                        g_list = wait_tag[j]
-                        for idx in range(k):
-                            t_list.append(now + pos[idx] * v)
-                            g_list.append(OUTSIDE_VISIT)
+            # everybody else waits; the first attempt is the queue's next
+            # visit, in this cycle when the arrival precedes it
+            waits = ~own
+            waits[own] = ~fits
+            arrived = owner[waits]
+            attempt = np.concatenate((np.zeros(carry_time[j].size, dtype=np.intp),
+                                      cycle[waits] + (slot[waits] >= 2 * j)))
+            arrival = np.concatenate((carry_time[j],
+                                      starts[arrived] + offset[waits]))
+            tag = np.concatenate((carry_tag[j],
+                                  np.where(own[waits], CARRIED_FROM_VISIT,
+                                           OUTSIDE_VISIT)))
 
-            if measuring and config.collect_visit_end:
-                for j in range(n):
-                    y_sum[q, j] += len(wait_time[j])
-            now += v
+            done, sojourn, done_tag, kept_time, kept_tag = _retry_rounds(
+                attempt, arrival, tag, visits[:, j], starts[2 * j::2 * n], take)
+            counted = measured[done]
+            present_done[j] += counted.sum()
+            served[j] += counted.sum()
+            phase_sum[j] += np.bincount(done_tag[counted], weights=sojourn[counted],
+                                        minlength=3)
+            phase_count[j] += np.bincount(done_tag[counted], minlength=3)
 
-            d = switch[q].one()
-            if d > 0.0:
-                for j in range(n):
-                    if rates[j] > 0.0:
-                        k = counts_rng[j].poisson(rates[j] * d)
-                        if k:
-                            pos = position[j].many(k)
-                            t_list = wait_time[j]
-                            g_list = wait_tag[j]
-                            for idx in range(k):
-                                t_list.append(now + pos[idx] * d)
-                                g_list.append(OUTSIDE_VISIT)
-            now += d
+            # a waiting customer is present at the boundaries after its
+            # arrival interval up to and including its completing visit's start
+            edges = lengths.size + 1
+            step = np.bincount(arrived + 1, minlength=edges) \
+                - np.bincount(2 * (done * n + j) + 1, minlength=edges)
+            present = (carry_time[j].size + np.cumsum(step[:-1])).reshape(cycles, n, 2)
+            x_sum[:, j] += present[measured, :, 0].sum(axis=0)
+            y_sum[:, j] += present[measured, :, 1].sum(axis=0)
+            for k, (pq, zs) in enumerate(config.pgf_points):
+                pgf_terms[k] *= np.power(zs[j], present[:, pq, 0])
+
+            carry_time[j] = kept_time - ends[-1]
+            carry_tag[j] = kept_tag
+
+        pgf_sum += pgf_terms[:, measured].sum(axis=1)
 
     m = float(config.measured_cycles)
     return {
         "polling": x_sum / m,
         "visit_end": y_sum / m,
-        "sojourn_sum": sojourn_sum,
-        "sojourn_count": sojourn_count,
         "phase_sum": phase_sum,
         "phase_count": phase_count,
-        "present_seen": present_seen,
+        "present_seen": np.diag(x_sum).copy(),
         "present_done": present_done,
-        "served_per_cycle": served_queue / m,
+        "served_per_cycle": served / m,
         "pgf": pgf_sum / m,
     }
 
@@ -390,64 +366,52 @@ def run(system: SystemSpec, config: SimConfig, threads: int = 1) -> SimulationRe
     def stack(key):
         return np.stack([res[key] for res in results])
 
-    polling = polling_se = visit_end = visit_end_se = None
-    if config.collect_polling:
-        polling, polling_se = _mean_and_stderr(stack("polling"))
-    if config.collect_visit_end:
-        visit_end, visit_end_se = _mean_and_stderr(stack("visit_end"))
+    polling_reps = stack("polling")
+    visit_end_reps = stack("visit_end")
+    polling, polling_se = _mean_and_stderr(polling_reps)
+    visit_end, visit_end_se = _mean_and_stderr(visit_end_reps)
 
-    sojourn = sojourn_se = phase_means = phase_counts = None
-    if config.collect_sojourn:
-        per_rep_sojourn = _ratio(stack("sojourn_sum"), stack("sojourn_count"))
-        sojourn, sojourn_se = _mean_and_stderr(per_rep_sojourn)
-        total_phase_sum = stack("phase_sum").sum(axis=0)
-        phase_counts = stack("phase_count").sum(axis=0)
-        phase_means = _ratio(total_phase_sum, phase_counts)
+    phase_sum = stack("phase_sum")
+    phase_count = stack("phase_count")
+    per_rep_sojourn = _ratio(phase_sum.sum(axis=2), phase_count.sum(axis=2))
+    sojourn, sojourn_se = _mean_and_stderr(per_rep_sojourn)
+    phase_counts = phase_count.sum(axis=0)
+    phase_means = _ratio(phase_sum.sum(axis=0), phase_counts)
+    per_rep_phase = _ratio(phase_sum, phase_count)
 
     per_rep_phat = _ratio(stack("present_done"), stack("present_seen"))
     phat, phat_se = _mean_and_stderr(per_rep_phat)
 
-    throughput = throughput_se = per_queue_theta = None
-    if config.collect_throughput:
-        per_rep_theta_queue = stack("served_per_cycle")
-        per_queue_theta, _ = _mean_and_stderr(per_rep_theta_queue)
-        per_rep_total = per_rep_theta_queue.sum(axis=1)
-        t_mean, t_se = _mean_and_stderr(per_rep_total)
-        throughput, throughput_se = float(t_mean), float(t_se)
+    per_rep_theta_queue = stack("served_per_cycle")
+    per_queue_theta, _ = _mean_and_stderr(per_rep_theta_queue)
+    per_rep_total = per_rep_theta_queue.sum(axis=1)
+    t_mean, t_se = _mean_and_stderr(per_rep_total)
 
     pgf_est = pgf_se = None
     if config.pgf_points:
         pgf_est, pgf_se = _mean_and_stderr(stack("pgf"))
 
     per_replication: dict[str, np.ndarray] = {}
-    if config.collect_polling:
-        for i in range(n):
-            for j in range(n):
-                per_replication[f"polling_mean[{i + 1},{j + 1}]"] = \
-                    stack("polling")[:, i, j]
-    if config.collect_visit_end:
-        for i in range(n):
-            for j in range(n):
-                per_replication[f"visit_end_mean[{i + 1},{j + 1}]"] = \
-                    stack("visit_end")[:, i, j]
-    if config.collect_sojourn:
-        per_rep_sojourn = _ratio(stack("sojourn_sum"), stack("sojourn_count"))
-        for i in range(n):
-            per_replication[f"sojourn_mean[{i + 1}]"] = per_rep_sojourn[:, i]
-        per_rep_phase = _ratio(stack("phase_sum"), stack("phase_count"))
-        for i in range(n):
-            for tag, name in ((SERVED_SAME_VISIT, "served_same_visit"),
-                              (CARRIED_FROM_VISIT, "carried_from_visit"),
-                              (OUTSIDE_VISIT, "outside_visit")):
-                per_replication[f"sojourn_mean_{name}[{i + 1}]"] = \
-                    per_rep_phase[:, i, tag]
+    for i in range(n):
+        for j in range(n):
+            per_replication[f"polling_mean[{i + 1},{j + 1}]"] = polling_reps[:, i, j]
+    for i in range(n):
+        for j in range(n):
+            per_replication[f"visit_end_mean[{i + 1},{j + 1}]"] = \
+                visit_end_reps[:, i, j]
+    for i in range(n):
+        per_replication[f"sojourn_mean[{i + 1}]"] = per_rep_sojourn[:, i]
+    for i in range(n):
+        for tag, name in ((SERVED_SAME_VISIT, "served_same_visit"),
+                          (CARRIED_FROM_VISIT, "carried_from_visit"),
+                          (OUTSIDE_VISIT, "outside_visit")):
+            per_replication[f"sojourn_mean_{name}[{i + 1}]"] = \
+                per_rep_phase[:, i, tag]
     for i in range(n):
         per_replication[f"completion_fraction[{i + 1}]"] = per_rep_phat[:, i]
-    if config.collect_throughput:
-        per_replication["throughput_per_cycle"] = stack("served_per_cycle").sum(axis=1)
-        for i in range(n):
-            per_replication[f"throughput_per_cycle[{i + 1}]"] = \
-                stack("served_per_cycle")[:, i]
+    per_replication["throughput_per_cycle"] = per_rep_total
+    for i in range(n):
+        per_replication[f"throughput_per_cycle[{i + 1}]"] = per_rep_theta_queue[:, i]
     for k, (pq, zs) in enumerate(config.pgf_points):
         zrepr = ",".join(format(z, "g") for z in zs)
         per_replication[f"pgf[q{pq + 1};z={zrepr}]"] = stack("pgf")[:, k]
@@ -467,8 +431,8 @@ def run(system: SystemSpec, config: SimConfig, threads: int = 1) -> SimulationRe
         sojourn_phase_counts=phase_counts,
         completion_fraction=phat,
         completion_stderr=phat_se,
-        throughput_mean=throughput,
-        throughput_stderr=throughput_se,
+        throughput_mean=float(t_mean),
+        throughput_stderr=float(t_se),
         per_queue_throughput=per_queue_theta,
         pgf_estimates=pgf_est,
         pgf_stderr=pgf_se,
@@ -542,12 +506,10 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
             per_queue[q] += add
 
         if rate > 0:
-            within = gen[_COUNT].poisson(rate * v)
-            total = int(within.sum())
-            if total:
-                owner = np.repeat(rep_ids, within)
-                t_a = gen[_POSITION].random(total) * v[owner]
-                b = np.asarray(spec.service.sample(gen[_SERVICE], total), dtype=float)
+            owner, t_a = _arrivals(rate, v, gen[_COUNT], gen[_POSITION])
+            if owner.size:
+                b = np.asarray(spec.service.sample(gen[_SERVICE], owner.size),
+                               dtype=float)
                 done = owner[t_a + b <= v[owner]]
                 add = np.bincount(done, minlength=reps)
                 served += add
@@ -586,14 +548,7 @@ def leftover_after_visit(arrival_rate: float, service: Distribution,
         raise DomainError("replications must be >= 1")
     gen = {p: _generator(master_seed, _CYCLE_SALT, 3, 0, p) for p in range(5)}
     v = np.asarray(visit.sample(gen[_VISIT], replications), dtype=float)
-    if arrival_rate == 0.0:
-        return np.zeros(replications, dtype=int)
-    arrivals = gen[_COUNT].poisson(arrival_rate * v)
-    total = int(arrivals.sum())
-    if total == 0:
-        return np.zeros(replications, dtype=int)
-    owner = np.repeat(np.arange(replications), arrivals)
-    t_a = gen[_POSITION].random(total) * v[owner]
-    b = np.asarray(service.sample(gen[_SERVICE], total), dtype=float)
+    owner, t_a = _arrivals(arrival_rate, v, gen[_COUNT], gen[_POSITION])
+    b = np.asarray(service.sample(gen[_SERVICE], owner.size), dtype=float)
     stay = owner[t_a + b > v[owner]]
     return np.bincount(stay, minlength=replications)

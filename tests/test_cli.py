@@ -122,6 +122,12 @@ class TestConfigParsing:
         assert main(["simulate", "--config", cfg]) == 2
         assert "sim.pgf_points[0][0]" in capsys.readouterr().err
 
+    def test_removed_collect_toggle_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path,
+                           sim=base_sim_block(collect_sojourn=False))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "sim: unknown key 'collect_sojourn'" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_base_values_in_output(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Simulator checks: forced-outcome mechanics, agreement with the analytic
 layer, distributional structure of visit-end leftovers, and determinism."""
+import math
 import os
 
 import numpy as np
@@ -24,6 +25,7 @@ from mginfpolling.distributions import (
 )
 from mginfpolling.errors import DomainError
 from mginfpolling.simulator import (
+    _BLOCK_CYCLES,
     CARRIED_FROM_VISIT,
     OUTSIDE_VISIT,
     SERVED_SAME_VISIT,
@@ -157,6 +159,67 @@ class TestDegenerateSystems:
         assert rep.sojourn_phase_counts[0, CARRIED_FROM_VISIT] > 0
 
 
+class TestAcrossBlocks:
+    # runs longer than several kernel blocks, with a measured length that is
+    # not a multiple of the block size, so customers carry across block ends
+    CYCLES = 3 * _BLOCK_CYCLES + 123
+
+    def test_small_service_forces_exact_outcomes(self):
+        # as in test_small_service_forces_exact_phase_means: every waiting
+        # customer completes at its first attempt
+        sys = SystemSpec((
+            QueueSpec(0.7, Deterministic(0.4), Deterministic(1.0), Deterministic(0.25)),
+            QueueSpec(0.0, Exponential(1.0), Deterministic(1.0), Deterministic(0.25)),
+        ))
+        reps = 3
+        rep = run(sys, SimConfig(warmup_cycles=70, measured_cycles=self.CYCLES,
+                                 replications=reps, master_seed=17))
+        assert rep.completion_fraction[0] == 1.0
+        assert abs(rep.sojourn_phase_means[0, SERVED_SAME_VISIT] - 0.4) < 1e-12
+        assert np.all(rep.polling_means[:, 1] == 0.0)
+        assert np.all(rep.visit_end_means[:, 1] == 0.0)
+        # each customer seen at its queue's polling instant completes there,
+        # and every completion is one unit of throughput
+        counts = rep.sojourn_phase_counts[0]
+        seen = rep.polling_means[0, 0] * self.CYCLES * reps
+        assert abs(counts[CARRIED_FROM_VISIT] + counts[OUTSIDE_VISIT] - seen) \
+            < 1e-9 * seen
+        served = rep.throughput_mean * self.CYCLES * reps
+        assert abs(counts.sum() - served) < 1e-9 * served
+        # carried: offset uniform on (0.6, 1], sojourn 2.9 - offset; outside:
+        # arrival uniform over the 1.5 before the next polling, plus 0.4
+        zcheck(rep.sojourn_phase_means[0, CARRIED_FROM_VISIT], 2.1,
+               (0.4 / 12 ** 0.5) / counts[CARRIED_FROM_VISIT] ** 0.5)
+        zcheck(rep.sojourn_phase_means[0, OUTSIDE_VISIT], 1.15,
+               (1.5 / 12 ** 0.5) / counts[OUTSIDE_VISIT] ** 0.5)
+        # waiting at queue 1's polling: Poisson over the last 0.4 of the
+        # visit and the 1.5 after it, independent from cycle to cycle
+        zcheck(rep.polling_means[0, 0], 0.7 * 1.9,
+               (0.7 * 1.9 / (self.CYCLES * reps)) ** 0.5)
+
+    def test_oversized_service_never_completes(self):
+        sys = SystemSpec((
+            QueueSpec(0.05, Deterministic(2.0), Deterministic(1.0), Deterministic(0.25)),
+            QueueSpec(0.0, Exponential(1.0), Exponential(1.0), Deterministic(0.25)),
+        ))
+        rep = run(sys, SimConfig(warmup_cycles=0, measured_cycles=self.CYCLES,
+                                 replications=2, master_seed=19))
+        assert rep.completion_fraction[0] == 0.0
+        assert rep.throughput_mean == 0.0
+        assert rep.sojourn_phase_counts.sum() == 0
+        # nobody leaves, so within a cycle queue 1 only grows from instant
+        # to instant: polling 1, visit end 1, polling 2, visit end 2
+        x, y = rep.polling_means[:, 0], rep.visit_end_means[:, 0]
+        assert 0.0 < x[0] <= y[0] <= x[1] <= y[1]
+        # the count at polling instant c is every arrival before 2.5 c, so
+        # its run mean has mean rate 2.5 (M - 1) / 2 and variance
+        # rate 2.5 sum_{c, c'} min(c, c') / M^2, the sum being
+        # (M - 1) M (2 M - 1) / 6
+        m, flow = self.CYCLES, 0.05 * 2.5
+        var = flow * (m - 1) * m * (2 * m - 1) / 6 / m ** 2
+        zcheck(x[0], flow * (m - 1) / 2, (var / 2) ** 0.5)
+
+
 class TestAgainstAnalytic:
     def test_polling_matrix(self, base_report):
         target = polling_means(base_system()).at_polling
@@ -192,13 +255,40 @@ class TestAgainstAnalytic:
             QueueSpec(0.7, Exponential(1.2), Deterministic(1.0), Deterministic(0.3)),
             QueueSpec(0.4, Exponential(0.9), Deterministic(1.5), Deterministic(0.2)),
         ))
+        # a zero z component measures the probability of an empty queue at
+        # polling: 0 ** 0 must count as 1 and 0 ** k as 0
         cfg = SimConfig(warmup_cycles=300, measured_cycles=12_000,
                         replications=10, master_seed=99,
-                        pgf_points=((0, (0.5, 0.5)), (1, (0.9, 0.3))))
+                        pgf_points=((0, (0.5, 0.5)), (1, (0.9, 0.3)),
+                                    (0, (0.0, 1.0)), (1, (0.0, 0.0))))
         rep = run(sys, cfg, threads=THREADS)
-        g0 = pgf_eval(sys, 0, (0.5, 0.5))
-        g1 = pgf_eval(sys, 1, (0.9, 0.3))
-        zcheck(rep.pgf_estimates, [g0, g1], rep.pgf_stderr)
+        exact = [pgf_eval(sys, q, zs) for q, zs in cfg.pgf_points]
+        assert abs(exact[2] - 0.07526) < 1e-5
+        zcheck(rep.pgf_estimates, exact, rep.pgf_stderr)
+
+    def test_long_retry_chains(self):
+        # queue 1 completes an attempt with probability P[V >= ln 10] = 0.1,
+        # so customers wait about ten visits; queue 2 never has arrivals and
+        # two switch-overs take no time
+        sys = SystemSpec((
+            QueueSpec(0.6, Deterministic(math.log(10.0)), Exponential(1.0),
+                      Deterministic(0.0)),
+            QueueSpec(0.0, Exponential(1.0), Exponential(2.0), Deterministic(0.2)),
+            QueueSpec(0.5, Exponential(1.5), Deterministic(0.8), Deterministic(0.0)),
+        ))
+        rep = run(sys, SimConfig(warmup_cycles=500, measured_cycles=20_000,
+                                 replications=10, master_seed=23),
+                  threads=THREADS)
+        busy = [0, 2]
+        p = [derived_quantities(sys, i).completion_prob for i in busy]
+        assert abs(p[0] - 0.1) < 1e-9
+        zcheck(rep.completion_fraction[busy], p, rep.completion_stderr[busy])
+        zcheck(rep.sojourn_means[busy], [sojourn_mean(sys, i) for i in busy],
+               rep.sojourn_stderr[busy])
+        target = polling_means(sys).at_polling
+        assert np.all(rep.polling_means[:, 1] == 0.0)
+        zcheck(rep.polling_means[:, busy], target[:, busy],
+               rep.polling_stderr[:, busy])
 
     def test_phase_decomposition_recombines(self, base_report):
         sys = base_system()
