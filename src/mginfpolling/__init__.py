@@ -19,7 +19,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .distributions import (
-    DEFAULT_QUADRATURE,
     Deterministic,
     Discrete,
     Distribution,
@@ -27,9 +26,8 @@ from .distributions import (
     Exponential,
     HyperExponential,
     MixedErlang,
-    QuadratureConfig,
+    attempt_lst,
     completion_probability,
-    expectation,
     expected_min,
     fit_hyperexponential,
     fit_mixed_erlang,
@@ -37,6 +35,7 @@ from .distributions import (
     min_lst,
     residual_lst,
     residual_survival,
+    served_in_visit,
     survival_product_integral,
 )
 from .analytic import (

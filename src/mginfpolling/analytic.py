@@ -11,11 +11,12 @@ visit. Uncompleted customers simply wait for the next visit. Service is
 infinite-server, so customers never queue for each other.
 
 This module evaluates the stationary performance measures of that model in
-closed form or by one-dimensional quadrature: per-queue completion
-probabilities and related constants, cycle-length moments, mean queue lengths
-at polling and visit-end instants, the joint queue-length generating function
-at polling instants (for atomic visit and switch laws), and the sojourn-time
-mean and Laplace-Stieltjes transform.
+closed form, with the two-law functionals of the distributions module as
+finite sums: per-queue completion probabilities and related constants,
+cycle-length moments, mean queue lengths at polling and visit-end instants,
+the joint queue-length generating function at polling instants (for atomic
+visit and switch laws), and the sojourn-time mean and Laplace-Stieltjes
+transform.
 
 Conventions: queue indices are 0-based everywhere in the library. Optional
 central-point travel laws can ride along on a queue spec for tour planning,
@@ -29,14 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (
-    DEFAULT_QUADRATURE,
     Distribution,
-    QuadratureConfig,
+    attempt_lst,
     completion_probability,
-    expectation,
     expected_min,
     has_atom_at_zero,
-    min_lst,
+    served_in_visit,
     survival_product_integral,
 )
 from .errors import (
@@ -211,9 +210,7 @@ def _queue_checked(system: SystemSpec, queue: int) -> QueueSpec:
     return system.queues[queue]
 
 
-def derived_quantities(system: SystemSpec, queue: int,
-                       quad: QuadratureConfig = DEFAULT_QUADRATURE,
-                       ) -> DerivedQueueQuantities:
+def derived_quantities(system: SystemSpec, queue: int) -> DerivedQueueQuantities:
     """Completion probability and companion constants for one queue.
 
     Raises
@@ -224,12 +221,12 @@ def derived_quantities(system: SystemSpec, queue: int,
         waiting quantities diverge.
     """
     spec = _queue_checked(system, queue)
-    p = completion_probability(spec.service, spec.visit, quad)
+    p = completion_probability(spec.service, spec.visit)
     if p <= 0.0:
         raise ModelError(
             f"queue {queue}: service never completes within a visit "
             "(completion probability 0)")
-    mmin = expected_min(spec.service, spec.visit, quad)
+    mmin = expected_min(spec.service, spec.visit)
     return DerivedQueueQuantities(
         completion_prob=p,
         min_mean=mmin,
@@ -256,8 +253,7 @@ def cycle_moments(system: SystemSpec) -> CycleMoments:
     return CycleMoments(cycle_mean, tuple(partial_means), tuple(partial_seconds))
 
 
-def polling_means(system: SystemSpec,
-                  quad: QuadratureConfig = DEFAULT_QUADRATURE) -> PollingMeans:
+def polling_means(system: SystemSpec) -> PollingMeans:
     """Mean queue lengths at every polling and visit-end instant.
 
     The diagonal entries balance arrivals over one cycle against the served
@@ -273,7 +269,7 @@ def polling_means(system: SystemSpec,
     rates = [q.arrival_rate for q in queues]
     visit_means = [q.visit.mean() for q in queues]
     switch_means = [q.switch.mean() for q in queues]
-    derived = [derived_quantities(system, j, quad) for j in range(n)]
+    derived = [derived_quantities(system, j) for j in range(n)]
     switch_total = sum(switch_means)
     visit_total = sum(visit_means)
 
@@ -297,15 +293,13 @@ def polling_means(system: SystemSpec,
     return PollingMeans(at_polling=at_polling, at_visit_end=at_end)
 
 
-def end_of_visit_means(system: SystemSpec,
-                       quad: QuadratureConfig = DEFAULT_QUADRATURE) -> np.ndarray:
+def end_of_visit_means(system: SystemSpec) -> np.ndarray:
     """Mean queue lengths at visit-end instants; row i is the end of visit i."""
-    return polling_means(system, quad).at_visit_end
+    return polling_means(system).at_visit_end
 
 
 def pgf_eval(system: SystemSpec, queue: int, z,
-             tol: float = 1e-12, max_cycles: int = 500,
-             quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+             tol: float = 1e-12, max_cycles: int = 500) -> float:
     """Joint queue-length generating function at a polling instant.
 
     Evaluates E[prod_j z_j^(count in queue j)] at the moment the server
@@ -347,7 +341,7 @@ def pgf_eval(system: SystemSpec, queue: int, z,
                 f"queue {idx}: generating-function evaluation needs atomic "
                 "visit and switch laws")
     for j in range(n):
-        derived_quantities(system, j, quad)  # rejects completion probability 0
+        derived_quantities(system, j)  # rejects completion probability 0
 
     rates = np.array([q.arrival_rate for q in queues])
     u0 = 1.0 - z
@@ -449,11 +443,10 @@ class _SojournContext:
     others: tuple[QueueSpec, ...]
 
 
-def _sojourn_context(system: SystemSpec, queue: int,
-                     quad: QuadratureConfig) -> _SojournContext:
+def _sojourn_context(system: SystemSpec, queue: int) -> _SojournContext:
     spec = _queue_checked(system, queue)
     moments = cycle_moments(system)
-    derived = derived_quantities(system, queue, quad)
+    derived = derived_quantities(system, queue)
     return _SojournContext(
         arrival_rate=spec.arrival_rate,
         service=spec.service,
@@ -469,8 +462,7 @@ def _sojourn_context(system: SystemSpec, queue: int,
     )
 
 
-def sojourn_mean(system: SystemSpec, queue: int,
-                 quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def sojourn_mean(system: SystemSpec, queue: int) -> float:
     """Stationary mean sojourn time of a customer at one queue.
 
     The arrival moment of a tagged customer falls inside its queue's visit
@@ -484,68 +476,55 @@ def sojourn_mean(system: SystemSpec, queue: int,
     attempt adds the expected minimum of requirement and visit plus, on
     failure, the server-elsewhere remainder of the cycle.
     """
-    c = _sojourn_context(system, queue, quad)
+    c = _sojourn_context(system, queue)
     ev, ec = c.visit_mean, c.cycle_mean
     ecmi, ec2mi = c.partial_mean, c.partial_second
     p, emin = c.completion_prob, c.min_mean
 
-    visit_atoms = [a for a, _ in c.visit.atoms] if c.visit.atoms else ()
-    served_in_visit = expectation(
-        c.service,
-        lambda b: b * (1.0 - float(c.visit.integrated_survival(b)) / ev),
-        breakpoints=visit_atoms, quad=quad)
-    residual_excess = survival_product_integral(
-        c.visit, c.service, 0.0, 1, quad) / ev
+    served = served_in_visit(c.service, c.visit, moment=1)
+    residual_excess = survival_product_integral(c.visit, c.service, 0.0, 1) / ev
     from_polling = (ecmi + emin) / p
-    in_visit = served_in_visit + residual_excess + c.overshoot_prob * from_polling
+    in_visit = served + residual_excess + c.overshoot_prob * from_polling
     out_of_visit = (ec2mi / (2.0 * ecmi)
                     + (1.0 - p) / p * ecmi + emin / p)
     return (ev / ec) * in_visit + (ecmi / ec) * out_of_visit
 
 
-def sojourn_lst(system: SystemSpec, queue: int, s: float,
-                quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
     """Laplace-Stieltjes transform of the sojourn time at one queue.
 
-    Follows the same arrival-phase decomposition as `sojourn_mean`, with the
-    waiting pool's geometric retry structure transformed through the factor
-    p x / (1 - (1-p) x). The per-attempt transform treats the completion
-    indicator and the attempt length as independent, which is exact for
-    exponential service and in general matches the true transform in value
-    and slope at s = 0.
+    Follows the arrival-phase decomposition of `sojourn_mean`. From a
+    polling instant, a waiting customer's attempt in each visit either
+    succeeds after its requirement B (when B <= V) or fails after the whole
+    visit V, which the server-away time A follows. An attempt's length
+    depends on its outcome, so the wait from a polling instant has the
+    transform succ / (1 - fail A(s)), with succ = E[exp(-s B); B <= V] and
+    fail = E[exp(-s V); V < B]. Exact for every service and visit law.
     """
     if s < 0.0:
         raise DomainError("transform argument s must be >= 0")
     if s == 0.0:
         return 1.0
-    c = _sojourn_context(system, queue, quad)
+    c = _sojourn_context(system, queue)
     ev, ec = c.visit_mean, c.cycle_mean
     ecmi = c.partial_mean
-    p = c.completion_prob
 
-    # transform of the server-elsewhere remainder of a cycle
+    # transform of the server-away remainder of a cycle
     away = 1.0
     for q in c.others:
         away *= q.visit.lst(s)
     for q in system.queues:
         away *= q.switch.lst(s)
-    attempt = min_lst(c.service, c.visit, s, quad)
+    succ, fail = attempt_lst(c.service, c.visit, s)
+    from_polling = succ / (1.0 - fail * away)
 
-    def geometric(x: float) -> float:
-        return p * x / (1.0 - (1.0 - p) * x)
-
-    visit_atoms = [a for a, _ in c.visit.atoms] if c.visit.atoms else ()
-    served_in_visit = expectation(
-        c.service,
-        lambda b: math.exp(-s * b) * (1.0 - float(c.visit.integrated_survival(b)) / ev),
-        breakpoints=visit_atoms, quad=quad)
-    residual_excess = survival_product_integral(c.visit, c.service, s, 0, quad) / ev
+    served = served_in_visit(c.service, c.visit, s)
+    residual_excess = survival_product_integral(c.visit, c.service, s) / ev
     residual_away = (1.0 - away) / (s * ecmi)
 
-    term_served = (ev / ec) * served_in_visit
-    term_overflow = (ev / ec) * residual_excess * geometric(away * attempt)
-    term_outside = (ecmi / ec) * residual_away \
-        * (p / (1.0 - (1.0 - p) * away)) * geometric(attempt)
+    term_served = (ev / ec) * served
+    term_overflow = (ev / ec) * residual_excess * away * from_polling
+    term_outside = (ecmi / ec) * residual_away * from_polling
     return term_served + term_overflow + term_outside
 
 
@@ -562,7 +541,7 @@ def _exponential_rates(system: SystemSpec, queue: int) -> tuple[float, float]:
 def sojourn_mean_exponential(system: SystemSpec, queue: int) -> float:
     """Closed-form sojourn mean for a queue with exponential service and visit.
 
-    Bypasses all quadrature; used to cross-check the general path.
+    Uses none of the two-law functionals; cross-checks the general path.
     """
     gamma, mu = _exponential_rates(system, queue)
     moments = cycle_moments(system)
@@ -573,44 +552,43 @@ def sojourn_mean_exponential(system: SystemSpec, queue: int) -> float:
 
 
 def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
-    """Closed-form sojourn transform for exponential service and visit laws."""
+    """Closed-form sojourn transform for exponential service and visit laws.
+
+    The decomposition of `sojourn_lst` specialized by hand: with service
+    rate mu, visit rate gamma and server-away transform A, it reads
+    [E[V]/E[C] + (1 - A)/(s E[C])] mu / (mu + gamma + s - gamma A). It
+    cross-checks the finite-sum functionals, not the decomposition itself.
+    """
     if s < 0.0:
         raise DomainError("transform argument s must be >= 0")
     if s == 0.0:
         return 1.0
     gamma, mu = _exponential_rates(system, queue)
-    moments = cycle_moments(system)
-    ec = moments.cycle_mean
-    ecmi = moments.partial_means[queue]
+    ec = cycle_moments(system).cycle_mean
     away = 1.0
     for j, q in enumerate(system.queues):
         if j != queue:
             away *= q.visit.lst(s)
         away *= q.switch.lst(s)
-    first = (1.0 / (gamma + mu + s)) * (mu / gamma) / ec
-    second = (1.0 / (gamma + mu + s)) * (mu * away / (gamma + mu + s - gamma * away)) / ec
-    third = ((1.0 - away) / (s * ec)) * (mu / (gamma + mu - gamma * away)) \
-        * (mu / (mu + s))
-    return first + second + third
+    return ((1.0 / gamma + (1.0 - away) / s) / ec
+            * mu / (mu + gamma + s - gamma * away))
 
 
-def sojourn_metrics(system: SystemSpec, s_grid=(),
-                    quad: QuadratureConfig = DEFAULT_QUADRATURE) -> SojournMetrics:
+def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
     """Sojourn means for every queue plus a transform table over `s_grid`."""
     s_values = tuple(float(s) for s in s_grid)
     if any(s < 0.0 for s in s_values):
         raise DomainError("transform grid values must be >= 0")
     n = len(system.queues)
-    means = tuple(sojourn_mean(system, i, quad) for i in range(n))
+    means = tuple(sojourn_mean(system, i) for i in range(n))
     table = np.empty((n, len(s_values)))
     for i in range(n):
         for k, s in enumerate(s_values):
-            table[i, k] = sojourn_lst(system, i, s, quad)
+            table[i, k] = sojourn_lst(system, i, s)
     return SojournMetrics(means=means, s_grid=s_values, lst_table=table)
 
 
-def weighted_sojourn_mean(system: SystemSpec,
-                          quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def weighted_sojourn_mean(system: SystemSpec) -> float:
     """Sojourn mean of a uniformly random arriving customer.
 
     Averages the per-queue means with arrival-rate weights.
@@ -622,5 +600,5 @@ def weighted_sojourn_mean(system: SystemSpec,
     acc = 0.0
     for i, rate in enumerate(rates):
         if rate > 0.0:
-            acc += rate * sojourn_mean(system, i, quad)
+            acc += rate * sojourn_mean(system, i)
     return acc / total

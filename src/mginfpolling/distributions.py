@@ -7,11 +7,16 @@ Laplace-Stieltjes transform on real s >= 0, the integrated survival function
 (the workhorse behind residual laws), and reproducible sampling from a numpy
 Generator.
 
-Two-law functionals live here as free functions: the expected minimum of two
-independent laws, its transform, survival-product integrals, and generic
-expectations E[f(Y)]. Integrals against atomic laws are computed as exact
-finite sums over atoms; continuous laws go through adaptive quadrature on a
-truncated range chosen from the survival tail.
+Two-law functionals live here as free functions: the completion probability
+P[B <= V], the expected minimum of two independent laws and its transform,
+survival-product integrals, the outcome-split transforms of one visit
+attempt, and the served-in-visit term of the sojourn time. Every
+continuous family is a finite mixture of Erlang components and every atomic
+law a finite set of atoms (the phase-type view of Neuts, Matrix-Geometric
+Solutions in Stochastic Models, 1981). Survival functions, densities and tail
+integrals are then finite sums of terms c x^p exp(-r x) 1{x < u}, and each
+functional is a finite sum of incomplete-gamma integrals of products of such
+terms, evaluated in log space.
 
 The two-moment fitting recipes used by parameter sweeps are also here:
 `fit_mixed_erlang` for squared coefficients of variation at or below one and
@@ -22,18 +27,15 @@ from __future__ import annotations
 
 import abc
 import math
-import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaln
+from scipy.special import gammainc, gammaincc, gammaln, xlogy
 
-from .errors import DomainError, NumericsError
+from .errors import DomainError
 
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
     "Distribution",
     "Exponential",
     "Deterministic",
@@ -47,70 +49,13 @@ __all__ = [
     "survival_product_integral",
     "expected_min",
     "min_lst",
-    "expectation",
     "completion_probability",
+    "attempt_lst",
+    "served_in_visit",
     "fit_mixed_erlang",
     "fit_hyperexponential",
     "fit_two_moments",
 ]
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Accuracy targets for the adaptive quadrature behind two-law integrals.
-
-    Attributes
-    ----------
-    rel_tol, abs_tol : float
-        Relative and absolute integration tolerances handed to the adaptive
-        Gauss-Kronrod integrator.
-    tail_eps : float
-        Tail cutoff defining the truncation point of an integration range:
-        the smallest x with survival(x) below ``tail_eps``. Finite for every
-        supported family (all have exponentially bounded or compact tails).
-    max_intervals : int
-        Subdivision limit before the integrator gives up.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    tail_eps: float = 1e-13
-    max_intervals: int = 200
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
-def _adaptive_quad(fn, lo: float, hi: float, quad: QuadratureConfig,
-                   breakpoints=(), label: str = "integral") -> float:
-    """Integrate fn over [lo, hi], subdividing at the given breakpoints.
-
-    Raises
-    ------
-    NumericsError
-        If the integrator warns about non-convergence or reports an error
-        estimate above the configured tolerance.
-    """
-    if hi <= lo:
-        return 0.0
-    pts = sorted({float(p) for p in breakpoints if lo < p < hi})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            value, err = integrate.quad(
-                fn, lo, hi, points=pts or None,
-                epsabs=quad.abs_tol, epsrel=quad.rel_tol,
-                limit=quad.max_intervals)
-        except integrate.IntegrationWarning as exc:
-            raise NumericsError(
-                f"quadrature failed for {label} on [{lo:g}, {hi:g}]: {exc}"
-            ) from exc
-    tolerance = max(quad.abs_tol, quad.rel_tol * abs(value))
-    if err > max(tolerance * 1e3, 1e-9):
-        raise NumericsError(
-            f"quadrature error {err:.2e} too large for {label} on "
-            f"[{lo:g}, {hi:g}] (value {value:.6e})")
-    return value
 
 
 class Distribution(abc.ABC):
@@ -118,13 +63,14 @@ class Distribution(abc.ABC):
 
     Subclasses provide exact moments, the (strict) survival function
     P[Y > x], the Laplace-Stieltjes transform on real s >= 0, the integrated
-    survival function, a truncation point for quadrature, and sampling.
-    Atomic laws additionally expose their atoms; continuous laws expose a
-    density.
+    survival function, and sampling. Atomic laws additionally expose their
+    atoms; continuous laws expose a density and their Erlang components.
     """
 
     #: ((value, probability), ...) for atomic laws, None for continuous ones.
     atoms: tuple[tuple[float, float], ...] | None = None
+    #: ((weight, phases, rate), ...) for continuous laws, None for atomic ones.
+    components: tuple[tuple[float, int, float], ...] | None = None
 
     @abc.abstractmethod
     def mean(self) -> float:
@@ -165,10 +111,6 @@ class Distribution(abc.ABC):
         """Integral of the survival function from 0 to x, elementwise."""
 
     @abc.abstractmethod
-    def truncation_point(self, eps: float) -> float:
-        """A finite x beyond which survival(x) <= eps."""
-
-    @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size=None):
         """Draw variates; a scalar for size=None, else an array."""
 
@@ -180,8 +122,42 @@ def _check_rate(rate: float, name: str = "rate") -> float:
     return rate
 
 
+class _ErlangMixture(Distribution):
+    """A finite mixture of Erlang laws, given by the subclass's `components`.
+
+    Moments, survival, density, transform and integrated survival all follow
+    from the components; each family keeps its own sampler.
+    """
+
+    def _mix(self, fn, x):
+        x = np.maximum(np.asarray(x, dtype=float), 0.0)
+        return sum(w * fn(k, r, x) for w, k, r in self.components)[()]
+
+    def mean(self):
+        return sum(w * k / r for w, k, r in self.components)
+
+    def second_moment(self):
+        return sum(w * k * (k + 1) / r**2 for w, k, r in self.components)
+
+    def survival(self, x):
+        return self._mix(lambda k, r, x: gammaincc(k, r * x), x)
+
+    def pdf(self, x):
+        return self._mix(lambda k, r, x: np.exp(
+            k * math.log(r) + xlogy(k - 1, x) - r * x - gammaln(k)), x)
+
+    def lst(self, s):
+        return sum(w * (r / (r + s)) ** k for w, k, r in self.components)
+
+    def integrated_survival(self, x):
+        # the integral of P[Erlang(k, r) > t] over [0, x] is
+        # sum_{j=1..k} P(j, r x) / r
+        return self._mix(lambda k, r, x: sum(
+            gammainc(j, r * x) for j in range(1, k + 1)) / r, x)
+
+
 @dataclass(frozen=True)
-class Exponential(Distribution):
+class Exponential(_ErlangMixture):
     """Exponential law with the given rate."""
 
     rate: float
@@ -189,26 +165,9 @@ class Exponential(Distribution):
     def __post_init__(self):
         _check_rate(self.rate)
 
-    def mean(self):
-        return 1.0 / self.rate
-
-    def second_moment(self):
-        return 2.0 / self.rate**2
-
-    def survival(self, x):
-        return np.exp(-self.rate * np.asarray(x, dtype=float))
-
-    def pdf(self, x):
-        return self.rate * np.exp(-self.rate * np.asarray(x, dtype=float))
-
-    def lst(self, s):
-        return self.rate / (self.rate + s)
-
-    def integrated_survival(self, x):
-        return -np.expm1(-self.rate * np.asarray(x, dtype=float)) / self.rate
-
-    def truncation_point(self, eps):
-        return -math.log(eps) / self.rate
+    @property
+    def components(self):
+        return ((1.0, 1, self.rate),)
 
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
@@ -241,8 +200,6 @@ class Deterministic(Distribution):
     def integrated_survival(self, x):
         return np.minimum(np.asarray(x, dtype=float), self.value)[()]
 
-    def truncation_point(self, eps):
-        return self.value
 
     def sample(self, rng, size=None):
         if size is None:
@@ -251,7 +208,7 @@ class Deterministic(Distribution):
 
 
 @dataclass(frozen=True)
-class Erlang(Distribution):
+class Erlang(_ErlangMixture):
     """Sum of `phases` independent exponential stages with a common rate."""
 
     phases: int
@@ -263,46 +220,16 @@ class Erlang(Distribution):
         object.__setattr__(self, "phases", int(self.phases))
         _check_rate(self.rate)
 
-    def mean(self):
-        return self.phases / self.rate
-
-    def second_moment(self):
-        return self.phases * (self.phases + 1) / self.rate**2
-
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return gammaincc(self.phases, self.rate * np.maximum(x, 0.0))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logpdf = (self.phases * math.log(self.rate)
-                      + (self.phases - 1) * np.log(x)
-                      - self.rate * x - gammaln(self.phases))
-        out = np.where(x > 0.0, np.exp(logpdf), 0.0)
-        if self.phases == 1:
-            out = np.where(x == 0.0, self.rate, out)
-        return out[()]
-
-    def lst(self, s):
-        return (self.rate / (self.rate + s)) ** self.phases
-
-    def integrated_survival(self, x):
-        x = np.asarray(x, dtype=float)
-        js = np.arange(1, self.phases + 1, dtype=float).reshape(
-            (self.phases,) + (1,) * x.ndim)
-        total = gammainc(js, self.rate * np.maximum(x, 0.0))
-        return (total.sum(axis=0) / self.rate)[()]
-
-    def truncation_point(self, eps):
-        return float(gammainccinv(self.phases, eps)) / self.rate
+    @property
+    def components(self):
+        return ((1.0, self.phases, self.rate),)
 
     def sample(self, rng, size=None):
         return rng.gamma(self.phases, 1.0 / self.rate, size=size)
 
 
 @dataclass(frozen=True)
-class MixedErlang(Distribution):
+class MixedErlang(_ErlangMixture):
     """Mixture of Erlang(phases - 1) and Erlang(phases) with a common rate.
 
     With probability `p` the law is the shorter Erlang with ``phases - 1``
@@ -323,31 +250,10 @@ class MixedErlang(Distribution):
         object.__setattr__(self, "phases", int(self.phases))
         _check_rate(self.rate)
 
-    def _parts(self):
-        return ((self.p, Erlang(self.phases - 1, self.rate)),
-                (1.0 - self.p, Erlang(self.phases, self.rate)))
-
-    def mean(self):
-        return (self.phases - self.p) / self.rate
-
-    def second_moment(self):
-        n = self.phases
-        return (self.p * (n - 1) * n + (1.0 - self.p) * n * (n + 1)) / self.rate**2
-
-    def survival(self, x):
-        return sum(w * part.survival(x) for w, part in self._parts())
-
-    def pdf(self, x):
-        return sum(w * part.pdf(x) for w, part in self._parts())
-
-    def lst(self, s):
-        return sum(w * part.lst(s) for w, part in self._parts())
-
-    def integrated_survival(self, x):
-        return sum(w * part.integrated_survival(x) for w, part in self._parts())
-
-    def truncation_point(self, eps):
-        return max(part.truncation_point(eps) for _, part in self._parts())
+    @property
+    def components(self):
+        return ((self.p, self.phases - 1, self.rate),
+                (1.0 - self.p, self.phases, self.rate))
 
     def sample(self, rng, size=None):
         shorter = rng.random(size) < self.p
@@ -357,7 +263,7 @@ class MixedErlang(Distribution):
 
 
 @dataclass(frozen=True)
-class HyperExponential(Distribution):
+class HyperExponential(_ErlangMixture):
     """Two-phase hyperexponential: rate1 with probability p, else rate2."""
 
     p: float
@@ -370,33 +276,9 @@ class HyperExponential(Distribution):
         _check_rate(self.rate1, "rate1")
         _check_rate(self.rate2, "rate2")
 
-    def mean(self):
-        return self.p / self.rate1 + (1.0 - self.p) / self.rate2
-
-    def second_moment(self):
-        return 2.0 * self.p / self.rate1**2 + 2.0 * (1.0 - self.p) / self.rate2**2
-
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.p * np.exp(-self.rate1 * x)
-                + (1.0 - self.p) * np.exp(-self.rate2 * x))
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.p * self.rate1 * np.exp(-self.rate1 * x)
-                + (1.0 - self.p) * self.rate2 * np.exp(-self.rate2 * x))
-
-    def lst(self, s):
-        return (self.p * self.rate1 / (self.rate1 + s)
-                + (1.0 - self.p) * self.rate2 / (self.rate2 + s))
-
-    def integrated_survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return (-self.p * np.expm1(-self.rate1 * x) / self.rate1
-                - (1.0 - self.p) * np.expm1(-self.rate2 * x) / self.rate2)
-
-    def truncation_point(self, eps):
-        return -math.log(eps) / min(self.rate1, self.rate2)
+    @property
+    def components(self):
+        return ((self.p, 1, self.rate1), (1.0 - self.p, 1, self.rate2))
 
     def sample(self, rng, size=None):
         fast = rng.random(size) < self.p
@@ -456,9 +338,6 @@ class Discrete(Distribution):
         x = np.asarray(x, dtype=float)
         return (np.minimum(x[..., None], self._values) @ self._weights)[()]
 
-    def truncation_point(self, eps):
-        return float(self._values[-1])
-
     def sample(self, rng, size=None):
         u = rng.random(size)
         idx = np.searchsorted(self._cum, u, side="right")
@@ -488,76 +367,184 @@ def residual_survival(law: Distribution, x):
     return 1.0 - law.integrated_survival(x) / law.mean()
 
 
+class _Terms(NamedTuple):
+    """The function sum of sign * exp(logc) * x^p * exp(-r x) * 1{x < u}.
+
+    Parallel float arrays, one entry per term; u is inf for no cutoff.
+    Coefficients are kept as logarithms so that Erlang components with
+    hundreds of phases neither overflow nor underflow.
+    """
+
+    logc: np.ndarray
+    sign: np.ndarray
+    p: np.ndarray
+    r: np.ndarray
+    u: np.ndarray
+
+
+def _terms(logc, sign, p, r, u) -> _Terms:
+    """Terms from a log-coefficient array and fields broadcast against it."""
+    zero = np.zeros_like(logc, dtype=float)
+    return _Terms(*(zero + a for a in (logc, sign, p, r, u)))
+
+
+def _phases(law: Distribution):
+    """One row per phase j < k of each weighted Erlang(k, r) component.
+
+    Returns the arrays (log weight, k, r, j).
+    """
+    return np.array([(math.log(w), k, r, j) for w, k, r in law.components
+                     if w > 0.0 for j in range(k)], dtype=float).T
+
+
+def _atom_arrays(law: Distribution):
+    """The atoms of an atomic law as arrays (values, weights)."""
+    return np.array(law.atoms, dtype=float).T
+
+
+def _survival_terms(law: Distribution) -> _Terms:
+    """P[Y > x]: the tail sum (r x)^j / j! e^{-r x}, j < k, of each component."""
+    if law.atoms is not None:
+        values, weights = _atom_arrays(law)
+        return _terms(np.log(weights), 1.0, 0.0, 0.0, values)
+    logw, _, r, j = _phases(law)
+    return _terms(logw + j * np.log(r) - gammaln(j + 1), 1.0, j, r, np.inf)
+
+
+def _density_terms(law: Distribution) -> _Terms:
+    """Density of a continuous law: r^k x^(k-1) e^{-r x} / (k-1)! per component."""
+    logw, k, r = np.array([(math.log(w), k, r) for w, k, r in law.components
+                           if w > 0.0], dtype=float).T
+    return _terms(logw + k * np.log(r) - gammaln(k), 1.0, k - 1, r, np.inf)
+
+
+def _tail_terms(law: Distribution) -> _Terms:
+    """E[(Y - x)^+], the integral of the survival function beyond x."""
+    if law.atoms is not None:
+        values, weights = _atom_arrays(law)
+        with np.errstate(divide="ignore"):
+            log_wv = np.log(weights * values)
+        return _terms(np.concatenate([log_wv, np.log(weights)]),
+                      np.repeat([1.0, -1.0], len(values)),
+                      np.repeat([0.0, 1.0], len(values)), 0.0,
+                      np.tile(values, 2))
+    # Erlang(k, r): sum over j < k of (k - j) / r * (r x)^j / j! e^{-r x}
+    logw, k, r, j = _phases(law)
+    return _terms(logw + np.log(k - j) + (j - 1) * np.log(r) - gammaln(j + 1),
+                  1.0, j, r, np.inf)
+
+
+def _weighted(t: _Terms, moment: int, s: float) -> _Terms:
+    """The term sum multiplied by x^moment exp(-s x)."""
+    return t._replace(p=t.p + moment, r=t.r + s)
+
+
+def _product(a: _Terms, b: _Terms) -> _Terms:
+    """The pointwise product of two term sums, one term per pair."""
+    return _Terms(*(combine.outer(x, y).ravel() for combine, x, y in zip(
+        (np.add, np.multiply, np.add, np.add, np.minimum), a, b)))
+
+
+def _integral(t: _Terms) -> float:
+    """Integral of a term sum over x >= 0, term by term in closed form.
+
+    With a = p + 1, the integral of x^p e^{-r x} over [0, u] is
+    Gamma(a) / r^a * P(a, r u) for r > 0, with P the regularized lower
+    incomplete gamma function, and u^a / a for r = 0 (u is then finite).
+    A term whose factor P(a, r u) underflows is below 1e-300 of its full
+    integral and drops out.
+    """
+    a = t.p + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_i = np.where(
+            t.r > 0.0,
+            gammaln(a) - a * np.log(t.r) + np.log(gammainc(a, t.r * t.u)),
+            a * np.log(t.u) - np.log(a))
+        return float(t.sign @ np.exp(t.logc + log_i))
+
+
+def _evaluate(t: _Terms, x, left: bool = False) -> np.ndarray:
+    """The term sum at each point of x, or its left limit when `left`."""
+    x = np.asarray(x, dtype=float)[:, None]
+    inside = x <= t.u if left else x < t.u
+    with np.errstate(divide="ignore"):
+        values = t.sign * np.exp(t.logc + xlogy(t.p, x) - t.r * x)
+    return np.where(inside, values, 0.0).sum(axis=1)
+
+
+def _expect(law: Distribution, g: _Terms, moment: int = 0, s: float = 0.0,
+            left: bool = False) -> float:
+    """E[Y^moment exp(-s Y) g(Y)] for Y ~ law and a term sum g.
+
+    A continuous law integrates g against its density. An atomic law sums
+    over its atoms, where `left` reads g(y-) in place of g(y).
+    """
+    g = _weighted(g, moment, s)
+    if law.atoms is None:
+        return _integral(_product(_density_terms(law), g))
+    values, weights = _atom_arrays(law)
+    return float(_evaluate(g, values, left) @ weights)
+
+
 def survival_product_integral(a: Distribution, b: Distribution, s: float = 0.0,
-                              moment: int = 0,
-                              quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                              moment: int = 0) -> float:
     """Integral of x^moment exp(-s x) S_a(x) S_b(x) over x >= 0.
 
     The common currency behind E[min(a, b)], its transform, and the residual
-    overshoot terms. Both survival tails bound the range; atoms of either law
-    become quadrature breakpoints so jumps are never smoothed over.
+    overshoot terms.
     """
-    if isinstance(a, Exponential) and isinstance(b, Exponential):
-        r = a.rate + b.rate + s
-        return 1.0 / r if moment == 0 else math.factorial(moment) / r ** (moment + 1)
-    hi = min(a.truncation_point(quad.tail_eps), b.truncation_point(quad.tail_eps))
-    if hi <= 0.0:
-        return 0.0
-    breakpoints = [v for law in (a, b) if law.atoms is not None
-                   for v, _ in law.atoms]
-
-    def integrand(x):
-        out = float(a.survival(x)) * float(b.survival(x))
-        if s != 0.0:
-            out *= math.exp(-s * x)
-        if moment:
-            out *= x**moment
-        return out
-
-    return _adaptive_quad(integrand, 0.0, hi, quad, breakpoints,
-                          label=f"survival product ({type(a).__name__}, {type(b).__name__})")
+    return _integral(_weighted(
+        _product(_survival_terms(a), _survival_terms(b)), moment, s))
 
 
-def expected_min(a: Distribution, b: Distribution,
-                 quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def expected_min(a: Distribution, b: Distribution) -> float:
     """E[min(A, B)] for independent A and B."""
-    return survival_product_integral(a, b, 0.0, 0, quad)
+    return survival_product_integral(a, b)
 
 
-def min_lst(a: Distribution, b: Distribution, s: float,
-            quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def min_lst(a: Distribution, b: Distribution, s: float) -> float:
     """E[exp(-s min(A, B))] for independent A and B, real s >= 0."""
     if s < 0.0:
         raise DomainError("min_lst requires s >= 0")
     if s == 0.0:
         return 1.0
-    return 1.0 - s * survival_product_integral(a, b, s, 0, quad)
+    return 1.0 - s * survival_product_integral(a, b, s)
 
 
-def expectation(law: Distribution, fn, breakpoints=(),
-                quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """E[fn(Y)] for a scalar function fn.
-
-    Atomic laws are summed exactly over their atoms. Continuous laws are
-    integrated against their density with the given breakpoints (kink or jump
-    locations of fn) handed to the integrator.
-    """
-    if law.atoms is not None:
-        return sum(w * fn(v) for v, w in law.atoms)
-    hi = law.truncation_point(quad.tail_eps)
-    return _adaptive_quad(lambda x: fn(x) * float(law.pdf(x)), 0.0, hi, quad,
-                          breakpoints, label=f"expectation over {type(law).__name__}")
-
-
-def completion_probability(service: Distribution, visit: Distribution,
-                           quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def completion_probability(service: Distribution, visit: Distribution) -> float:
     """P[B <= V] for independent service B and visit V; ties count as success.
 
-    Computed as E[F_B(V)], which carries the shared-atom overlap term exactly
-    when both laws are atomic.
+    Computed as E[P[V >= B]], a sum of positive terms, which carries the
+    shared-atom overlap term exactly when both laws are atomic.
     """
-    bp = [v for v, _ in service.atoms] if service.atoms is not None else ()
-    return min(1.0, expectation(visit, lambda x: float(service.cdf(x)), bp, quad))
+    return min(1.0, _expect(service, _survival_terms(visit), left=True))
+
+
+def attempt_lst(service: Distribution, visit: Distribution,
+                s: float) -> tuple[float, float]:
+    """Transforms of one visit attempt, split by its outcome.
+
+    Returns (E[exp(-s B); B <= V], E[exp(-s V); V < B]): a completed
+    attempt lasts the requirement B, a failed one the whole visit V. At
+    s = 0 these are the completion probability and its complement.
+    """
+    if s < 0.0:
+        raise DomainError("attempt_lst requires s >= 0")
+    success = _expect(service, _survival_terms(visit), 0, s, left=True)
+    failure = _expect(visit, _survival_terms(service), 0, s)
+    return success, failure
+
+
+def served_in_visit(service: Distribution, visit: Distribution,
+                    s: float = 0.0, moment: int = 0) -> float:
+    """E[B^moment exp(-s B) (V - B)^+] / E[V] for independent B and V.
+
+    E[(V - b)^+] / E[V] is the chance that the residual visit seen by an
+    arrival at a uniform moment of a visit is at least b, so this is
+    E[B^moment exp(-s B); B <= residual visit], the part of the sojourn
+    time of a customer served in the visit it arrives in.
+    """
+    return _expect(service, _tail_terms(visit), moment, s) / visit.mean()
 
 
 def fit_mixed_erlang(mean: float, scv: float) -> Distribution:

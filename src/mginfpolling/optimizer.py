@@ -21,7 +21,6 @@ from itertools import permutations
 import numpy as np
 
 from .analytic import SystemSpec, derived_quantities
-from .distributions import QuadratureConfig, DEFAULT_QUADRATURE
 from .errors import DomainError, UnsupportedModelError
 
 __all__ = [
@@ -102,8 +101,7 @@ class _TourParams:
     __slots__ = ("n", "mode", "counts", "rate_prob", "delay", "base",
                  "index", "visited")
 
-    def __init__(self, system: SystemSpec, state: TourState,
-                 quad: QuadratureConfig):
+    def __init__(self, system: SystemSpec, state: TourState):
         queues = system.queues
         self.n = len(queues)
         if len(state.counts) != self.n:
@@ -120,7 +118,7 @@ class _TourParams:
         p = np.empty(self.n)
         leftover = np.empty(self.n)
         for i in range(self.n):
-            d = derived_quantities(system, i, quad)
+            d = derived_quantities(system, i)
             p[i] = d.completion_prob
             leftover[i] = d.leftover_arrival_mean
         ev = np.array([q.visit.mean() for q in queues])
@@ -170,9 +168,8 @@ class _TourParams:
                                 constant=self.constant())
 
 
-def expected_throughput(system: SystemSpec, state: TourState, order,
-                        quad: QuadratureConfig = DEFAULT_QUADRATURE,
-                        ) -> ThroughputReport:
+def expected_throughput(system: SystemSpec, state: TourState,
+                        order) -> ThroughputReport:
     """Expected number of services completed in one tour following `order`.
 
     The order must be a permutation of the visited set implied by the state
@@ -182,13 +179,12 @@ def expected_throughput(system: SystemSpec, state: TourState, order,
     unless they run past the visit end; arrivals before the visit behave
     like initial customers.
     """
-    params = _TourParams(system, state, quad)
+    params = _TourParams(system, state)
     return params.report(params.check_order(order))
 
 
-def optimal_order(system: SystemSpec, state: TourState, objective: str = "max",
-                  quad: QuadratureConfig = DEFAULT_QUADRATURE,
-                  ) -> ThroughputReport:
+def optimal_order(system: SystemSpec, state: TourState,
+                  objective: str = "max") -> ThroughputReport:
     """Best visiting order by the index rule, without scanning permutations.
 
     objective "max" sorts visited queues by ascending index
@@ -199,7 +195,7 @@ def optimal_order(system: SystemSpec, state: TourState, objective: str = "max",
     """
     if objective not in ("max", "min"):
         raise DomainError("objective must be 'max' or 'min'")
-    params = _TourParams(system, state, quad)
+    params = _TourParams(system, state)
     sign = 1.0 if objective == "max" else -1.0
     order = tuple(sorted(params.visited,
                          key=lambda q: (sign * params.index[q], q)))
@@ -207,9 +203,7 @@ def optimal_order(system: SystemSpec, state: TourState, objective: str = "max",
 
 
 def brute_force_order(system: SystemSpec, state: TourState,
-                      objective: str = "max",
-                      quad: QuadratureConfig = DEFAULT_QUADRATURE,
-                      ) -> BruteForceResult:
+                      objective: str = "max") -> BruteForceResult:
     """Exhaustive permutation scan; the test oracle for `optimal_order`.
 
     Refuses more than 9 visited queues (the scan is factorial); use
@@ -217,7 +211,7 @@ def brute_force_order(system: SystemSpec, state: TourState,
     """
     if objective not in ("max", "min"):
         raise DomainError("objective must be 'max' or 'min'")
-    params = _TourParams(system, state, quad)
+    params = _TourParams(system, state)
     visited = params.visited
     if len(visited) > _BRUTE_FORCE_LIMIT:
         raise DomainError(

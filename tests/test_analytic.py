@@ -441,6 +441,79 @@ class TestSojournLst:
             sojourn_lst_exponential(sys2, 0, 1.0)
 
 
+def tagged_sojourns(system: SystemSpec, queue: int, cycles: int,
+                    seed: int) -> np.ndarray:
+    """Monte Carlo sojourn times of customers at one queue, in arrival order.
+
+    Independent of the analytic layer and of the simulator: each cycle of a
+    drawn schedule is the queue's visit followed by the server-away time,
+    customers arrive at uniform times over the first half of the schedule,
+    and each one draws a fresh requirement per attempt. A requirement no
+    longer than the residual (first) or whole (later) visit completes.
+    """
+    rng = np.random.default_rng(seed)
+    queues = system.queues
+    spec = queues[queue]
+    visit = spec.visit.sample(rng, cycles)
+    away = sum(q.switch.sample(rng, cycles) for q in queues) + sum(
+        q.visit.sample(rng, cycles) for j, q in enumerate(queues) if j != queue)
+    start = np.concatenate([[0.0], np.cumsum(visit + away)[:-1]])
+    arrival = np.sort(rng.uniform(0.0, start[cycles // 2], cycles))
+    k = np.searchsorted(start, arrival, side="right") - 1
+    need = spec.service.sample(rng, cycles)
+    done = need <= start[k] + visit[k] - arrival
+    sojourn = np.where(done, need, np.nan)
+    waiting, nxt = np.flatnonzero(~done), k[~done] + 1
+    while waiting.size:
+        assert nxt.max() < cycles, "schedule too short"
+        need = spec.service.sample(rng, waiting.size)
+        ok = need <= visit[nxt]
+        sojourn[waiting[ok]] = start[nxt[ok]] + need[ok] - arrival[waiting[ok]]
+        waiting, nxt = waiting[~ok], nxt[~ok] + 1
+    return sojourn
+
+
+class TestSojournLstMonteCarlo:
+    SYSTEMS = {
+        "exp/exp": reference_system(),
+        "det/erlang": SystemSpec((
+            QueueSpec(1.0, Deterministic(1.0), Erlang(2, 2.0), Deterministic(0.2)),
+            QueueSpec(0.5, Exponential(1.5), Exponential(2.0), Exponential(4.0)),
+        )),
+        "erlang/atomic": SystemSpec((
+            QueueSpec(1.0, Erlang(2, 3.0), Discrete(((0.5, 0.4), (1.5, 0.6))),
+                      Deterministic(0.3)),
+            QueueSpec(0.5, Exponential(1.5), Erlang(2, 3.0), Deterministic(0.1)),
+        )),
+        # ties between requirement and visit atoms count as completions
+        "atomic/atomic": SystemSpec((
+            QueueSpec(1.0, Discrete(((0.5, 0.5), (1.0, 0.5))),
+                      Discrete(((0.5, 0.3), (1.0, 0.7))), Deterministic(0.25)),
+            QueueSpec(0.5, Exponential(1.5), Deterministic(0.6),
+                      Discrete(((0.1, 0.5), (0.4, 0.5)))),
+        )),
+        "h2/mixed-erlang": SystemSpec((
+            QueueSpec(1.0, HyperExponential(0.7, 2.0, 0.5), MixedErlang(0.3, 3, 2.5),
+                      Deterministic(0.2)),
+            QueueSpec(0.5, Exponential(1.5), HyperExponential(0.5, 3.0, 1.0),
+                      Deterministic(0.2)),
+            QueueSpec(0.3, Erlang(2, 2.0), Exponential(2.0), Exponential(5.0)),
+        )),
+    }
+
+    @pytest.mark.parametrize("name", list(SYSTEMS))
+    def test_transform_matches_simulation(self, name):
+        # batch means over 40 consecutive arrival blocks absorb the
+        # correlation between customers that share visits
+        system = self.SYSTEMS[name]
+        sojourn = tagged_sojourns(system, 0, 200_000, seed=2024)
+        for s in (0.3, 1.0, 2.0):
+            batches = np.exp(-s * sojourn).reshape(40, -1).mean(axis=1)
+            se = batches.std(ddof=1) / math.sqrt(len(batches))
+            z = (batches.mean() - sojourn_lst(system, 0, s)) / se
+            assert abs(z) < 4.5, f"{name} at s={s}: z={z:.2f}"
+
+
 class TestSojournMetrics:
     def test_table_shape_and_content(self):
         sys2 = reference_system()

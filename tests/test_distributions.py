@@ -5,21 +5,25 @@ high-precision scratch sessions before the implementation existed, so the
 suite cannot inherit a bug from the code under test.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mginfpolling
+from mginfpolling.analytic import QueueSpec, SystemSpec, derived_quantities
 from mginfpolling.distributions import (
-    DEFAULT_QUADRATURE,
     Deterministic,
     Discrete,
     Erlang,
     Exponential,
     HyperExponential,
     MixedErlang,
-    QuadratureConfig,
+    attempt_lst,
     completion_probability,
-    expectation,
     expected_min,
     fit_hyperexponential,
     fit_mixed_erlang,
@@ -28,6 +32,7 @@ from mginfpolling.distributions import (
     min_lst,
     residual_lst,
     residual_survival,
+    served_in_visit,
     survival_product_integral,
 )
 from mginfpolling.errors import DomainError
@@ -40,6 +45,20 @@ ALL_LAWS = [
     HyperExponential(0.6, 2.0, 0.5),
     Discrete(((0.2, 0.25), (1.0, 0.5), (2.5, 0.25))),
 ]
+
+
+def tail_point(d, eps):
+    """The smallest x with d.survival(x) <= eps, bisected from above."""
+    lo, hi = 0.0, 1.0
+    while float(d.survival(hi)) > eps:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if float(d.survival(mid)) > eps:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 class TestMoments:
@@ -83,7 +102,7 @@ class TestMoments:
 class TestSurvivalAndTransforms:
     @pytest.mark.parametrize("d", ALL_LAWS, ids=lambda d: type(d).__name__)
     def test_survival_cdf_complement(self, d):
-        xs = np.linspace(0.0, d.truncation_point(1e-10) + 1.0, 57)
+        xs = np.linspace(0.0, tail_point(d, 1e-10) + 1.0, 57)
         sv = np.asarray(d.survival(xs), dtype=float)
         assert np.all(sv >= -1e-15) and np.all(sv <= 1.0 + 1e-15)
         assert np.all(np.diff(sv) <= 1e-15)
@@ -101,7 +120,7 @@ class TestSurvivalAndTransforms:
 
     @pytest.mark.parametrize("d", ALL_LAWS, ids=lambda d: type(d).__name__)
     def test_integrated_survival_matches_numeric(self, d):
-        hi = d.truncation_point(1e-12)
+        hi = tail_point(d, 1e-12)
         xs = np.linspace(0.0, hi, 4001)
         isv = np.asarray(d.integrated_survival(xs), dtype=float)
         # midpoint sums are exact for piecewise-constant survival
@@ -143,17 +162,12 @@ class TestSurvivalAndTransforms:
         for s in (0.3, 1.0, 4.0):
             assert residual_lst(d, s) == pytest.approx(d.lst(s), rel=1e-12)
 
-    @pytest.mark.parametrize("d", ALL_LAWS, ids=lambda d: type(d).__name__)
-    def test_truncation_point_bounds_tail(self, d):
-        t = d.truncation_point(1e-9)
-        assert float(d.survival(t * (1 + 1e-9) + 1e-12)) <= 1e-9 * (1 + 1e-6)
-
 
 class TestPdf:
     def test_pdf_integrates_to_one(self):
         for d in (Exponential(1.3), Erlang(3, 2.1), MixedErlang(0.3, 4, 2.0),
                   HyperExponential(0.6, 2.0, 0.5)):
-            xs = np.linspace(0.0, d.truncation_point(1e-13), 20001)
+            xs = np.linspace(0.0, tail_point(d, 1e-13), 20001)
             mass = np.trapezoid(np.asarray(d.pdf(xs)), xs)
             assert mass == pytest.approx(1.0, abs=1e-5)
 
@@ -245,7 +259,7 @@ class TestTwoLawFunctionals:
         assert min_lst(Deterministic(1.0), Exponential(1.0), 0.0) == 1.0
 
     def test_exponential_pair_fast_path_consistent(self):
-        # Erlang with one phase is the same law but routes through quadrature
+        # Erlang with one phase is the same law, built by another family
         a, b = Exponential(1.5), Exponential(0.7)
         ag, bg = Erlang(1, 1.5), Erlang(1, 0.7)
         for s in (0.0, 0.8):
@@ -258,16 +272,6 @@ class TestTwoLawFunctionals:
         # int x e^{-x} e^{-2x} dx = 1/9
         got = survival_product_integral(Exponential(1.0), Exponential(2.0), 0.0, 1)
         assert got == pytest.approx(1.0 / 9.0, rel=1e-12)
-
-    def test_expectation_sums_atoms_exactly(self):
-        d = Discrete(((0.5, 0.25), (1.5, 0.5), (4.0, 0.25)))
-        got = expectation(d, lambda x: x**2)
-        assert got == d.second_moment()
-
-    def test_expectation_continuous(self):
-        d = Exponential(2.0)
-        assert expectation(d, lambda x: x) == pytest.approx(0.5, rel=1e-10)
-        assert expectation(d, math.cos) == pytest.approx(4.0 / 5.0, rel=1e-10)
 
     def test_negative_s_rejected(self):
         with pytest.raises(DomainError):
@@ -351,12 +355,96 @@ class TestFits:
             fit_two_moments(-1.0, 0.5)
 
 
-class TestQuadratureConfig:
-    def test_defaults_are_tight(self):
-        q = DEFAULT_QUADRATURE
-        assert q.rel_tol <= 1e-8 and q.abs_tol <= 1e-10
+# every family, plus a 500-phase fit whose coefficients overflow outside log space
+FUNCTIONAL_LAWS = ALL_LAWS + [fit_mixed_erlang(1.0, 0.002)]
 
-    def test_custom_config_respected(self):
-        loose = QuadratureConfig(rel_tol=1e-6, abs_tol=1e-8)
-        got = expected_min(Erlang(2, 2.0), Exponential(1.0), quad=loose)
-        assert got == pytest.approx(5.0 / 9.0, rel=1e-5)
+
+class TestFunctionalsAgainstClosedForms:
+    @pytest.mark.parametrize("b", FUNCTIONAL_LAWS, ids=lambda d: type(d).__name__)
+    @pytest.mark.parametrize("gamma", [0.4, 3.0])
+    def test_exponential_partner(self, b, gamma):
+        # V ~ exp(gamma): P[B <= V] = E[e^{-gamma B}] and
+        # E[min(B, V)] = E[(1 - e^{-gamma B}) / gamma]
+        v = Exponential(gamma)
+        assert completion_probability(b, v) == pytest.approx(b.lst(gamma), rel=1e-12)
+        assert expected_min(b, v) == pytest.approx(
+            (1.0 - b.lst(gamma)) / gamma, rel=1e-12)
+        assert expected_min(v, b) == pytest.approx(
+            (1.0 - b.lst(gamma)) / gamma, rel=1e-12)
+
+    @pytest.mark.parametrize("b", FUNCTIONAL_LAWS, ids=lambda d: type(d).__name__)
+    def test_atomic_visit(self, b):
+        atoms = ((0.3, 0.2), (1.0, 0.5), (2.5, 0.3))
+        want = sum(w * float(b.cdf(v)) for v, w in atoms)
+        assert completion_probability(b, Discrete(atoms)) == pytest.approx(
+            want, rel=1e-12)
+        assert completion_probability(b, Deterministic(1.0)) == pytest.approx(
+            float(b.cdf(1.0)), rel=1e-12)
+
+    def test_many_phase_erlang_against_exponential(self):
+        # P[Erlang(40, 4) <= exp(2)] = (4 / (4 + 2))^40, about 9e-8
+        got = completion_probability(Erlang(40, 4.0), Exponential(2.0))
+        assert got == pytest.approx((2.0 / 3.0) ** 40, rel=1e-12)
+
+    def test_tiny_completion_probability_is_not_zero(self):
+        system = SystemSpec((
+            QueueSpec(1.0, Deterministic(30.0), Exponential(1.0), Deterministic(0.1)),
+            QueueSpec(1.0, Exponential(1.0), Exponential(1.0), Deterministic(0.1)),
+        ))
+        got = derived_quantities(system, 0).completion_prob
+        assert got == pytest.approx(math.exp(-30.0), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 2.0])
+    def test_attempt_transforms_exponential_pair(self, s):
+        # B ~ exp(mu), V ~ exp(gamma): a race of two exponential clocks
+        mu, gamma = 1.5, 0.7
+        succ, fail = attempt_lst(Exponential(mu), Exponential(gamma), s)
+        assert succ == pytest.approx(mu / (mu + gamma + s), rel=1e-12)
+        assert fail == pytest.approx(gamma / (mu + gamma + s), rel=1e-12)
+
+    def test_attempt_transforms_ties(self):
+        # a requirement equal to the visit completes, so nothing fails
+        succ, fail = attempt_lst(Deterministic(1.0), Deterministic(1.0), 0.5)
+        assert succ == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert fail == 0.0
+        b = Discrete(((1.0, 0.5), (3.0, 0.5)))
+        v = Discrete(((1.0, 0.25), (2.0, 0.75)))
+        succ, fail = attempt_lst(b, v, 0.5)
+        assert succ == pytest.approx(0.5 * math.exp(-0.5), rel=1e-15)
+        assert fail == pytest.approx(
+            0.5 * 0.25 * math.exp(-0.5) + 0.5 * 0.75 * math.exp(-1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("b", FUNCTIONAL_LAWS, ids=lambda d: type(d).__name__)
+    def test_attempt_outcomes_complement(self, b):
+        for v in (Exponential(0.8), Erlang(3, 2.0), Discrete(((0.5, 0.5), (2.0, 0.5)))):
+            succ, fail = attempt_lst(b, v, 0.0)
+            assert succ == pytest.approx(completion_probability(b, v), rel=1e-12)
+            assert succ + fail == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.0, 0.6])
+    def test_served_in_visit_fixed_visit(self, s):
+        # B ~ exp(mu), V = v: E[e^{-sB}(v - B)^+] / v with a = mu + s is
+        # mu (v / a - (1 - e^{-a v}) / a^2) / v
+        mu, v = 1.3, 0.8
+        a = mu + s
+        want = mu * (v / a - (1.0 - math.exp(-a * v)) / a**2) / v
+        assert served_in_visit(Exponential(mu), Deterministic(v), s) == pytest.approx(
+            want, rel=1e-12)
+
+    def test_served_in_visit_exponential_pair(self):
+        # E[(V - b)^+] / E[V] = e^{-gamma b} for V ~ exp(gamma), so the mean
+        # term is E[B e^{-gamma B}] = mu / (mu + gamma)^2
+        mu, gamma = 1.5, 0.7
+        got = served_in_visit(Exponential(mu), Exponential(gamma), moment=1)
+        assert got == pytest.approx(mu / (mu + gamma) ** 2, rel=1e-12)
+
+
+def test_import_leaves_out_scipy_integrate():
+    # the closed forms need no numerical integration at all
+    src = str(Path(mginfpolling.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, mginfpolling; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -20,7 +20,6 @@ from mginfpolling.distributions import (
     Deterministic,
     Discrete,
     Exponential,
-    expectation,
     expected_min,
 )
 from mginfpolling.errors import DomainError
@@ -331,8 +330,9 @@ class TestLeftoverDistribution:
         counts = leftover_after_visit(rate, service, visit,
                                       replications=400_000, master_seed=22)
         mean_l = rate * expected_min(service, visit)
-        second = expectation(visit,
-                             lambda v: (rate * service.integrated_survival(v)) ** 2)
+        # L(v) = rate (1 - e^{-v}), so E[L(V)^2] = rate^2 E[(1 - e^{-V})^2]
+        # = rate^2 / 3 for V ~ exp(1)
+        second = rate ** 2 / 3.0
         target_var = mean_l + (second - mean_l ** 2)
         var = counts.var(ddof=1)
         m4 = np.mean((counts - counts.mean()) ** 4)
