@@ -210,6 +210,17 @@ def _queue_checked(system: SystemSpec, queue: int) -> QueueSpec:
     return system.queues[queue]
 
 
+def _completion_prob(system: SystemSpec, queue: int) -> float:
+    """The queue's completion probability, rejected when it is zero."""
+    spec = _queue_checked(system, queue)
+    p = completion_probability(spec.service, spec.visit)
+    if p <= 0.0:
+        raise ModelError(
+            f"queue {queue}: service never completes within a visit "
+            "(completion probability 0)")
+    return p
+
+
 def derived_quantities(system: SystemSpec, queue: int) -> DerivedQueueQuantities:
     """Completion probability and companion constants for one queue.
 
@@ -220,12 +231,8 @@ def derived_quantities(system: SystemSpec, queue: int) -> DerivedQueueQuantities
         visit), since then nothing present is ever served and stationary
         waiting quantities diverge.
     """
-    spec = _queue_checked(system, queue)
-    p = completion_probability(spec.service, spec.visit)
-    if p <= 0.0:
-        raise ModelError(
-            f"queue {queue}: service never completes within a visit "
-            "(completion probability 0)")
+    p = _completion_prob(system, queue)
+    spec = system.queues[queue]
     mmin = expected_min(spec.service, spec.visit)
     return DerivedQueueQuantities(
         completion_prob=p,
@@ -298,19 +305,41 @@ def end_of_visit_means(system: SystemSpec) -> np.ndarray:
     return polling_means(system).at_visit_end
 
 
-def pgf_eval(system: SystemSpec, queue: int, z,
-             tol: float = 1e-12, max_cycles: int = 500) -> float:
+#: history depth, in cycles, after which `pgf_eval` gives up
+_PGF_MAX_CYCLES = 500
+#: most distinct atom-count vectors `pgf_eval` holds on one level
+_PGF_MAX_VECTORS = 1_000_000
+#: a vector retires once every coordinate of its u is below this ...
+_PGF_U_FLOOR = 1e-15
+#: ... or once its mass is
+_PGF_MASS_FLOOR = 1e-20
+
+
+def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     """Joint queue-length generating function at a polling instant.
 
     Evaluates E[prod_j z_j^(count in queue j)] at the moment the server
     arrives at the given queue, for systems whose visit and switch laws are
-    all atomic (deterministic or finite discrete). The recursion walks the
-    cycle backwards: each crossed visit contributes a finite sum over its
-    atoms, under which the crossed queue's coordinate is contracted by the
-    per-atom survival chance, and each crossed switch-over contributes its
-    transform at the arrival-weighted coordinates. Iteration starts from the
-    constant function one in the remote past and stops once deeper history
-    cannot move the value by more than `tol`.
+    all atomic (deterministic or finite discrete). With u = 1 - z, the
+    recursion walks from the polling instant back into the past, one server
+    interval (a visit and the switch-over after it) per level. A crossed
+    switch-over contributes its transform at the arrival-weighted
+    coordinates lambda . u; a crossed visit is a finite sum over its atoms,
+    each contributing its weight, the factor for the arrivals the visit
+    leaves behind and the other queues' arrivals during it, and a
+    contraction of the crossed queue's coordinate by the atom's survival
+    chance.
+
+    A level holds the distinct counts of crossed visit atoms reached so far
+    (they fix u) and each count vector's mass: the summed product of the
+    factors along every history that reaches it. A vector retires, adding
+    its mass to the value, once every coordinate of u is below 1e-15 (its
+    remaining factor is then one) or once its mass is below 1e-20. The
+    remaining factor of a vector lies in [0, 1] for z in [0, 1], so the
+    value is off by at most the total mass retired under that floor. The
+    floor is what settles a visit atom in which service never completes:
+    it leaves u as it is, but the weight of a history that keeps drawing
+    it shrinks geometrically.
 
     Parameters
     ----------
@@ -322,9 +351,12 @@ def pgf_eval(system: SystemSpec, queue: int, z,
     ------
     UnsupportedModelError
         If any visit or switch law is not atomic.
+    ModelError
+        If some queue's completion probability is zero.
     NumericsError
-        If the value has not settled within `max_cycles` cycles of history,
-        or the memo table grows past an internal safety cap.
+        If some vector is still live after 500 cycles of history, which
+        happens when service almost never completes, or if a level holds
+        more than a million distinct count vectors.
     """
     queues = system.queues
     n = len(queues)
@@ -341,125 +373,61 @@ def pgf_eval(system: SystemSpec, queue: int, z,
                 f"queue {idx}: generating-function evaluation needs atomic "
                 "visit and switch laws")
     for j in range(n):
-        derived_quantities(system, j)  # rejects completion probability 0
+        _completion_prob(system, j)
 
     rates = np.array([q.arrival_rate for q in queues])
+    # per queue: visit atom values and weights, and per atom the expected
+    # number of its own arrivals still present when the visit ends
+    atoms = [np.array(q.visit.atoms).T for q in queues]
+    left = [rate * q.service.integrated_survival(v)
+            for rate, q, (v, _) in zip(rates, queues, atoms)]
+    survive = np.concatenate(
+        [q.service.survival(v) for q, (v, _) in zip(queues, atoms)])
+    # a count vector holds queue j's atoms in columns starts[j]:starts[j + 1]
+    starts = np.cumsum([0] + [len(v) for v, _ in atoms])
+    horizon = _PGF_MAX_CYCLES * n
+
     u0 = 1.0 - z
-    if not np.any(u0):
-        return 1.0
-
-    # per queue: visit atoms decorated with the survival contraction and the
-    # expected count of within-visit arrivals left behind
-    atom_data: list[tuple[tuple[float, float, float, float], ...]] = []
-    offsets = [0]
-    for j, q in enumerate(queues):
-        rows = []
-        for v, w in q.visit.atoms:
-            survive = float(q.service.survival(v))
-            left = rates[j] * float(q.service.integrated_survival(v))
-            rows.append((v, w, survive, left))
-        atom_data.append(tuple(rows))
-        offsets.append(offsets[-1] + len(rows))
-    total_atoms = offsets[-1]
-    switch_lst = [q.switch.lst for q in queues]
-
-    prune = min(tol * 1e-3, 1e-15)
-    state_cap = 2_000_000
-    horizon = max_cycles * n
-    zero_counts = (0,) * total_atoms
-    memo: dict[tuple[int, tuple[int, ...]], float] = {}
-    bottomed = False
-
-    def u_of(counts):
-        u = u0.copy()
-        for j in range(n):
-            for k, (_, _, survive, _) in enumerate(atom_data[j]):
-                c = counts[offsets[j] + k]
-                if c:
-                    u[j] *= survive**c
-        return u
-
-    stack = [(horizon, zero_counts)]
-    while stack:
-        t, counts = stack[-1]
-        key = (t, counts)
-        if key in memo:
-            stack.pop()
-            continue
-        u = u_of(counts)
-        if np.max(np.abs(u)) < prune:
-            memo[key] = 1.0
-            stack.pop()
-            continue
-        if t == 0:
-            bottomed = True
-            memo[key] = 1.0
-            stack.pop()
-            continue
-        prev = (queue + t - 1) % n
-        base = offsets[prev]
-        children = []
-        for k in range(len(atom_data[prev])):
-            child = list(counts)
-            child[base + k] += 1
-            children.append(tuple(child))
-        pending = [c for c in children if (t - 1, c) not in memo]
-        if pending:
-            stack.extend((t - 1, c) for c in pending)
-            continue
-        lam_dot = float(rates @ u)
-        other = lam_dot - rates[prev] * u[prev]
-        acc = 0.0
-        for k, (v, w, _, left) in enumerate(atom_data[prev]):
-            acc += w * math.exp(-v * other - left * u[prev]) * memo[(t - 1, children[k])]
-        memo[key] = float(switch_lst[prev](lam_dot)) * acc
-        stack.pop()
-        if len(memo) > state_cap:
+    counts = np.zeros((1, starts[-1]), dtype=np.int32)
+    mass = np.ones(1)
+    value = 0.0
+    for level in range(horizon + 1):
+        u = u0 * np.multiply.reduceat(survive**counts, starts[:-1], axis=1)
+        retire = ((np.max(np.abs(u), axis=1) < _PGF_U_FLOOR)
+                  | (mass < _PGF_MASS_FLOOR))
+        value += mass[retire].sum()
+        live = ~retire
+        if not live.any():
+            return float(value)
+        if level == horizon:
             raise NumericsError(
-                "generating-function evaluation exceeded the state cap; "
-                "too many distinct visit atoms for this horizon")
+                "generating-function value did not settle within "
+                f"{_PGF_MAX_CYCLES} cycles of history")
+        counts, mass, u = counts[live], mass[live], u[live]
 
-    if bottomed:
-        raise NumericsError(
-            f"generating-function value did not settle within {max_cycles} "
-            "cycles of history")
-    return memo[(horizon, zero_counts)]
-
-
-@dataclass(frozen=True)
-class _SojournContext:
-    """Shared per-queue constants for the sojourn mean and transform."""
-
-    arrival_rate: float
-    service: Distribution
-    visit: Distribution
-    visit_mean: float
-    cycle_mean: float
-    partial_mean: float
-    partial_second: float
-    completion_prob: float
-    min_mean: float
-    overshoot_prob: float
-    others: tuple[QueueSpec, ...]
-
-
-def _sojourn_context(system: SystemSpec, queue: int) -> _SojournContext:
-    spec = _queue_checked(system, queue)
-    moments = cycle_moments(system)
-    derived = derived_quantities(system, queue)
-    return _SojournContext(
-        arrival_rate=spec.arrival_rate,
-        service=spec.service,
-        visit=spec.visit,
-        visit_mean=spec.visit.mean(),
-        cycle_mean=moments.cycle_mean,
-        partial_mean=moments.partial_means[queue],
-        partial_second=moments.partial_second_moments[queue],
-        completion_prob=derived.completion_prob,
-        min_mean=derived.min_mean,
-        overshoot_prob=derived.residual_overshoot_prob,
-        others=tuple(q for j, q in enumerate(system.queues) if j != queue),
-    )
+        # going back, the server crosses queue j's switch-over, then its visit
+        j = (queue - 1 - level) % n
+        v, w = atoms[j]
+        lam_dot = u @ rates
+        other = lam_dot - rates[j] * u[:, j]
+        mass = mass * queues[j].switch.lst(lam_dot)
+        child_mass = mass[:, None] * w * np.exp(
+            -np.outer(other, v) - np.outer(u[:, j], left[j]))
+        children = np.repeat(counts, len(v), axis=0)
+        children[:, starts[j]:starts[j + 1]] += np.tile(
+            np.eye(len(v), dtype=counts.dtype), (len(counts), 1))
+        # merge equal vectors: sort the rows, then sum each run of equal ones
+        order = np.lexsort(children.T)
+        children = children[order]
+        first = np.ones(len(children), dtype=bool)
+        first[1:] = np.any(children[1:] != children[:-1], axis=1)
+        counts = children[first]
+        mass = np.bincount(np.cumsum(first) - 1,
+                           weights=child_mass.ravel()[order])
+        if len(counts) > _PGF_MAX_VECTORS:
+            raise NumericsError(
+                "generating-function evaluation exceeded "
+                f"{_PGF_MAX_VECTORS} distinct visit-atom counts on one level")
 
 
 def sojourn_mean(system: SystemSpec, queue: int) -> float:
@@ -476,15 +444,19 @@ def sojourn_mean(system: SystemSpec, queue: int) -> float:
     attempt adds the expected minimum of requirement and visit plus, on
     failure, the server-elsewhere remainder of the cycle.
     """
-    c = _sojourn_context(system, queue)
-    ev, ec = c.visit_mean, c.cycle_mean
-    ecmi, ec2mi = c.partial_mean, c.partial_second
-    p, emin = c.completion_prob, c.min_mean
+    derived = derived_quantities(system, queue)
+    spec = system.queues[queue]
+    moments = cycle_moments(system)
+    ev, ec = spec.visit.mean(), moments.cycle_mean
+    ecmi = moments.partial_means[queue]
+    ec2mi = moments.partial_second_moments[queue]
+    p, emin = derived.completion_prob, derived.min_mean
 
-    served = served_in_visit(c.service, c.visit, moment=1)
-    residual_excess = survival_product_integral(c.visit, c.service, 0.0, 1) / ev
+    served = served_in_visit(spec.service, spec.visit, moment=1)
+    residual_excess = survival_product_integral(spec.visit, spec.service, 0.0, 1) / ev
     from_polling = (ecmi + emin) / p
-    in_visit = served + residual_excess + c.overshoot_prob * from_polling
+    in_visit = (served + residual_excess
+                + derived.residual_overshoot_prob * from_polling)
     out_of_visit = (ec2mi / (2.0 * ecmi)
                     + (1.0 - p) / p * ecmi + emin / p)
     return (ev / ec) * in_visit + (ecmi / ec) * out_of_visit
@@ -505,21 +477,24 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
         raise DomainError("transform argument s must be >= 0")
     if s == 0.0:
         return 1.0
-    c = _sojourn_context(system, queue)
-    ev, ec = c.visit_mean, c.cycle_mean
-    ecmi = c.partial_mean
+    _completion_prob(system, queue)
+    spec = system.queues[queue]
+    moments = cycle_moments(system)
+    ev, ec = spec.visit.mean(), moments.cycle_mean
+    ecmi = moments.partial_means[queue]
 
     # transform of the server-away remainder of a cycle
     away = 1.0
-    for q in c.others:
-        away *= q.visit.lst(s)
+    for j, q in enumerate(system.queues):
+        if j != queue:
+            away *= q.visit.lst(s)
     for q in system.queues:
         away *= q.switch.lst(s)
-    succ, fail = attempt_lst(c.service, c.visit, s)
+    succ, fail = attempt_lst(spec.service, spec.visit, s)
     from_polling = succ / (1.0 - fail * away)
 
-    served = served_in_visit(c.service, c.visit, s)
-    residual_excess = survival_product_integral(c.visit, c.service, s) / ev
+    served = served_in_visit(spec.service, spec.visit, s)
+    residual_excess = survival_product_integral(spec.visit, spec.service, s) / ev
     residual_away = (1.0 - away) / (s * ecmi)
 
     term_served = (ev / ec) * served

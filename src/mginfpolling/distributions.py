@@ -103,8 +103,8 @@ class Distribution(abc.ABC):
         raise DomainError(f"{type(self).__name__} has no density")
 
     @abc.abstractmethod
-    def lst(self, s: float) -> float:
-        """E[exp(-s Y)] for real s >= 0."""
+    def lst(self, s):
+        """E[exp(-s Y)] for real s >= 0, elementwise on arrays."""
 
     @abc.abstractmethod
     def integrated_survival(self, x):
@@ -195,7 +195,7 @@ class Deterministic(Distribution):
         return np.where(np.asarray(x, dtype=float) < self.value, 1.0, 0.0)[()]
 
     def lst(self, s):
-        return math.exp(-s * self.value)
+        return np.exp(-np.asarray(s, dtype=float) * self.value)[()]
 
     def integrated_survival(self, x):
         return np.minimum(np.asarray(x, dtype=float), self.value)[()]
@@ -332,7 +332,8 @@ class Discrete(Distribution):
         return np.maximum(tail[idx], 0.0)[()]
 
     def lst(self, s):
-        return float(np.exp(-s * self._values) @ self._weights)
+        s = np.asarray(s, dtype=float)
+        return (np.exp(-s[..., None] * self._values) @ self._weights)[()]
 
     def integrated_survival(self, x):
         x = np.asarray(x, dtype=float)

@@ -6,6 +6,7 @@ deterministic quarter-unit switch-over after each visit. All closed-form
 targets below (13/6, 7/6, 65/36, 8/3, 11/6, 31/12, 35/12, 141/52) were
 derived by hand from that parameterization before the code existed.
 """
+import itertools
 import math
 
 import numpy as np
@@ -54,6 +55,15 @@ def atomic_system() -> SystemSpec:
     return SystemSpec((
         QueueSpec(0.7, Exponential(1.2), Deterministic(1.0), Deterministic(0.3)),
         QueueSpec(0.4, Erlang(2, 2.0), Deterministic(1.5), Deterministic(0.2)),
+    ))
+
+
+def never_serving_system() -> SystemSpec:
+    """Queue 1's short visit atom (0.5) never completes its service (1.0)."""
+    return SystemSpec((
+        QueueSpec(0.5, Deterministic(1.0), Discrete(((0.5, 0.5), (2.0, 0.5))),
+                  Deterministic(0.2)),
+        QueueSpec(0.5, Exponential(2.0), Deterministic(1.0), Deterministic(0.2)),
     ))
 
 
@@ -306,8 +316,47 @@ class TestPgf:
             pgf_eval(atomic_system(), 0, (0.5,))
 
     def test_insufficient_history_raises(self):
-        with pytest.raises(NumericsError):
-            pgf_eval(atomic_system(), 0, (0.2, 0.2), max_cycles=1)
+        # queue 1 completes a service in a visit with probability 1e-9, so
+        # its coordinate barely contracts over the 500-cycle history limit
+        slow = SystemSpec((
+            QueueSpec(1e-12, Exponential(1e-9), Deterministic(1.0),
+                      Deterministic(0.3)),
+            atomic_system().queues[1],
+        ))
+        with pytest.raises(NumericsError, match="did not settle"):
+            pgf_eval(slow, 0, (0.2, 0.2))
+
+    @pytest.mark.parametrize("system", [
+        atomic_system(),
+        SystemSpec((
+            QueueSpec(0.6, HyperExponential(0.4, 3.0, 0.8), Deterministic(1.0),
+                      Deterministic(0.0)),
+            QueueSpec(0.5, Deterministic(0.7), Deterministic(1.2),
+                      Deterministic(0.3)),
+            QueueSpec(0.4, MixedErlang(0.3, 3, 4.0), Deterministic(0.8),
+                      Deterministic(0.1)),
+        )),
+    ], ids=["two_queues", "three_queues"])
+    def test_deterministic_schedule_gives_poisson_counts(self, system):
+        # with deterministic visits and switch-overs every customer is
+        # present at a polling instant independently of every other, so
+        # the counts are independent Poisson variables with the polling
+        # means: G_i(z) = exp(-sum_j m_ij (1 - z_j))
+        n = len(system)
+        m = polling_means(system).at_polling
+        for i in range(n):
+            for z in itertools.product((0.0, 0.3, 0.7, 1.0), repeat=n):
+                exact = math.exp(-m[i] @ (1.0 - np.array(z)))
+                assert abs(pgf_eval(system, i, z) - exact) < 1e-12, (i, z)
+
+    def test_never_serving_visit_atom_settles(self):
+        sys2 = never_serving_system()
+        pm = polling_means(sys2)
+        # 0.5 * (E[V2] + E[min(B1, V1)] + switch-overs) / P[B1 <= V1]
+        assert pm.at_polling[0, 0] == pytest.approx(2.15, abs=1e-12)
+        h = 1e-6
+        grad = (1.0 - pgf_eval(sys2, 0, (1.0 - h, 1.0))) / h
+        assert abs(grad - pm.at_polling[0, 0]) < 1e-4
 
 
 class TestSojournMean:

@@ -330,6 +330,28 @@ class TestValidate:
         assert "pgf_normalization[1]" in out
         assert "pgf_gradient_vs_means[2]" in out
 
+    def test_pgf_rows_for_never_serving_visit_atom(self, tmp_path, capsys):
+        # queue 1's short visit atom never completes its service
+        queues = json.loads(json.dumps(BASE_QUEUES))
+        queues[0].update(
+            arrival_rate=0.5,
+            service={"type": "deterministic", "value": 1.0},
+            visit={"type": "discrete", "atoms": [[0.5, 0.5], [2.0, 0.5]]},
+            switch={"type": "deterministic", "value": 0.2})
+        queues[1].update(
+            service={"type": "exponential", "rate": 2.0},
+            visit={"type": "deterministic", "value": 1.0},
+            switch={"type": "deterministic", "value": 0.2})
+        cfg = write_config(tmp_path, queues=queues,
+                           sim=base_sim_block(measured_cycles=1_500))
+        assert main(["validate", "--config", cfg]) in (0, 1)
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("pgf_normalization", "pgf_gradient_vs_means"):
+            for i in (1, 2):
+                row = [line for line in lines
+                       if line.startswith(f"{name}[{i}]")]
+                assert len(row) == 1 and row[0].endswith("PASS")
+
 
 class TestConsoleEntryPoints:
     def test_installed_script(self, tmp_path):

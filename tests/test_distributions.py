@@ -117,6 +117,13 @@ class TestSurvivalAndTransforms:
         h = 1e-6
         deriv = (d.lst(h) - d.lst(0.0)) / h
         assert -deriv == pytest.approx(d.mean(), rel=1e-4)
+        # elementwise on arrays, scalar in and scalar out
+        grid = np.array([[0.0, 0.5, 1.0], [2.0, 5.0, 0.01]])
+        on_grid = d.lst(grid)
+        assert np.shape(on_grid) == grid.shape
+        assert np.ndim(d.lst(0.5)) == 0
+        for s, val in zip(grid.ravel(), np.ravel(on_grid)):
+            assert val == pytest.approx(d.lst(float(s)), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("d", ALL_LAWS, ids=lambda d: type(d).__name__)
     def test_integrated_survival_matches_numeric(self, d):

@@ -265,6 +265,22 @@ class TestAgainstAnalytic:
         assert abs(exact[2] - 0.07526) < 1e-5
         zcheck(rep.pgf_estimates, exact, rep.pgf_stderr)
 
+    def test_pgf_points_with_never_serving_visit_atom(self):
+        # queue 1's short visit atom never completes a service of 1.0, so
+        # the generating function settles only through the atom's weight
+        sys = SystemSpec((
+            QueueSpec(0.5, Deterministic(1.0), Discrete(((0.5, 0.5), (2.0, 0.5))),
+                      Deterministic(0.2)),
+            QueueSpec(0.5, Exponential(2.0), Deterministic(1.0), Deterministic(0.2)),
+        ))
+        cfg = SimConfig(warmup_cycles=300, measured_cycles=12_000,
+                        replications=10, master_seed=5150,
+                        pgf_points=((0, (0.5, 0.5)), (1, (0.3, 0.8)),
+                                    (0, (0.0, 1.0)), (1, (0.9, 0.0))))
+        rep = run(sys, cfg, threads=THREADS)
+        exact = [pgf_eval(sys, q, zs) for q, zs in cfg.pgf_points]
+        zcheck(rep.pgf_estimates, exact, rep.pgf_stderr)
+
     def test_long_retry_chains(self):
         # queue 1 completes an attempt with probability P[V >= ln 10] = 0.1,
         # so customers wait about ten visits; queue 2 never has arrivals and
