@@ -568,12 +568,19 @@ def weighted_sojourn_mean(system: SystemSpec) -> float:
 
     Averages the per-queue means with arrival-rate weights.
     """
+    return _rate_weighted(system, [
+        sojourn_mean(system, i) if q.arrival_rate > 0.0 else 0.0
+        for i, q in enumerate(system.queues)])
+
+
+def _rate_weighted(system: SystemSpec, means) -> float:
+    """The arrival-rate weighted average of per-queue sojourn means."""
     rates = [q.arrival_rate for q in system.queues]
     total = sum(rates)
     if total <= 0.0:
         raise ModelError("weighted sojourn mean needs a positive total arrival rate")
     acc = 0.0
-    for i, rate in enumerate(rates):
+    for rate, mean in zip(rates, means):
         if rate > 0.0:
-            acc += rate * sojourn_mean(system, i)
+            acc += rate * mean
     return acc / total

@@ -31,6 +31,7 @@ import numpy as np
 from .analytic import (
     QueueSpec,
     SystemSpec,
+    _rate_weighted,
     cycle_moments,
     derived_quantities,
     end_of_visit_means,
@@ -40,7 +41,6 @@ from .analytic import (
     sojourn_lst_exponential,
     sojourn_mean,
     sojourn_mean_exponential,
-    weighted_sojourn_mean,
 )
 from .distributions import (
     Deterministic,
@@ -363,11 +363,6 @@ def _parse_s_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def _atomic_pgf_supported(system: SystemSpec) -> bool:
-    return all(q.visit.atoms is not None and q.switch.atoms is not None
-               for q in system.queues)
-
-
 def cmd_analyze(args) -> int:
     raw = _load_config(args.config)
     system = _build_system(raw["system"])
@@ -483,7 +478,7 @@ def _sweep_row(system: SystemSpec, spec: _SweepSpec, value: float):
     queues[spec.queue] = new_queue
     swept = SystemSpec(tuple(queues))
     per_queue = [sojourn_mean(swept, i) for i in range(len(queues))]
-    return weighted_sojourn_mean(swept), per_queue
+    return _rate_weighted(swept, per_queue), per_queue
 
 
 def cmd_sweep(args) -> int:
@@ -590,12 +585,15 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
                 dev = max(dev, abs(a - b) / b)
             yield (f"memoryless_closed_form[{i + 1}]", 1e-8 * scale, dev)
 
-    if _atomic_pgf_supported(system):
+    try:
+        at_one = [pgf_eval(system, i, np.ones(n)) for i in range(n)]
+    except UnsupportedModelError:
+        at_one = []  # pgf_eval decides which laws it covers
+    if at_one:
         pm = polling_means(system)
-        for i in range(n):
-            ones = np.ones(n)
+        for i, value in enumerate(at_one):
             yield (f"pgf_normalization[{i + 1}]", 1e-12 * scale,
-                   abs(pgf_eval(system, i, ones) - 1.0))
+                   abs(value - 1.0))
             worst = 0.0
             for j in range(n):
                 target = pm.at_polling[i, j]

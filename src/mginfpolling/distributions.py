@@ -18,6 +18,13 @@ integrals are then finite sums of terms c x^p exp(-r x) 1{x < u}, and each
 functional is a finite sum of incomplete-gamma integrals of products of such
 terms, evaluated in log space.
 
+Every incomplete gamma function met here has an integer shape a, so it is a
+Poisson tail: P(a, x) = P[Poisson(x) >= a]. `_gamma_pq` sums the side of
+the Poisson law away from its mode, outward from the term next to a, and
+takes that term from the saddle-point form of C. Loader, "Fast and Accurate
+Computation of Binomial Probabilities" (2000). The package needs numpy and
+the standard library only.
+
 The two-moment fitting recipes used by parameter sweeps are also here:
 `fit_mixed_erlang` for squared coefficients of variation at or below one and
 `fit_hyperexponential` above one, with `fit_two_moments` dispatching between
@@ -26,12 +33,12 @@ them.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, xlogy
 
 from .errors import DomainError
 
@@ -114,6 +121,41 @@ class Distribution(abc.ABC):
     def sample(self, rng: np.random.Generator, size=None):
         """Draw variates; a scalar for size=None, else an array."""
 
+    # The law as sums of terms c x^p exp(-r x) 1{x < u}, each built once.
+
+    @functools.cached_property
+    def _survival_terms(self) -> _Terms:
+        """P[Y > x]: the tail sum (r x)^j / j! e^{-r x}, j < k, of each component."""
+        if self.atoms is not None:
+            values, weights = _atom_arrays(self)
+            return _terms(np.log(weights), 1.0, 0.0, 0.0, values)
+        logw, _, r, j, log_fact = _phases(self)
+        return _terms(logw + j * np.log(r) - log_fact, 1.0, j, r, np.inf)
+
+    @functools.cached_property
+    def _density_terms(self) -> _Terms:
+        """Density of a continuous law: r^k x^(k-1) e^{-r x} / (k-1)! per component."""
+        logw, k, r, log_fact = np.array(
+            [(math.log(w), k, r, math.lgamma(k)) for w, k, r in self.components
+             if w > 0.0], dtype=float).T
+        return _terms(logw + k * np.log(r) - log_fact, 1.0, k - 1, r, np.inf)
+
+    @functools.cached_property
+    def _tail_terms(self) -> _Terms:
+        """E[(Y - x)^+], the integral of the survival function beyond x."""
+        if self.atoms is not None:
+            values, weights = _atom_arrays(self)
+            with np.errstate(divide="ignore"):
+                log_wv = np.log(weights * values)
+            return _terms(np.concatenate([log_wv, np.log(weights)]),
+                          np.repeat([1.0, -1.0], len(values)),
+                          np.repeat([0.0, 1.0], len(values)), 0.0,
+                          np.tile(values, 2))
+        # Erlang(k, r): sum over j < k of (k - j) / r * (r x)^j / j! e^{-r x}
+        logw, k, r, j, log_fact = _phases(self)
+        return _terms(logw + np.log(k - j) + (j - 1) * np.log(r) - log_fact,
+                      1.0, j, r, np.inf)
+
 
 def _check_rate(rate: float, name: str = "rate") -> float:
     rate = float(rate)
@@ -129,10 +171,6 @@ class _ErlangMixture(Distribution):
     from the components; each family keeps its own sampler.
     """
 
-    def _mix(self, fn, x):
-        x = np.maximum(np.asarray(x, dtype=float), 0.0)
-        return sum(w * fn(k, r, x) for w, k, r in self.components)[()]
-
     def mean(self):
         return sum(w * k / r for w, k, r in self.components)
 
@@ -140,20 +178,34 @@ class _ErlangMixture(Distribution):
         return sum(w * k * (k + 1) / r**2 for w, k, r in self.components)
 
     def survival(self, x):
-        return self._mix(lambda k, r, x: gammaincc(k, r * x), x)
+        return _evaluate(self._survival_terms, np.maximum(x, 0.0))
 
     def pdf(self, x):
-        return self._mix(lambda k, r, x: np.exp(
-            k * math.log(r) + xlogy(k - 1, x) - r * x - gammaln(k)), x)
+        return _evaluate(self._density_terms, np.maximum(x, 0.0))
 
     def lst(self, s):
-        return sum(w * (r / (r + s)) ** k for w, k, r in self.components)
+        """E[exp(-s Y)], also for s < 0 down to minus the smallest rate.
+
+        Below zero this is the moment generating function at -s, which is
+        finite only while s exceeds minus the rate of every component of
+        positive weight.
+        """
+        weighted = [(w, k, r) for w, k, r in self.components if w > 0.0]
+        rate = min(r for _, _, r in weighted)
+        if (np.asarray(s) <= -rate).any():
+            raise DomainError(f"lst needs s > {-rate!r}, minus the smallest "
+                              "component rate")
+        return sum(w * (r / (r + s)) ** k for w, k, r in weighted)
 
     def integrated_survival(self, x):
-        # the integral of P[Erlang(k, r) > t] over [0, x] is
-        # sum_{j=1..k} P(j, r x) / r
-        return self._mix(lambda k, r, x: sum(
-            gammainc(j, r * x) for j in range(1, k + 1)) / r, x)
+        # E[min(Y, x)] = E[Y; Y < x] + x P[Y >= x], and for Erlang(k, r)
+        # E[Y; Y < x] = k / r P(k + 1, r x)
+        x = np.maximum(np.asarray(x, dtype=float), 0.0)
+        infinite = x == np.inf
+        x = np.where(infinite, 0.0, x)
+        w, k, r = np.array(self.components, dtype=float).T
+        below = _gamma_p(k.astype(int) + 1, r * x[..., None]) @ (w * k / r)
+        return np.where(infinite, self.mean(), below + x * self.survival(x))[()]
 
 
 @dataclass(frozen=True)
@@ -384,55 +436,30 @@ class _Terms(NamedTuple):
 
 
 def _terms(logc, sign, p, r, u) -> _Terms:
-    """Terms from a log-coefficient array and fields broadcast against it."""
+    """Terms from a log-coefficient array and fields broadcast against it.
+
+    A law keeps its term sums for every caller, so they are read-only.
+    """
     zero = np.zeros_like(logc, dtype=float)
-    return _Terms(*(zero + a for a in (logc, sign, p, r, u)))
+    terms = _Terms(*(zero + a for a in (logc, sign, p, r, u)))
+    for field in terms:
+        field.flags.writeable = False
+    return terms
 
 
 def _phases(law: Distribution):
     """One row per phase j < k of each weighted Erlang(k, r) component.
 
-    Returns the arrays (log weight, k, r, j).
+    Returns the arrays (log weight, k, r, j, log j!).
     """
-    return np.array([(math.log(w), k, r, j) for w, k, r in law.components
-                     if w > 0.0 for j in range(k)], dtype=float).T
+    return np.array([(math.log(w), k, r, j, math.lgamma(j + 1))
+                     for w, k, r in law.components if w > 0.0
+                     for j in range(k)], dtype=float).T
 
 
 def _atom_arrays(law: Distribution):
     """The atoms of an atomic law as arrays (values, weights)."""
     return np.array(law.atoms, dtype=float).T
-
-
-def _survival_terms(law: Distribution) -> _Terms:
-    """P[Y > x]: the tail sum (r x)^j / j! e^{-r x}, j < k, of each component."""
-    if law.atoms is not None:
-        values, weights = _atom_arrays(law)
-        return _terms(np.log(weights), 1.0, 0.0, 0.0, values)
-    logw, _, r, j = _phases(law)
-    return _terms(logw + j * np.log(r) - gammaln(j + 1), 1.0, j, r, np.inf)
-
-
-def _density_terms(law: Distribution) -> _Terms:
-    """Density of a continuous law: r^k x^(k-1) e^{-r x} / (k-1)! per component."""
-    logw, k, r = np.array([(math.log(w), k, r) for w, k, r in law.components
-                           if w > 0.0], dtype=float).T
-    return _terms(logw + k * np.log(r) - gammaln(k), 1.0, k - 1, r, np.inf)
-
-
-def _tail_terms(law: Distribution) -> _Terms:
-    """E[(Y - x)^+], the integral of the survival function beyond x."""
-    if law.atoms is not None:
-        values, weights = _atom_arrays(law)
-        with np.errstate(divide="ignore"):
-            log_wv = np.log(weights * values)
-        return _terms(np.concatenate([log_wv, np.log(weights)]),
-                      np.repeat([1.0, -1.0], len(values)),
-                      np.repeat([0.0, 1.0], len(values)), 0.0,
-                      np.tile(values, 2))
-    # Erlang(k, r): sum over j < k of (k - j) / r * (r x)^j / j! e^{-r x}
-    logw, k, r, j = _phases(law)
-    return _terms(logw + np.log(k - j) + (j - 1) * np.log(r) - gammaln(j + 1),
-                  1.0, j, r, np.inf)
 
 
 def _weighted(t: _Terms, moment: int, s: float) -> _Terms:
@@ -446,6 +473,78 @@ def _product(a: _Terms, b: _Terms) -> _Terms:
         (np.add, np.multiply, np.add, np.add, np.minimum), a, b)))
 
 
+#: log(n!) - log(sqrt(2 pi n) (n / e)^n) for n = 0..15; 0 stands in at n = 0
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+
+
+def _poisson_pmf(j: int, x: float) -> float:
+    """e^{-x} x^j / j! for an integer j >= 0 and x >= 0.
+
+    For j >= 1 this is Loader's exp(-stirlerr(j) - bd0(j, x)) / sqrt(2 pi j),
+    with stirlerr(j) the error of Stirling's formula for log j! and
+    bd0(j, x) = j log(j / x) + x - j taken from log1p near j = x, so that no
+    large logarithms cancel.
+    """
+    if j == 0:
+        return math.exp(-x)
+    if x == 0.0:
+        return 0.0
+    if j <= 15:
+        stirlerr = _STIRLERR[j]
+    else:
+        nn = j * j
+        stirlerr = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn))
+                                         / nn) / nn) / nn) / j
+    if x < 0.5 * j:
+        bd0 = j * math.log(j / x) + x - j
+    else:
+        t = (x - j) / j
+        bd0 = j * (t - math.log1p(t))
+    return math.exp(-stirlerr - bd0) / math.sqrt(2.0 * math.pi * j)
+
+
+def _gamma_pq(a: int, x: float) -> tuple[float, float]:
+    """(P(a, x), 1 - P(a, x)) for an integer a >= 1 and a finite x >= 0.
+
+    P is the regularized lower incomplete gamma function, here the Poisson
+    tail P[Poisson(x) >= a]. The side of the Poisson law that leaves out its
+    mode (the terms j >= a when x < a, else the terms j < a) holds at most
+    about half of the mass, so it is the one summed, without cancellation:
+    from the term next to a outward, where the terms only shrink, until a
+    term no longer changes the sum. The other side is one minus it.
+    """
+    total = term = 1.0
+    if x < a:
+        j = a + 1
+        term = x / j
+        while total + term != total:
+            total += term
+            j += 1
+            term *= x / j
+        side = _poisson_pmf(a, x) * total
+        return side, 1.0 - side
+    for j in range(a - 1, 0, -1):
+        term *= j / x
+        if total + term == total:
+            break
+        total += term
+    side = _poisson_pmf(a - 1, x) * total
+    return 1.0 - side, side
+
+
+_gamma_pq_arrays = np.frompyfunc(_gamma_pq, 2, 2)
+
+
+def _gamma_p(a, x) -> np.ndarray:
+    """P(a, x) elementwise, for an integer array a and an array x."""
+    return _gamma_pq_arrays(a, x)[0].astype(float)
+
+
 def _integral(t: _Terms) -> float:
     """Integral of a term sum over x >= 0, term by term in closed form.
 
@@ -456,21 +555,25 @@ def _integral(t: _Terms) -> float:
     integral and drops out.
     """
     a = t.p + 1.0
+    cut = np.isfinite(t.u) & (t.r > 0.0)
+    p = np.ones(a.shape)
+    if cut.any():
+        p[cut] = _gamma_p(a[cut].astype(int), t.r[cut] * t.u[cut])
+    log_gamma = np.array([math.lgamma(v) for v in a.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_i = np.where(
-            t.r > 0.0,
-            gammaln(a) - a * np.log(t.r) + np.log(gammainc(a, t.r * t.u)),
-            a * np.log(t.u) - np.log(a))
+        log_i = np.where(t.r > 0.0, log_gamma - a * np.log(t.r) + np.log(p),
+                         a * np.log(t.u) - np.log(a))
         return float(t.sign @ np.exp(t.logc + log_i))
 
 
-def _evaluate(t: _Terms, x, left: bool = False) -> np.ndarray:
+def _evaluate(t: _Terms, x, left: bool = False):
     """The term sum at each point of x, or its left limit when `left`."""
-    x = np.asarray(x, dtype=float)[:, None]
+    x = np.asarray(x, dtype=float)[..., None]
     inside = x <= t.u if left else x < t.u
-    with np.errstate(divide="ignore"):
-        values = t.sign * np.exp(t.logc + xlogy(t.p, x) - t.r * x)
-    return np.where(inside, values, 0.0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_xp = np.where(t.p > 0.0, t.p * np.log(x), 0.0)
+        values = t.sign * np.exp(t.logc + log_xp - t.r * x)
+    return np.where(inside, values, 0.0).sum(axis=-1)[()]
 
 
 def _expect(law: Distribution, g: _Terms, moment: int = 0, s: float = 0.0,
@@ -482,7 +585,7 @@ def _expect(law: Distribution, g: _Terms, moment: int = 0, s: float = 0.0,
     """
     g = _weighted(g, moment, s)
     if law.atoms is None:
-        return _integral(_product(_density_terms(law), g))
+        return _integral(_product(law._density_terms, g))
     values, weights = _atom_arrays(law)
     return float(_evaluate(g, values, left) @ weights)
 
@@ -495,7 +598,7 @@ def survival_product_integral(a: Distribution, b: Distribution, s: float = 0.0,
     overshoot terms.
     """
     return _integral(_weighted(
-        _product(_survival_terms(a), _survival_terms(b)), moment, s))
+        _product(a._survival_terms, b._survival_terms), moment, s))
 
 
 def expected_min(a: Distribution, b: Distribution) -> float:
@@ -518,7 +621,7 @@ def completion_probability(service: Distribution, visit: Distribution) -> float:
     Computed as E[P[V >= B]], a sum of positive terms, which carries the
     shared-atom overlap term exactly when both laws are atomic.
     """
-    return min(1.0, _expect(service, _survival_terms(visit), left=True))
+    return min(1.0, _expect(service, visit._survival_terms, left=True))
 
 
 def attempt_lst(service: Distribution, visit: Distribution,
@@ -531,8 +634,8 @@ def attempt_lst(service: Distribution, visit: Distribution,
     """
     if s < 0.0:
         raise DomainError("attempt_lst requires s >= 0")
-    success = _expect(service, _survival_terms(visit), 0, s, left=True)
-    failure = _expect(visit, _survival_terms(service), 0, s)
+    success = _expect(service, visit._survival_terms, 0, s, left=True)
+    failure = _expect(visit, service._survival_terms, 0, s)
     return success, failure
 
 
@@ -545,7 +648,7 @@ def served_in_visit(service: Distribution, visit: Distribution,
     E[B^moment exp(-s B); B <= residual visit], the part of the sojourn
     time of a customer served in the visit it arrives in.
     """
-    return _expect(service, _tail_terms(visit), moment, s) / visit.mean()
+    return _expect(service, visit._tail_terms, moment, s) / visit.mean()
 
 
 def fit_mixed_erlang(mean: float, scv: float) -> Distribution:

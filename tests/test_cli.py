@@ -2,12 +2,19 @@
 output, CSV schemas, exit codes, and byte-level determinism."""
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mginfpolling
+from mginfpolling import analytic, cli
 from mginfpolling.cli import main
+from mginfpolling.errors import UnsupportedModelError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_QUEUES = [
     {
@@ -227,6 +234,24 @@ class TestSweep:
         assert out.startswith("grid_value,ES_weighted")
         assert len(out.splitlines()) == 4
 
+    def test_each_mean_computed_once(self, tmp_path, capsys, monkeypatch):
+        calls, sojourn_mean = [], analytic.sojourn_mean
+
+        def counted(system, queue):
+            calls.append(queue)
+            return sojourn_mean(system, queue)
+        monkeypatch.setattr(cli, "sojourn_mean", counted)
+        monkeypatch.setattr(analytic, "sojourn_mean", counted)
+        cfg = write_config(tmp_path,
+                           sweep={"queue": 1, "target": "visit_scv",
+                                  "grid": [0.5, 1.0, 2.0]})
+        assert main(["sweep", "--config", cfg]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert calls == [0, 1] * 3
+        for row in rows:
+            weighted, first, second = map(float, row.split(",")[1:])
+            assert weighted == (0.8 * first + 0.5 * second) / 1.3
+
     def test_missing_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", cfg]) == 2
@@ -330,6 +355,25 @@ class TestValidate:
         assert "pgf_normalization[1]" in out
         assert "pgf_gradient_vs_means[2]" in out
 
+    def test_pgf_rows_follow_pgf_eval(self, tmp_path, capsys, monkeypatch):
+        # continuous visit laws: pgf_eval declines, and the rows are left out
+        cfg = write_config(tmp_path, sim=base_sim_block(measured_cycles=500))
+        main(["validate", "--config", cfg])
+        assert "pgf_" not in capsys.readouterr().out
+
+        # atomic laws, but pgf_eval declines: the rows are left out as well
+        def declined(system, queue, z):
+            raise UnsupportedModelError("declined")
+        monkeypatch.setattr(cli, "pgf_eval", declined)
+        queues = json.loads(json.dumps(BASE_QUEUES))
+        for q in queues:
+            q["visit"] = {"type": "deterministic", "value": 1.0}
+        cfg = write_config(tmp_path, queues=queues,
+                           sim=base_sim_block(measured_cycles=500))
+        main(["validate", "--config", cfg])
+        out = capsys.readouterr().out
+        assert "pgf_" not in out and "sojourn_lst_at_zero[2]" in out
+
     def test_pgf_rows_for_never_serving_visit_atom(self, tmp_path, capsys):
         # queue 1's short visit atom never completes its service
         queues = json.loads(json.dumps(BASE_QUEUES))
@@ -351,6 +395,51 @@ class TestValidate:
                 row = [line for line in lines
                        if line.startswith(f"{name}[{i}]")]
                 assert len(row) == 1 and row[0].endswith("PASS")
+
+
+BLOCK_SCIPY = """
+import importlib.abc, json, sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+from mginfpolling.cli import main
+
+codes = {}
+for config in sys.argv[1:]:
+    for op in (["analyze"], ["sweep"], ["optimize", "--brute-force"],
+               ["simulate", "--cycles", "300"], ["validate", "--cycles", "300"]):
+        codes[f"{op[0]} {config}"] = main([*op, "--config", config])
+print(json.dumps(codes))
+"""
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    queues = json.loads(json.dumps(BASE_QUEUES))
+    queues[0]["visit"] = {"type": "discrete", "atoms": [[0.5, 0.4], [1.5, 0.6]]}
+    queues[1]["service"] = {"type": "erlang", "phases": 3, "rate": 4.0}
+    queues[1]["visit"] = {"type": "deterministic", "value": 1.0}
+    queues[1]["switch"] = {"type": "discrete", "atoms": [[0.1, 0.5], [0.4, 0.5]]}
+    atomic = write_config(
+        tmp_path, queues=queues, sim=base_sim_block(),
+        sweep={"queue": 1, "target": "service_scv", "grid": [0.3, 1.0, 2.0]},
+        optimize={"counts": [2, 3], "mode": "serial", "objective": "max"})
+    base = str(ROOT / "demos" / "base_config.json")
+    src = str(Path(mginfpolling.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", BLOCK_SCIPY, base, atomic],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == {f"{op} {config}": 0 for config in (base, atomic)
+                     for op in ("analyze", "sweep", "optimize", "simulate",
+                                "validate")}
 
 
 class TestConsoleEntryPoints:
