@@ -34,7 +34,6 @@ from .analytic import (
     _rate_weighted,
     cycle_moments,
     derived_quantities,
-    end_of_visit_means,
     pgf_eval,
     polling_means,
     sojourn_lst,
@@ -444,17 +443,19 @@ def cmd_simulate(args) -> int:
           f"{sim.measured_cycles} cycles (warmup {sim.warmup_cycles}, "
           f"seed {sim.master_seed}, {threads} worker(s))")
     print()
+    # metrics x replications, transposed: each metric's replications stay
+    # contiguous, so numpy sums them in the order a one-metric call would
+    table = report.per_replication
+    means, ses = _mean_and_stderr(np.stack(list(table.values())).T)
     print(f"{'metric':<34}  {'estimate':>14}  {'stderr':>12}")
-    for metric, values in report.per_replication.items():
-        mean, se = _mean_and_stderr(values)
+    for metric, mean, se in zip(table, means, ses):
         print(f"{metric:<34}  {float(mean):>14.8g}  {float(se):>12.4g}")
 
     if args.out:
         rows = []
-        for metric, values in report.per_replication.items():
+        for (metric, values), mean, se in zip(table.items(), means, ses):
             for r, value in enumerate(values):
                 rows.append((str(r + 1), metric, value, ""))
-            mean, se = _mean_and_stderr(values)
             rows.append(("all", metric, float(mean), float(se)))
         _write_csv(args.out, ("replication", "metric", "estimate", "stderr"),
                    rows)
@@ -564,6 +565,7 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
     """Yield (check name, tolerance, measured value) triples."""
     n = len(system.queues)
     means = [sojourn_mean(system, i) for i in range(n)]
+    pm = polling_means(system)
 
     for i in range(n):
         yield (f"sojourn_lst_at_zero[{i + 1}]", 1e-12 * scale,
@@ -590,7 +592,6 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
     except UnsupportedModelError:
         at_one = []  # pgf_eval decides which laws it covers
     if at_one:
-        pm = polling_means(system)
         for i, value in enumerate(at_one):
             yield (f"pgf_normalization[{i + 1}]", 1e-12 * scale,
                    abs(value - 1.0))
@@ -607,12 +608,11 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
 
     report = run(system, sim, threads=threads)
     if report.replications >= 2:
-        pm = polling_means(system)
-        em = end_of_visit_means(system)
         with np.errstate(invalid="ignore", divide="ignore"):
             zx = np.abs(report.polling_means - pm.at_polling) \
                 / report.polling_stderr
-            zy = np.abs(report.visit_end_means - em) / report.visit_end_stderr
+            zy = np.abs(report.visit_end_means - pm.at_visit_end) \
+                / report.visit_end_stderr
         yield ("sim_polling_means_z", 3.0 * scale, float(np.nanmax(zx)))
         yield ("sim_visit_end_means_z", 3.0 * scale, float(np.nanmax(zy)))
         for i in range(n):

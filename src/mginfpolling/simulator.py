@@ -13,7 +13,9 @@ The kernel is schedule-first. The server's visit and switch-over times do
 not depend on the queue contents, and given them every customer evolves
 independently of every other customer. A replication therefore works on
 blocks of cycles: it draws the block's whole schedule as (cycles x N)
-arrays, lays each queue's Poisson arrivals on that timeline, settles the
+arrays and lays each queue's arrivals on that timeline as one Poisson
+process over the whole block (a Poisson count, then that many uniform
+positions, each owned by the server interval it falls in). It settles the
 arrivals that land in their own queue's visit with one service draw each,
 and resolves every other customer's departure in vectorized retry rounds,
 where a customer completes at the first visit of its queue whose fresh
@@ -28,8 +30,11 @@ visit, and a requirement equal to the remaining visit time completes.
 Randomness comes from counter-based Philox streams keyed by (master seed,
 replication, queue, purpose), so every replication is an independent,
 reproducible stream bundle regardless of how replications are scheduled
-across processes. Reports aggregate replication means in replication order,
-making results bit-identical for a fixed master seed and any thread count.
+across processes. Per block, a queue's count stream gives one Poisson
+count and its position stream that many uniforms; `single_cycle_throughput`
+and `leftover_after_visit` instead draw one count per interval. Reports
+aggregate replication means in replication order, making results
+bit-identical for a fixed master seed and any thread count.
 """
 from __future__ import annotations
 
@@ -141,14 +146,34 @@ def _generator(master_seed: int, salt: int, rep: int, queue: int,
 
 def _arrivals(rate: float, lengths: np.ndarray, count_rng: np.random.Generator,
               position_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson arrivals over consecutive intervals of the given lengths.
+    """Poisson arrivals over independent intervals of the given lengths.
 
-    Returns each arrival's interval index and its offset from that
-    interval's start; given the count, offsets are uniform on [0, length).
+    Draws one Poisson count per interval; returns each arrival's interval
+    index and its offset from that interval's start, uniform on
+    [0, length) given the count. `single_cycle_throughput` and
+    `leftover_after_visit` use it, one interval per replication; `run`
+    draws over a block's timeline with `_timeline_arrivals` instead.
     """
     counts = count_rng.poisson(rate * lengths)
     owner = np.repeat(np.arange(lengths.size), counts)
     return owner, position_rng.random(owner.size) * lengths[owner]
+
+
+def _timeline_arrivals(rate: float, ends: np.ndarray,
+                       count_rng: np.random.Generator,
+                       position_rng: np.random.Generator
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """One Poisson process over consecutive intervals ending at `ends`.
+
+    Draws a single count over [0, ends[-1]) and sorted uniform arrival
+    times on it. Returns each arrival's interval index and its time; an
+    arrival exactly at an interval's end belongs to the next interval, so
+    zero-length intervals own none. Times stay below ends[-1], since a
+    uniform below 1 times a float rounds below it.
+    """
+    horizon = ends[-1]
+    at = np.sort(position_rng.random(count_rng.poisson(rate * horizon)) * horizon)
+    return np.searchsorted(ends, at, side="right"), at
 
 
 def _service_pool(law: Distribution, rng: np.random.Generator, size: int):
@@ -239,14 +264,13 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
         # the server's intervals in time order: interval 2(c n + i) is the
         # visit to queue i in cycle c and the next one its switch-over;
         # boundary k is the start of interval k
-        lengths = np.stack((visits, switches), axis=2).ravel()
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
+        ends = np.cumsum(np.stack((visits, switches), axis=2).ravel())
+        starts = np.concatenate(([0.0], ends[:-1]))
         pgf_terms = np.ones((len(config.pgf_points), cycles))
 
         for j, (queue, s) in enumerate(zip(queues, streams)):
-            owner, offset = _arrivals(queue.arrival_rate, lengths,
-                                      s[_COUNT], s[_POSITION])
+            owner, at = _timeline_arrivals(queue.arrival_rate, ends,
+                                           s[_COUNT], s[_POSITION])
             cycle, slot = np.divmod(owner, 2 * n)
             own = slot == 2 * j
             take = _service_pool(queue.service, s[_SERVICE],
@@ -255,7 +279,7 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
 
             # arrivals during the queue's own visit start service at once
             b = take(int(own.sum()))
-            fits = offset[own] + b <= lengths[owner[own]]
+            fits = at[own] + b <= ends[owner[own]]
             counted = measured[cycle[own]] & fits
             served[j] += counted.sum()
             phase_sum[j, SERVED_SAME_VISIT] += b[counted].sum()
@@ -268,8 +292,7 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
             arrived = owner[waits]
             attempt = np.concatenate((np.zeros(carry_time[j].size, dtype=np.intp),
                                       cycle[waits] + (slot[waits] >= 2 * j)))
-            arrival = np.concatenate((carry_time[j],
-                                      starts[arrived] + offset[waits]))
+            arrival = np.concatenate((carry_time[j], at[waits]))
             tag = np.concatenate((carry_tag[j],
                                   np.where(own[waits], CARRIED_FROM_VISIT,
                                            OUTSIDE_VISIT)))
@@ -285,7 +308,7 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
 
             # a waiting customer is present at the boundaries after its
             # arrival interval up to and including its completing visit's start
-            edges = lengths.size + 1
+            edges = ends.size + 1
             step = np.bincount(arrived + 1, minlength=edges) \
                 - np.bincount(2 * (done * n + j) + 1, minlength=edges)
             present = (carry_time[j].size + np.cumsum(step[:-1])).reshape(cycles, n, 2)
@@ -387,9 +410,10 @@ def run(system: SystemSpec, config: SimConfig, threads: int = 1) -> SimulationRe
     per_rep_total = per_rep_theta_queue.sum(axis=1)
     t_mean, t_se = _mean_and_stderr(per_rep_total)
 
+    pgf_reps = stack("pgf")
     pgf_est = pgf_se = None
     if config.pgf_points:
-        pgf_est, pgf_se = _mean_and_stderr(stack("pgf"))
+        pgf_est, pgf_se = _mean_and_stderr(pgf_reps)
 
     per_replication: dict[str, np.ndarray] = {}
     for i in range(n):
@@ -414,7 +438,7 @@ def run(system: SystemSpec, config: SimConfig, threads: int = 1) -> SimulationRe
         per_replication[f"throughput_per_cycle[{i + 1}]"] = per_rep_theta_queue[:, i]
     for k, (pq, zs) in enumerate(config.pgf_points):
         zrepr = ",".join(format(z, "g") for z in zs)
-        per_replication[f"pgf[q{pq + 1};z={zrepr}]"] = stack("pgf")[:, k]
+        per_replication[f"pgf[q{pq + 1};z={zrepr}]"] = pgf_reps[:, k]
 
     return SimulationReport(
         replications=reps,

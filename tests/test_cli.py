@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mginfpolling
 from mginfpolling import analytic, cli
 from mginfpolling.cli import main
 from mginfpolling.errors import UnsupportedModelError
+from mginfpolling.simulator import _mean_and_stderr
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -211,6 +213,38 @@ class TestSimulate:
         cfg = write_config(tmp_path, sim=base_sim_block())
         assert main(["simulate", "--config", cfg, "--cycles", "300"]) == 0
         assert "x 300 cycles" in capsys.readouterr().out
+
+    def test_summary_matches_per_metric_stats(self, tmp_path, capsys,
+                                              monkeypatch):
+        # 10 replications: numpy sums 8 or more values pairwise, so a
+        # summary that reduced them in another order would show in the bits
+        silent = dict(BASE_QUEUES[1], arrival_rate=0.0)
+        cfg = write_config(tmp_path, queues=BASE_QUEUES + [silent],
+                           sim=base_sim_block(replications=10))
+        simulate, reports = cli.run, []
+
+        def recorded(*args, **kwargs):
+            reports.append(simulate(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run", recorded)
+        monkeypatch.setenv("POLLING_NUM_THREADS", "1")
+        out_path = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        table = reports[0].per_replication
+        expected = {m: _mean_and_stderr(v) for m, v in table.items()}
+        assert np.isnan(expected["sojourn_mean[3]"][0])
+        assert np.isnan(expected["completion_fraction[3]"][1])
+
+        pooled = {r[1]: (float(r[2]), float(r[3]))
+                  for r in csv.reader(out_path.open(newline="")) if r[0] == "all"}
+        assert list(pooled) == list(table)
+        for metric, (mean, se) in expected.items():
+            assert np.array_equal(pooled[metric], (mean, se), equal_nan=True), \
+                metric
+            line = f"{metric:<34}  {float(mean):>14.8g}  {float(se):>12.4g}"
+            assert line in printed, metric
 
 
 class TestSweep:

@@ -29,6 +29,7 @@ from mginfpolling.simulator import (
     OUTSIDE_VISIT,
     SERVED_SAME_VISIT,
     SimConfig,
+    _timeline_arrivals,
     leftover_after_visit,
     run,
     single_cycle_throughput,
@@ -156,6 +157,54 @@ class TestDegenerateSystems:
         assert rep.completion_fraction[0] == 1.0
         assert rep.sojourn_phase_counts[0, SERVED_SAME_VISIT] == 0
         assert rep.sojourn_phase_counts[0, CARRIED_FROM_VISIT] > 0
+
+
+class TestTimelineArrivals:
+    # dyadic lengths summing to 4, so a position times 4 is exact; the
+    # zero-length intervals sit inside the timeline and at its end
+    LENGTHS = np.array([0.5, 0.0, 1.25, 0.0, 0.0, 2.0, 0.25, 0.0])
+
+    class Fixed:
+        """Stands in for both streams: a fixed count and fixed positions."""
+
+        def __init__(self, positions):
+            self.positions = np.asarray(positions)
+
+        def poisson(self, lam):
+            return self.positions.size
+
+        def random(self, size):
+            assert size == self.positions.size
+            return self.positions.copy()
+
+    def test_position_at_an_interval_end_goes_to_the_next(self):
+        ends = np.cumsum(self.LENGTHS)
+        # times 3.9, 0.5, 0, 1.75, 1, 3.75, unsorted; 0.5 ends intervals 0
+        # and 1, 1.75 ends 2, 3 and 4, 3.75 ends 5
+        stream = self.Fixed(np.array([3.9, 0.5, 0.0, 1.75, 1.0, 3.75]) / 4.0)
+        owner, at = _timeline_arrivals(1.0, ends, stream, stream)
+        assert at.tolist() == [0.0, 0.5, 1.0, 1.75, 3.75, 3.9]
+        assert owner.tolist() == [0, 2, 2, 5, 6, 6]
+
+    def test_layout_and_counts(self):
+        reps, rate = 4000, 1.5
+        lengths = np.tile(self.LENGTHS, reps)
+        ends = np.cumsum(lengths)
+        rng = np.random.default_rng(8128)
+        owner, at = _timeline_arrivals(rate, ends, rng, rng)
+        assert np.all(np.diff(at) >= 0.0)
+        starts = np.concatenate(([0.0], ends[:-1]))
+        assert np.all((starts[owner] <= at) & (at < ends[owner]))
+        assert not np.any(lengths[owner] == 0.0)
+        # disjoint intervals of a Poisson process hold independent Poisson
+        # counts: mean rate * length and dispersion index var / mean = 1,
+        # whose stderr over n samples is sqrt(2 / (n - 1))
+        counts = np.bincount(owner, minlength=ends.size).reshape(reps, -1)
+        for k in np.flatnonzero(self.LENGTHS):
+            mu = rate * self.LENGTHS[k]
+            zcheck(counts[:, k].mean(), mu, (mu / reps) ** 0.5)
+            dispersion = counts[:, k].var(ddof=1) / counts[:, k].mean()
+            zcheck(dispersion, 1.0, (2.0 / (reps - 1)) ** 0.5)
 
 
 class TestAcrossBlocks:
