@@ -15,8 +15,8 @@ closed form, with the two-law functionals of the distributions module as
 finite sums: per-queue completion probabilities and related constants,
 cycle-length moments, mean queue lengths at polling and visit-end instants,
 the joint queue-length generating function at polling instants (for atomic
-visit and switch laws), and the sojourn-time mean and Laplace-Stieltjes
-transform.
+visit laws and any switch-over laws), and the sojourn-time mean and
+Laplace-Stieltjes transform.
 
 Conventions: queue indices are 0-based everywhere in the library. Optional
 central-point travel laws can ride along on a queue spec for tour planning,
@@ -319,16 +319,16 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     """Joint queue-length generating function at a polling instant.
 
     Evaluates E[prod_j z_j^(count in queue j)] at the moment the server
-    arrives at the given queue, for systems whose visit and switch laws are
-    all atomic (deterministic or finite discrete). With u = 1 - z, the
-    recursion walks from the polling instant back into the past, one server
-    interval (a visit and the switch-over after it) per level. A crossed
-    switch-over contributes its transform at the arrival-weighted
-    coordinates lambda . u; a crossed visit is a finite sum over its atoms,
-    each contributing its weight, the factor for the arrivals the visit
-    leaves behind and the other queues' arrivals during it, and a
-    contraction of the crossed queue's coordinate by the atom's survival
-    chance.
+    arrives at the given queue, for systems whose visit laws are all atomic
+    (deterministic or finite discrete); switch-over laws may be of any
+    family. With u = 1 - z, the recursion walks from the polling instant
+    back into the past, one server interval (a visit and the switch-over
+    after it) per level. A crossed switch-over contributes only its
+    transform at the arrival-weighted coordinates lambda . u; a crossed
+    visit is a finite sum over its atoms, each contributing its weight, the
+    factor for the arrivals the visit leaves behind and the other queues'
+    arrivals during it, and a contraction of the crossed queue's coordinate
+    by the atom's survival chance.
 
     A level holds the distinct counts of crossed visit atoms reached so far
     (they fix u) and each count vector's mass: the summed product of the
@@ -350,9 +350,12 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     Raises
     ------
     UnsupportedModelError
-        If any visit or switch law is not atomic.
+        If any visit law is not atomic.
     ModelError
         If some queue's completion probability is zero.
+    DomainError
+        If z is out of range, or if z above one takes some lambda . u to
+        where a switch-over's transform does not exist.
     NumericsError
         If some vector is still live after 500 cycles of history, which
         happens when service almost never completes, or if a level holds
@@ -368,10 +371,10 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
         raise DomainError("z components must lie in [0, 1] "
                           "(small overshoot above 1 is allowed)")
     for idx, q in enumerate(queues):
-        if q.visit.atoms is None or q.switch.atoms is None:
+        if q.visit.atoms is None:
             raise UnsupportedModelError(
-                f"queue {idx}: generating-function evaluation needs atomic "
-                "visit and switch laws")
+                f"queue {idx}: generating-function evaluation needs an "
+                "atomic visit law")
     for j in range(n):
         _completion_prob(system, j)
 

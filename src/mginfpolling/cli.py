@@ -40,6 +40,7 @@ from .analytic import (
     sojourn_lst_exponential,
     sojourn_mean,
     sojourn_mean_exponential,
+    sojourn_metrics,
 )
 from .distributions import (
     Deterministic,
@@ -71,13 +72,14 @@ __all__ = ["main"]
 
 DEFAULT_S_GRID = (0.1, 0.5, 1.0, 2.0)
 
+#: per distribution tag: the class and its keyword names, in check order
 _DIST_FIELDS = {
-    "exponential": ("rate",),
-    "deterministic": ("value",),
-    "erlang": ("phases", "rate"),
-    "mixed_erlang": ("p", "phases", "rate"),
-    "hyperexponential": ("p", "rate1", "rate2"),
-    "discrete": ("atoms",),
+    "exponential": (Exponential, ("rate",)),
+    "deterministic": (Deterministic, ("value",)),
+    "erlang": (Erlang, ("phases", "rate")),
+    "mixed_erlang": (MixedErlang, ("p", "phases", "rate")),
+    "hyperexponential": (HyperExponential, ("p", "rate1", "rate2")),
+    "discrete": (Discrete, ("atoms",)),
 }
 
 
@@ -104,46 +106,40 @@ def _as_int(obj, path: str) -> int:
     return obj
 
 
+def _as_atoms(obj, path: str) -> tuple[tuple[float, float], ...]:
+    if not isinstance(obj, list):
+        raise ConfigError(f"{path}: expected a list of [value, probability] "
+                          "pairs")
+    pairs = []
+    for k, pair in enumerate(obj):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"{path}[{k}]: expected a [value, probability] "
+                              "pair")
+        pairs.append((_as_number(pair[0], f"{path}[{k}][0]"),
+                      _as_number(pair[1], f"{path}[{k}][1]")))
+    return tuple(pairs)
+
+
+_FIELD_PARSERS = {"phases": _as_int, "atoms": _as_atoms}
+
+
 def _build_distribution(obj, path: str) -> Distribution:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a distribution object, got {obj!r}")
     if "type" not in obj:
         raise ConfigError(f"{path}: missing required key 'type'")
     tag = obj["type"]
-    if tag not in _DIST_FIELDS:
+    if not isinstance(tag, str) or tag not in _DIST_FIELDS:
         raise ConfigError(
             f"{path}.type: unknown distribution type {tag!r} (expected one "
             f"of: {', '.join(sorted(_DIST_FIELDS))})")
-    fields = _DIST_FIELDS[tag]
-    _check_keys(obj, path, ("type",) + fields, fields)
+    cls, names = _DIST_FIELDS[tag]
+    _check_keys(obj, path, ("type",) + names, names)
+    fields = {name: _FIELD_PARSERS.get(name, _as_number)(obj[name],
+                                                         f"{path}.{name}")
+              for name in names}
     try:
-        if tag == "exponential":
-            return Exponential(_as_number(obj["rate"], f"{path}.rate"))
-        if tag == "deterministic":
-            return Deterministic(_as_number(obj["value"], f"{path}.value"))
-        if tag == "erlang":
-            return Erlang(_as_int(obj["phases"], f"{path}.phases"),
-                          _as_number(obj["rate"], f"{path}.rate"))
-        if tag == "mixed_erlang":
-            return MixedErlang(_as_number(obj["p"], f"{path}.p"),
-                               _as_int(obj["phases"], f"{path}.phases"),
-                               _as_number(obj["rate"], f"{path}.rate"))
-        if tag == "hyperexponential":
-            return HyperExponential(_as_number(obj["p"], f"{path}.p"),
-                                    _as_number(obj["rate1"], f"{path}.rate1"),
-                                    _as_number(obj["rate2"], f"{path}.rate2"))
-        atoms = obj["atoms"]
-        if not isinstance(atoms, list):
-            raise ConfigError(f"{path}.atoms: expected a list of [value, "
-                              "probability] pairs")
-        pairs = []
-        for k, pair in enumerate(atoms):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(f"{path}.atoms[{k}]: expected a [value, "
-                                  "probability] pair")
-            pairs.append((_as_number(pair[0], f"{path}.atoms[{k}][0]"),
-                          _as_number(pair[1], f"{path}.atoms[{k}][1]")))
-        return Discrete(tuple(pairs))
+        return cls(**fields)
     except (DomainError, ModelError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -321,8 +317,7 @@ def _thread_count(replications: int) -> int:
         try:
             cap_value = int(cap)
         except ValueError:
-            raise ConfigError(
-                f"POLLING_NUM_THREADS must be a positive integer, got {cap!r}")
+            cap_value = 0
         if cap_value < 1:
             raise ConfigError(
                 f"POLLING_NUM_THREADS must be a positive integer, got {cap!r}")
@@ -371,8 +366,8 @@ def cmd_analyze(args) -> int:
     derived = [derived_quantities(system, i) for i in range(n)]
     pm = polling_means(system)
     cm = cycle_moments(system)
-    means = [sojourn_mean(system, i) for i in range(n)]
-    lst_table = [[sojourn_lst(system, i, s) for i in range(n)] for s in s_grid]
+    metrics = sojourn_metrics(system, s_grid)
+    means = metrics.means
 
     print(f"system: {n} queues, mean cycle {cm.cycle_mean:.10g}")
     print()
@@ -399,7 +394,7 @@ def cmd_analyze(args) -> int:
     print("sojourn transform samples (rows: s):")
     print("     s  " + "  ".join(f"{'queue ' + str(i + 1):>12}"
                                  for i in range(n)))
-    for s, row in zip(s_grid, lst_table):
+    for s, row in zip(s_grid, metrics.lst_table.T):
         print(f"{s:>6.4g}  " + "  ".join(f"{v:>12.10g}" for v in row))
 
     if args.out:
@@ -420,14 +415,15 @@ def cmd_analyze(args) -> int:
             rows.append((f"sojourn_mean[{i + 1}]", means[i]))
             rows.append((f"mean_count[{i + 1}]",
                          system.queues[i].arrival_rate * means[i]))
-        for s, row in zip(s_grid, lst_table):
+        for s, row in zip(s_grid, metrics.lst_table.T):
             for i in range(n):
                 rows.append((f"sojourn_lst[{i + 1}]@s={s:g}", row[i]))
         _write_csv(args.out, ("metric", "value"), rows)
     return 0
 
 
-def cmd_simulate(args) -> int:
+def _simulation_inputs(args):
+    """The system, its sim block with the command-line overrides, and workers."""
     raw = _load_config(args.config)
     system = _build_system(raw["system"])
     sim = _build_sim(raw.get("sim"), "sim", len(system.queues))
@@ -435,18 +431,19 @@ def cmd_simulate(args) -> int:
         sim = dataclasses.replace(sim, master_seed=args.seed)
     if args.cycles is not None:
         sim = dataclasses.replace(sim, measured_cycles=args.cycles)
-    threads = _thread_count(sim.replications)
+    return system, sim, _thread_count(sim.replications)
 
+
+def cmd_simulate(args) -> int:
+    system, sim, threads = _simulation_inputs(args)
     report = run(system, sim, threads=threads)
 
     print(f"simulated {sim.replications} replications x "
           f"{sim.measured_cycles} cycles (warmup {sim.warmup_cycles}, "
           f"seed {sim.master_seed}, {threads} worker(s))")
     print()
-    # metrics x replications, transposed: each metric's replications stay
-    # contiguous, so numpy sums them in the order a one-metric call would
     table = report.per_replication
-    means, ses = _mean_and_stderr(np.stack(list(table.values())).T)
+    means, ses = _mean_and_stderr(np.stack(list(table.values()), axis=1))
     print(f"{'metric':<34}  {'estimate':>14}  {'stderr':>12}")
     for metric, mean, se in zip(table, means, ses):
         print(f"{metric:<34}  {float(mean):>14.8g}  {float(se):>12.4g}")
@@ -637,15 +634,11 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
 
 
 def cmd_validate(args) -> int:
-    raw = _load_config(args.config)
-    system = _build_system(raw["system"])
-    sim = _build_sim(raw.get("sim"), "sim", len(system.queues))
-    if args.seed is not None:
-        sim = dataclasses.replace(sim, master_seed=args.seed)
-    if args.cycles is not None:
-        sim = dataclasses.replace(sim, measured_cycles=args.cycles)
-    threads = _thread_count(sim.replications)
     scale = args.tolerance_scale
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ConfigError(f"--tolerance-scale must be finite and > 0, "
+                          f"got {scale!r}")
+    system, sim, threads = _simulation_inputs(args)
 
     failures = 0
     rows = []
@@ -713,8 +706,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override sim.master_seed")
     p.add_argument("--cycles", type=int, help="override sim.measured_cycles")
     p.add_argument("--tolerance-scale", type=float, default=1.0,
-                   help="multiply every tolerance by this factor "
-                            "(< 1 tightens the checks)")
+                   help="multiply every tolerance by this finite factor "
+                            "> 0 (< 1 tightens the checks)")
     p.set_defaults(handler=cmd_validate)
     return parser
 

@@ -7,16 +7,19 @@ Laplace-Stieltjes transform on real s >= 0, the integrated survival function
 (the workhorse behind residual laws), and reproducible sampling from a numpy
 Generator.
 
+Each family adds only its parameters, their checks and its sampler to one
+of two private bases that own all of its formulas: `_ErlangMixture` for the
+four continuous families, finite mixtures of Erlang components, and `_Atomic`
+for the deterministic and discrete laws, finite sets of atoms (the phase-type
+view of Neuts, Matrix-Geometric Solutions in Stochastic Models, 1981). On
+either base, survival functions, densities and tail integrals are finite
+sums of terms c x^p exp(-r x) 1{x < u}.
+
 Two-law functionals live here as free functions: the completion probability
 P[B <= V], the expected minimum of two independent laws and its transform,
 survival-product integrals, the outcome-split transforms of one visit
-attempt, and the served-in-visit term of the sojourn time. Every
-continuous family is a finite mixture of Erlang components and every atomic
-law a finite set of atoms (the phase-type view of Neuts, Matrix-Geometric
-Solutions in Stochastic Models, 1981). Survival functions, densities and tail
-integrals are then finite sums of terms c x^p exp(-r x) 1{x < u}, and each
-functional is a finite sum of incomplete-gamma integrals of products of such
-terms, evaluated in log space.
+attempt, and the served-in-visit term of the sojourn time. Each is a finite
+sum of incomplete-gamma integrals of products of such terms, in log space.
 
 Every incomplete gamma function met here has an integer shape a, so it is a
 Poisson tail: P(a, x) = P[Poisson(x) >= a]. `_gamma_pq` sums the side of
@@ -121,41 +124,6 @@ class Distribution(abc.ABC):
     def sample(self, rng: np.random.Generator, size=None):
         """Draw variates; a scalar for size=None, else an array."""
 
-    # The law as sums of terms c x^p exp(-r x) 1{x < u}, each built once.
-
-    @functools.cached_property
-    def _survival_terms(self) -> _Terms:
-        """P[Y > x]: the tail sum (r x)^j / j! e^{-r x}, j < k, of each component."""
-        if self.atoms is not None:
-            values, weights = _atom_arrays(self)
-            return _terms(np.log(weights), 1.0, 0.0, 0.0, values)
-        logw, _, r, j, log_fact = _phases(self)
-        return _terms(logw + j * np.log(r) - log_fact, 1.0, j, r, np.inf)
-
-    @functools.cached_property
-    def _density_terms(self) -> _Terms:
-        """Density of a continuous law: r^k x^(k-1) e^{-r x} / (k-1)! per component."""
-        logw, k, r, log_fact = np.array(
-            [(math.log(w), k, r, math.lgamma(k)) for w, k, r in self.components
-             if w > 0.0], dtype=float).T
-        return _terms(logw + k * np.log(r) - log_fact, 1.0, k - 1, r, np.inf)
-
-    @functools.cached_property
-    def _tail_terms(self) -> _Terms:
-        """E[(Y - x)^+], the integral of the survival function beyond x."""
-        if self.atoms is not None:
-            values, weights = _atom_arrays(self)
-            with np.errstate(divide="ignore"):
-                log_wv = np.log(weights * values)
-            return _terms(np.concatenate([log_wv, np.log(weights)]),
-                          np.repeat([1.0, -1.0], len(values)),
-                          np.repeat([0.0, 1.0], len(values)), 0.0,
-                          np.tile(values, 2))
-        # Erlang(k, r): sum over j < k of (k - j) / r * (r x)^j / j! e^{-r x}
-        logw, k, r, j, log_fact = _phases(self)
-        return _terms(logw + np.log(k - j) + (j - 1) * np.log(r) - log_fact,
-                      1.0, j, r, np.inf)
-
 
 def _check_rate(rate: float, name: str = "rate") -> float:
     rate = float(rate)
@@ -207,6 +175,111 @@ class _ErlangMixture(Distribution):
         below = _gamma_p(k.astype(int) + 1, r * x[..., None]) @ (w * k / r)
         return np.where(infinite, self.mean(), below + x * self.survival(x))[()]
 
+    # The law as sums of terms c x^p exp(-r x) 1{x < u}, each built once.
+
+    def _phases(self):
+        """One row per phase j < k of each weighted Erlang(k, r) component.
+
+        Returns the arrays (log weight, k, r, j, log j!).
+        """
+        return np.array([(math.log(w), k, r, j, math.lgamma(j + 1))
+                         for w, k, r in self.components if w > 0.0
+                         for j in range(k)], dtype=float).T
+
+    @functools.cached_property
+    def _survival_terms(self) -> _Terms:
+        """P[Y > x]: the tail sum (r x)^j / j! e^{-r x}, j < k, of each component."""
+        logw, _, r, j, log_fact = self._phases()
+        return _terms(logw + j * np.log(r) - log_fact, 1.0, j, r, np.inf)
+
+    @functools.cached_property
+    def _density_terms(self) -> _Terms:
+        """The density: r^k x^(k-1) e^{-r x} / (k-1)! per component."""
+        logw, k, r, log_fact = np.array(
+            [(math.log(w), k, r, math.lgamma(k)) for w, k, r in self.components
+             if w > 0.0], dtype=float).T
+        return _terms(logw + k * np.log(r) - log_fact, 1.0, k - 1, r, np.inf)
+
+    @functools.cached_property
+    def _tail_terms(self) -> _Terms:
+        """E[(Y - x)^+], the integral of the survival function beyond x."""
+        # Erlang(k, r): sum over j < k of (k - j) / r * (r x)^j / j! e^{-r x}
+        logw, k, r, j, log_fact = self._phases()
+        return _terms(logw + np.log(k - j) + (j - 1) * np.log(r) - log_fact,
+                      1.0, j, r, np.inf)
+
+    def _expect(self, g: _Terms, moment: int = 0, s: float = 0.0,
+                left: bool = False) -> float:
+        """E[Y^moment exp(-s Y) g(Y)] by the density, which ignores `left`."""
+        return _integral(_product(self._density_terms, _weighted(g, moment, s)))
+
+
+class _Atomic(Distribution):
+    """A finite set of atoms, given by the subclass's `atoms`.
+
+    Moments, survival, transform and integrated survival all follow from
+    the atoms; each family keeps its own sampler.
+    """
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms as read-only arrays (values, weights), values ascending."""
+        arrays = np.array(self.atoms, dtype=float).T.copy()
+        arrays.flags.writeable = False
+        return tuple(arrays)
+
+    @functools.cached_property
+    def _moments(self) -> tuple[float, float]:
+        """(E[Y], E[Y^2]), summed once over the atoms."""
+        values, weights = self._arrays
+        return float(values @ weights), float((values**2) @ weights)
+
+    def mean(self):
+        return self._moments[0]
+
+    def second_moment(self):
+        return self._moments[1]
+
+    def survival(self, x):
+        values, weights = self._arrays
+        idx = np.searchsorted(values, np.asarray(x, dtype=float), side="right")
+        # tail[k] = mass strictly beyond the k-th atom boundary
+        tail = np.concatenate([[1.0], 1.0 - np.cumsum(weights)])
+        return np.maximum(tail[idx], 0.0)[()]
+
+    def lst(self, s):
+        values, weights = self._arrays
+        s = np.asarray(s, dtype=float)
+        return (np.exp(-s[..., None] * values) @ weights)[()]
+
+    def integrated_survival(self, x):
+        values, weights = self._arrays
+        x = np.asarray(x, dtype=float)
+        return (np.minimum(x[..., None], values) @ weights)[()]
+
+    @functools.cached_property
+    def _survival_terms(self) -> _Terms:
+        """P[Y > x]: the weight of each atom above x."""
+        values, weights = self._arrays
+        return _terms(np.log(weights), 1.0, 0.0, 0.0, values)
+
+    @functools.cached_property
+    def _tail_terms(self) -> _Terms:
+        """E[(Y - x)^+]: w (v - x) for each atom v above x."""
+        values, weights = self._arrays
+        with np.errstate(divide="ignore"):
+            log_wv = np.log(weights * values)
+        return _terms(np.concatenate([log_wv, np.log(weights)]),
+                      np.repeat([1.0, -1.0], len(values)),
+                      np.repeat([0.0, 1.0], len(values)), 0.0,
+                      np.tile(values, 2))
+
+    def _expect(self, g: _Terms, moment: int = 0, s: float = 0.0,
+                left: bool = False) -> float:
+        """E[Y^moment exp(-s Y) g(Y)] over the atoms, g(y-) when `left`."""
+        values, weights = self._arrays
+        return float(_evaluate(_weighted(g, moment, s), values, left) @ weights)
+
 
 @dataclass(frozen=True)
 class Exponential(_ErlangMixture):
@@ -226,7 +299,7 @@ class Exponential(_ErlangMixture):
 
 
 @dataclass(frozen=True)
-class Deterministic(Distribution):
+class Deterministic(_Atomic):
     """Point mass at a fixed nonnegative time."""
 
     value: float
@@ -236,22 +309,6 @@ class Deterministic(Distribution):
         if not (value >= 0.0) or not math.isfinite(value):
             raise DomainError(f"value must be finite and >= 0, got {value!r}")
         object.__setattr__(self, "atoms", ((value, 1.0),))
-
-    def mean(self):
-        return self.value
-
-    def second_moment(self):
-        return self.value**2
-
-    def survival(self, x):
-        return np.where(np.asarray(x, dtype=float) < self.value, 1.0, 0.0)[()]
-
-    def lst(self, s):
-        return np.exp(-np.asarray(s, dtype=float) * self.value)[()]
-
-    def integrated_survival(self, x):
-        return np.minimum(np.asarray(x, dtype=float), self.value)[()]
-
 
     def sample(self, rng, size=None):
         if size is None:
@@ -340,7 +397,7 @@ class HyperExponential(_ErlangMixture):
 
 
 @dataclass(frozen=True)
-class Discrete(Distribution):
+class Discrete(_Atomic):
     """Finite discrete law given as ((value, probability), ...)."""
 
     atoms: tuple[tuple[float, float], ...]
@@ -364,38 +421,12 @@ class Discrete(Distribution):
         # renormalize so downstream sums treat the weights as exact
         object.__setattr__(
             self, "atoms", tuple((v, w / total) for v, w in pairs))
-        object.__setattr__(
-            self, "_values", np.array([v for v, _ in self.atoms]))
-        object.__setattr__(
-            self, "_weights", np.array([w for _, w in self.atoms]))
-        object.__setattr__(self, "_cum", np.cumsum(self._weights))
-
-    def mean(self):
-        return float(self._values @ self._weights)
-
-    def second_moment(self):
-        return float((self._values**2) @ self._weights)
-
-    def survival(self, x):
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._values, x, side="right")
-        # tail[k] = mass strictly beyond the k-th atom boundary
-        tail = np.concatenate([[1.0], 1.0 - self._cum])
-        return np.maximum(tail[idx], 0.0)[()]
-
-    def lst(self, s):
-        s = np.asarray(s, dtype=float)
-        return (np.exp(-s[..., None] * self._values) @ self._weights)[()]
-
-    def integrated_survival(self, x):
-        x = np.asarray(x, dtype=float)
-        return (np.minimum(x[..., None], self._values) @ self._weights)[()]
 
     def sample(self, rng, size=None):
-        u = rng.random(size)
-        idx = np.searchsorted(self._cum, u, side="right")
-        idx = np.minimum(idx, len(self.atoms) - 1)
-        return self._values[idx] if size is not None else float(self._values[idx])
+        values, weights = self._arrays
+        idx = np.searchsorted(np.cumsum(weights), rng.random(size), side="right")
+        idx = np.minimum(idx, len(values) - 1)
+        return values[idx] if size is not None else float(values[idx])
 
 
 def has_atom_at_zero(law: Distribution) -> bool:
@@ -445,21 +476,6 @@ def _terms(logc, sign, p, r, u) -> _Terms:
     for field in terms:
         field.flags.writeable = False
     return terms
-
-
-def _phases(law: Distribution):
-    """One row per phase j < k of each weighted Erlang(k, r) component.
-
-    Returns the arrays (log weight, k, r, j, log j!).
-    """
-    return np.array([(math.log(w), k, r, j, math.lgamma(j + 1))
-                     for w, k, r in law.components if w > 0.0
-                     for j in range(k)], dtype=float).T
-
-
-def _atom_arrays(law: Distribution):
-    """The atoms of an atomic law as arrays (values, weights)."""
-    return np.array(law.atoms, dtype=float).T
 
 
 def _weighted(t: _Terms, moment: int, s: float) -> _Terms:
@@ -576,20 +592,6 @@ def _evaluate(t: _Terms, x, left: bool = False):
     return np.where(inside, values, 0.0).sum(axis=-1)[()]
 
 
-def _expect(law: Distribution, g: _Terms, moment: int = 0, s: float = 0.0,
-            left: bool = False) -> float:
-    """E[Y^moment exp(-s Y) g(Y)] for Y ~ law and a term sum g.
-
-    A continuous law integrates g against its density. An atomic law sums
-    over its atoms, where `left` reads g(y-) in place of g(y).
-    """
-    g = _weighted(g, moment, s)
-    if law.atoms is None:
-        return _integral(_product(law._density_terms, g))
-    values, weights = _atom_arrays(law)
-    return float(_evaluate(g, values, left) @ weights)
-
-
 def survival_product_integral(a: Distribution, b: Distribution, s: float = 0.0,
                               moment: int = 0) -> float:
     """Integral of x^moment exp(-s x) S_a(x) S_b(x) over x >= 0.
@@ -621,7 +623,7 @@ def completion_probability(service: Distribution, visit: Distribution) -> float:
     Computed as E[P[V >= B]], a sum of positive terms, which carries the
     shared-atom overlap term exactly when both laws are atomic.
     """
-    return min(1.0, _expect(service, visit._survival_terms, left=True))
+    return min(1.0, service._expect(visit._survival_terms, left=True))
 
 
 def attempt_lst(service: Distribution, visit: Distribution,
@@ -634,8 +636,8 @@ def attempt_lst(service: Distribution, visit: Distribution,
     """
     if s < 0.0:
         raise DomainError("attempt_lst requires s >= 0")
-    success = _expect(service, visit._survival_terms, 0, s, left=True)
-    failure = _expect(visit, service._survival_terms, 0, s)
+    success = service._expect(visit._survival_terms, 0, s, left=True)
+    failure = visit._expect(service._survival_terms, 0, s)
     return success, failure
 
 
@@ -648,7 +650,7 @@ def served_in_visit(service: Distribution, visit: Distribution,
     E[B^moment exp(-s B); B <= residual visit], the part of the sojourn
     time of a customer served in the visit it arrives in.
     """
-    return _expect(service, visit._tail_terms, moment, s) / visit.mean()
+    return service._expect(visit._tail_terms, moment, s) / visit.mean()
 
 
 def fit_mixed_erlang(mean: float, scv: float) -> Distribution:
@@ -690,12 +692,10 @@ def fit_hyperexponential(mean: float, scv: float) -> HyperExponential:
 def fit_two_moments(mean: float, scv: float) -> Distribution:
     """Dispatch to the fitting family for the given scv.
 
-    scv below one goes to the mixed-Erlang family, above one to the
-    hyperexponential family, and exactly one to the exponential law (the two
-    branches meet there).
+    scv at or below one goes to the mixed-Erlang family, which returns the
+    exponential law at exactly one (the two branches meet there), and scv
+    above one to the hyperexponential family.
     """
-    if scv == 1.0:
-        return Exponential(1.0 / float(mean))
-    if scv < 1.0:
+    if scv <= 1.0:
         return fit_mixed_erlang(mean, scv)
     return fit_hyperexponential(mean, scv)

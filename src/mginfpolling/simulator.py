@@ -343,17 +343,20 @@ def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _mean_and_stderr(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Replication mean and standard error along axis 0, nan-tolerant."""
-    arr = np.asarray(stack, dtype=float)
+    """Replication mean and standard error along axis 0, nan-tolerant.
+
+    The replications move to a contiguous last axis, so numpy sums them in
+    one pairwise order: a stack and a single metric agree bit for bit.
+    """
+    arr = np.ascontiguousarray(np.moveaxis(np.asarray(stack, dtype=float), 0, -1))
     valid = ~np.isnan(arr)
-    counts = valid.sum(axis=0)
+    counts = valid.sum(axis=-1)
     filled = np.where(valid, arr, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(counts > 0, filled.sum(axis=0) / np.maximum(counts, 1),
+        mean = np.where(counts > 0, filled.sum(axis=-1) / np.maximum(counts, 1),
                         np.nan)
-        centered = np.where(valid, arr - mean, 0.0)
-        var = centered ** 2
-        ssq = var.sum(axis=0)
+        centered = np.where(valid, arr - mean[..., None], 0.0)
+        ssq = (centered ** 2).sum(axis=-1)
         spread = np.sqrt(ssq / np.maximum(counts - 1, 1))
         stderr = np.where(counts > 1, spread / np.sqrt(np.maximum(counts, 1)),
                           np.nan)

@@ -58,6 +58,16 @@ def atomic_system() -> SystemSpec:
     ))
 
 
+def continuous_switch_system(switch0=None, switch1=None) -> SystemSpec:
+    """Atomic visits with an exponential and a hyperexponential switch-over."""
+    return SystemSpec((
+        QueueSpec(0.7, Exponential(1.2), Discrete(((0.6, 0.4), (1.4, 0.6))),
+                  switch0 or Exponential(3.0)),
+        QueueSpec(0.4, Erlang(2, 2.0), Deterministic(1.5),
+                  switch1 or HyperExponential(0.3, 5.0, 2.0)),
+    ))
+
+
 def never_serving_system() -> SystemSpec:
     """Queue 1's short visit atom (0.5) never completes its service (1.0)."""
     return SystemSpec((
@@ -302,6 +312,40 @@ class TestPgf:
         a = pgf_eval(sys2, 0, (0.4, 1.0))
         b = pgf_eval(altered, 0, (0.4, 1.0))
         assert a == pytest.approx(b, abs=1e-11)
+
+    def test_continuous_switch_normalization(self):
+        sys2 = continuous_switch_system()
+        for i in range(2):
+            assert abs(pgf_eval(sys2, i, np.ones(2)) - 1.0) < 1e-12
+
+    def test_continuous_switch_gradient_matches_polling_means(self):
+        sys2 = continuous_switch_system()
+        pm = polling_means(sys2)
+        h = 1e-6
+        for i in range(2):
+            for j in range(2):
+                z = np.ones(2)
+                z[j] = 1.0 - h
+                grad = (1.0 - pgf_eval(sys2, i, z)) / h
+                assert abs(grad / pm.at_polling[i, j] - 1.0) < 1e-5, (i, j)
+
+    def test_erlang_switch_approaches_deterministic(self):
+        # Erlang(k, k / d) tends to the point mass at d as k grows
+        exact = pgf_eval(continuous_switch_system(
+            Deterministic(0.3), Deterministic(0.2)), 0, (0.5, 0.3))
+        gaps = [abs(pgf_eval(continuous_switch_system(
+                    Erlang(k, k / 0.3), Erlang(k, k / 0.2)), 0, (0.5, 0.3))
+                    - exact)
+                for k in (10, 100, 1000)]
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 1e-3
+
+    def test_switch_transform_beyond_its_rate_raises(self):
+        # z above one makes lambda . u negative; a slow exponential
+        # switch-over has no transform at -0.022
+        sys2 = continuous_switch_system(Exponential(0.01))
+        with pytest.raises(DomainError, match="lst needs"):
+            pgf_eval(sys2, 0, (1.02, 1.02))
 
     def test_continuous_visit_rejected(self):
         with pytest.raises(UnsupportedModelError):

@@ -13,7 +13,15 @@ import pytest
 import mginfpolling
 from mginfpolling import analytic, cli
 from mginfpolling.cli import main
-from mginfpolling.errors import UnsupportedModelError
+from mginfpolling.distributions import (
+    Deterministic,
+    Discrete,
+    Erlang,
+    Exponential,
+    HyperExponential,
+    MixedErlang,
+)
+from mginfpolling.errors import ConfigError, UnsupportedModelError
 from mginfpolling.simulator import _mean_and_stderr
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -109,6 +117,70 @@ class TestConfigParsing:
         cfg = write_config(tmp_path, queues=queues)
         assert main(["analyze", "--config", cfg]) == 0
         assert "sojourn_mean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("record, law", [
+        ({"type": "exponential", "rate": 2.0}, Exponential(2.0)),
+        ({"type": "deterministic", "value": 1}, Deterministic(1.0)),
+        ({"type": "erlang", "phases": 3, "rate": 2.0}, Erlang(3, 2.0)),
+        ({"type": "mixed_erlang", "p": 0.3, "phases": 2, "rate": 1.5},
+         MixedErlang(0.3, 2, 1.5)),
+        ({"type": "hyperexponential", "p": 0.6, "rate1": 2.0, "rate2": 0.8},
+         HyperExponential(0.6, 2.0, 0.8)),
+        ({"type": "discrete", "atoms": [[0.3, 0.5], [0.1, 0.5]]},
+         Discrete(((0.1, 0.5), (0.3, 0.5)))),
+    ], ids=lambda v: v["type"] if isinstance(v, dict) else type(v).__name__)
+    def test_each_tag_builds_its_law(self, record, law):
+        built = cli._build_distribution(record, "law")
+        assert type(built) is type(law) and built == law
+
+    # messages as the per-family parsing gave them, kept word for word
+    @pytest.mark.parametrize("record, message", [
+        ({"type": "exponential"}, "law: missing required key 'rate'"),
+        ({"type": "hyperexponential", "p": 0.5, "rate1": 1.0},
+         "law: missing required key 'rate2'"),
+        ({"type": "exponential", "rate": 1.0, "scale": 2},
+         "law: unknown key 'scale' (expected one of: rate, type)"),
+        ({"type": "discrete", "atoms": [[1.0, 1.0]], "value": 1},
+         "law: unknown key 'value' (expected one of: atoms, type)"),
+        ({"type": "exponential", "rate": True},
+         "law.rate: expected a number, got True"),
+        ({"type": "deterministic", "value": False},
+         "law.value: expected a number, got False"),
+        ({"type": "erlang", "phases": True, "rate": 1.0},
+         "law.phases: expected an integer, got True"),
+        ({"type": "hyperexponential", "p": 0.5, "rate1": 1.0, "rate2": True},
+         "law.rate2: expected a number, got True"),
+        ({"type": "discrete", "atoms": [[1.0, True]]},
+         "law.atoms[0][1]: expected a number, got True"),
+        ({"type": "erlang", "phases": 2.5, "rate": 1.0},
+         "law.phases: expected an integer, got 2.5"),
+        ({"type": "mixed_erlang", "p": 0.5, "phases": 2.5, "rate": 1.0},
+         "law.phases: expected an integer, got 2.5"),
+        ({"type": "mixed_erlang", "p": True, "phases": 2.5, "rate": 1.0},
+         "law.p: expected a number, got True"),
+        ({"type": "discrete", "atoms": {"a": 1}},
+         "law.atoms: expected a list of [value, probability] pairs"),
+        ({"type": "discrete", "atoms": [[1.0]]},
+         "law.atoms[0]: expected a [value, probability] pair"),
+        ({"type": "discrete", "atoms": [1.0, 1.0]},
+         "law.atoms[0]: expected a [value, probability] pair"),
+        ({"type": "discrete", "atoms": [["x", 1.0]]},
+         "law.atoms[0][0]: expected a number, got 'x'"),
+        ({"type": "discrete", "atoms": []},
+         "law: a discrete law needs at least one atom"),
+        ({"type": "erlang", "phases": 0, "rate": 1.0},
+         "law: phases must be an integer >= 1, got 0"),
+    ])
+    def test_record_errors_keep_their_messages(self, record, message):
+        with pytest.raises(ConfigError) as info:
+            cli._build_distribution(record, "law")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("tag", [["exponential"], {"a": 1}, 1])
+    def test_non_string_tag_is_a_config_error(self, tag):
+        with pytest.raises(ConfigError,
+                           match=r"^law\.type: unknown distribution type"):
+            cli._build_distribution({"type": tag, "rate": 1.0}, "law")
 
     def test_unpaired_travel_law_rejected(self, tmp_path, capsys):
         queues = json.loads(json.dumps(BASE_QUEUES))
@@ -220,7 +292,10 @@ class TestSimulate:
         # summary that reduced them in another order would show in the bits
         silent = dict(BASE_QUEUES[1], arrival_rate=0.0)
         cfg = write_config(tmp_path, queues=BASE_QUEUES + [silent],
-                           sim=base_sim_block(replications=10))
+                           sim=base_sim_block(
+                               replications=10,
+                               pgf_points=[[1, [0.5, 0.5, 0.5]],
+                                           [2, [0.9, 0.0, 1.0]]]))
         simulate, reports = cli.run, []
 
         def recorded(*args, **kwargs):
@@ -245,6 +320,34 @@ class TestSimulate:
                 metric
             line = f"{metric:<34}  {float(mean):>14.8g}  {float(se):>12.4g}"
             assert line in printed, metric
+
+        # every replication summary of the report is its CSV row, bit for bit
+        report = reports[0]
+        summaries = [("throughput_per_cycle", report.throughput_mean,
+                      report.throughput_stderr)]
+        for i in range(3):
+            for j in range(3):
+                summaries += [
+                    (f"polling_mean[{i + 1},{j + 1}]", report.polling_means[i, j],
+                     report.polling_stderr[i, j]),
+                    (f"visit_end_mean[{i + 1},{j + 1}]",
+                     report.visit_end_means[i, j], report.visit_end_stderr[i, j])]
+            summaries += [
+                (f"sojourn_mean[{i + 1}]", report.sojourn_means[i],
+                 report.sojourn_stderr[i]),
+                (f"completion_fraction[{i + 1}]", report.completion_fraction[i],
+                 report.completion_stderr[i]),
+                (f"throughput_per_cycle[{i + 1}]",
+                 report.per_queue_throughput[i], pooled[
+                     f"throughput_per_cycle[{i + 1}]"][1])]
+        summaries += [(f"pgf[q{q};z={z}]", report.pgf_estimates[k],
+                       report.pgf_stderr[k])
+                      for k, (q, z) in enumerate(((1, "0.5,0.5,0.5"),
+                                                  (2, "0.9,0,1")))]
+        assert len(summaries) == 1 + 3 * (6 + 3) + 2
+        for metric, mean, se in summaries:
+            assert np.array_equal(pooled[metric], (mean, se), equal_nan=True), \
+                metric
 
 
 class TestSweep:
@@ -297,6 +400,15 @@ class TestSweep:
                                   "grid": [0.5, -1.0]})
         assert main(["sweep", "--config", cfg]) == 2
         assert "grid value -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["service_mean", "visit_mean"])
+    def test_zero_mean_on_exponential_law_reports_grid_value(
+            self, tmp_path, capsys, target):
+        cfg = write_config(tmp_path,
+                           sweep={"queue": 1, "target": target,
+                                  "grid": [0.5, 0.0]})
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "grid value 0: mean must be positive" in capsys.readouterr().err
 
     def test_bad_target(self, tmp_path, capsys):
         cfg = write_config(tmp_path,
@@ -377,6 +489,34 @@ class TestValidate:
         assert failing and any("sojourn_lst_slope_vs_mean" in line
                                for line in failing)
         assert "check(s) failed" in out
+
+    @pytest.mark.parametrize("scale", ["nan", "0", "-1", "inf", "-inf"])
+    def test_bad_tolerance_scale_is_a_config_error(self, tmp_path, capsys,
+                                                   scale):
+        cfg = write_config(tmp_path, sim=base_sim_block(measured_cycles=500))
+        assert main(["validate", "--config", cfg,
+                     f"--tolerance-scale={scale}"]) == 2
+        captured = capsys.readouterr()
+        assert "--tolerance-scale must be finite and > 0" in captured.err
+        assert captured.out == ""
+
+    def test_pgf_rows_for_continuous_switch_overs(self, tmp_path, capsys):
+        queues = json.loads(json.dumps(BASE_QUEUES))
+        queues[0].update(visit={"type": "discrete",
+                                "atoms": [[0.6, 0.4], [1.4, 0.6]]},
+                         switch={"type": "exponential", "rate": 3.0})
+        queues[1].update(visit={"type": "deterministic", "value": 1.5},
+                         switch={"type": "hyperexponential", "p": 0.3,
+                                 "rate1": 5.0, "rate2": 2.0})
+        cfg = write_config(tmp_path, queues=queues,
+                           sim=base_sim_block(measured_cycles=500))
+        main(["validate", "--config", cfg])
+        lines = capsys.readouterr().out.splitlines()
+        for name in ("pgf_normalization", "pgf_gradient_vs_means"):
+            for i in (1, 2):
+                row = [line for line in lines
+                       if line.startswith(f"{name}[{i}]")]
+                assert len(row) == 1 and row[0].endswith("PASS")
 
     def test_pgf_rows_for_atomic_laws(self, tmp_path, capsys):
         queues = json.loads(json.dumps(BASE_QUEUES))

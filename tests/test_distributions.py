@@ -195,6 +195,48 @@ class TestSurvivalAndTransforms:
             assert residual_lst(d, s) == pytest.approx(d.lst(s), rel=1e-12)
 
 
+def point_masses(v):
+    return [Deterministic(v), Discrete(((v, 1.0),))]
+
+
+class TestPointMassClosedForms:
+    """Both atomic families at one atom give the point-mass formulas exactly."""
+
+    @pytest.mark.parametrize("v", [0.0, 0.7, 3.0])
+    def test_moments(self, v):
+        for d in point_masses(v):
+            assert d.mean() == v and type(d.mean()) is float
+            assert d.second_moment() == v**2
+
+    @pytest.mark.parametrize("v", [0.0, 0.7, 3.0])
+    def test_survival_and_integrated_survival(self, v):
+        xs = [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf),
+              0.0, -1.0, 2.5, math.inf]
+        for d in point_masses(v):
+            for x in xs:
+                survival, integrated = d.survival(x), d.integrated_survival(x)
+                assert np.ndim(survival) == 0 and np.ndim(integrated) == 0
+                assert survival == (1.0 if x < v else 0.0), (d, x)
+                assert integrated == min(x, v), (d, x)
+            assert np.array_equal(d.survival(np.array(xs)),
+                                  [1.0 if x < v else 0.0 for x in xs])
+            assert np.array_equal(d.integrated_survival(np.array(xs)),
+                                  [min(x, v) for x in xs])
+            assert np.array_equal(d.cdf(np.array([[v, 0.0]])),
+                                  [[1.0, 0.0 if v > 0.0 else 1.0]])
+
+    @pytest.mark.parametrize("v", [0.0, 0.7, 3.0])
+    def test_transform(self, v):
+        ss = [0.0, 1e-9, 0.5, 2.0, 40.0]
+        for d in point_masses(v):
+            for s in ss:
+                value = d.lst(s)
+                assert np.ndim(value) == 0
+                assert value == np.exp(-s * v), (d, s)
+            assert np.array_equal(d.lst(np.array(ss)),
+                                  [np.exp(-s * v) for s in ss])
+
+
 class TestPdf:
     def test_pdf_integrates_to_one(self):
         for d in (Exponential(1.3), Erlang(3, 2.1), MixedErlang(0.3, 4, 2.0),
@@ -377,6 +419,11 @@ class TestFits:
         hi = fit_two_moments(1.0, 1.0 + 1e-9)
         for s in (0.5, 1.0, 3.0):
             assert lo.lst(s) == pytest.approx(hi.lst(s), abs=1e-6)
+
+    @pytest.mark.parametrize("mean", [0.0, -1.0])
+    def test_bad_mean_at_scv_one_names_the_mean(self, mean):
+        with pytest.raises(DomainError, match="mean must be positive"):
+            fit_two_moments(mean, 1.0)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):

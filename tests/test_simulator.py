@@ -19,7 +19,9 @@ from mginfpolling.analytic import (
 from mginfpolling.distributions import (
     Deterministic,
     Discrete,
+    Erlang,
     Exponential,
+    HyperExponential,
     expected_min,
 )
 from mginfpolling.errors import DomainError
@@ -298,7 +300,8 @@ class TestAgainstAnalytic:
                base_report.throughput_stderr)
 
     def test_pgf_points(self):
-        # generating-function evaluation needs atomic visit and switch laws
+        # generating-function evaluation needs atomic visit laws; these
+        # switch-overs are atomic too, the next test's are continuous
         sys = SystemSpec((
             QueueSpec(0.7, Exponential(1.2), Deterministic(1.0), Deterministic(0.3)),
             QueueSpec(0.4, Exponential(0.9), Deterministic(1.5), Deterministic(0.2)),
@@ -312,6 +315,21 @@ class TestAgainstAnalytic:
         rep = run(sys, cfg, threads=THREADS)
         exact = [pgf_eval(sys, q, zs) for q, zs in cfg.pgf_points]
         assert abs(exact[2] - 0.07526) < 1e-5
+        zcheck(rep.pgf_estimates, exact, rep.pgf_stderr)
+
+    def test_pgf_points_with_continuous_switch_overs(self):
+        sys = SystemSpec((
+            QueueSpec(0.7, Exponential(1.2), Discrete(((0.6, 0.4), (1.4, 0.6))),
+                      Exponential(3.0)),
+            QueueSpec(0.4, Erlang(2, 2.0), Deterministic(1.5),
+                      HyperExponential(0.3, 5.0, 2.0)),
+        ))
+        cfg = SimConfig(warmup_cycles=300, measured_cycles=20_000,
+                        replications=10, master_seed=31337,
+                        pgf_points=((0, (0.5, 0.5)), (1, (0.2, 0.7)),
+                                    (0, (0.0, 1.0)), (1, (0.6, 0.0))))
+        rep = run(sys, cfg, threads=THREADS)
+        exact = [pgf_eval(sys, q, zs) for q, zs in cfg.pgf_points]
         zcheck(rep.pgf_estimates, exact, rep.pgf_stderr)
 
     def test_pgf_points_with_never_serving_visit_atom(self):
