@@ -476,7 +476,7 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
     transform succ / (1 - fail A(s)), with succ = E[exp(-s B); B <= V] and
     fail = E[exp(-s V); V < B]. Exact for every service and visit law.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise DomainError("transform argument s must be >= 0")
     if s == 0.0:
         return 1.0
@@ -537,7 +537,7 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
     [E[V]/E[C] + (1 - A)/(s E[C])] mu / (mu + gamma + s - gamma A). It
     cross-checks the finite-sum functionals, not the decomposition itself.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise DomainError("transform argument s must be >= 0")
     if s == 0.0:
         return 1.0
@@ -555,7 +555,7 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
 def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
     """Sojourn means for every queue plus a transform table over `s_grid`."""
     s_values = tuple(float(s) for s in s_grid)
-    if any(s < 0.0 for s in s_values):
+    if any(not s >= 0.0 for s in s_values):
         raise DomainError("transform grid values must be >= 0")
     n = len(system.queues)
     means = tuple(sojourn_mean(system, i) for i in range(n))

@@ -7,13 +7,14 @@ Laplace-Stieltjes transform on real s >= 0, the integrated survival function
 (the workhorse behind residual laws), and reproducible sampling from a numpy
 Generator.
 
-Each family adds only its parameters, their checks and its sampler to one
-of two private bases that own all of its formulas: `_ErlangMixture` for the
-four continuous families, finite mixtures of Erlang components, and `_Atomic`
-for the deterministic and discrete laws, finite sets of atoms (the phase-type
-view of Neuts, Matrix-Geometric Solutions in Stochastic Models, 1981). On
-either base, survival functions, densities and tail integrals are finite
-sums of terms c x^p exp(-r x) 1{x < u}.
+Each family adds only its parameters and their checks to one of two private
+bases that own all of its formulas and its sampler: `_ErlangMixture` for
+the four continuous families, finite mixtures of Erlang components, and
+`_Atomic` for the deterministic and discrete laws, finite sets of atoms (the
+phase-type view of Neuts, Matrix-Geometric Solutions in Stochastic Models,
+1981). On either base, survival functions, densities and tail integrals are
+finite sums of terms c x^p exp(-r x) 1{x < u}, and a draw picks a component
+or an atom by its weight.
 
 Two-law functionals live here as free functions: the completion probability
 P[B <= V], the expected minimum of two independent laws and its transform,
@@ -71,24 +72,28 @@ __all__ = [
 class Distribution(abc.ABC):
     """A nonnegative random time with closed-form transforms.
 
-    Subclasses provide exact moments, the (strict) survival function
-    P[Y > x], the Laplace-Stieltjes transform on real s >= 0, the integrated
-    survival function, and sampling. Atomic laws additionally expose their
-    atoms; continuous laws expose a density and their Erlang components.
+    Subclasses provide exact moments (as the pair `_moments`), the (strict)
+    survival function P[Y > x], the Laplace-Stieltjes transform on real
+    s >= 0, the integrated survival function, and sampling. Atomic laws
+    additionally expose their atoms; continuous laws expose a density and
+    their Erlang components. `sample(rng, size)` returns a float for
+    size=None and otherwise a float64 ndarray of shape `size`.
     """
 
     #: ((value, probability), ...) for atomic laws, None for continuous ones.
     atoms: tuple[tuple[float, float], ...] | None = None
     #: ((weight, phases, rate), ...) for continuous laws, None for atomic ones.
     components: tuple[tuple[float, int, float], ...] | None = None
+    #: (E[Y], E[Y^2]); each base computes it once per law.
+    _moments: tuple[float, float]
 
-    @abc.abstractmethod
     def mean(self) -> float:
         """E[Y]."""
+        return self._moments[0]
 
-    @abc.abstractmethod
     def second_moment(self) -> float:
         """E[Y^2]."""
+        return self._moments[1]
 
     def variance(self) -> float:
         return self.second_moment() - self.mean() ** 2
@@ -122,7 +127,11 @@ class Distribution(abc.ABC):
 
     @abc.abstractmethod
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw variates; a scalar for size=None, else an array."""
+        """Draw variates from `rng`.
+
+        Returns a float for size=None; for an int or tuple `size`, a float64
+        ndarray of that shape.
+        """
 
 
 def _check_rate(rate: float, name: str = "rate") -> float:
@@ -135,15 +144,26 @@ def _check_rate(rate: float, name: str = "rate") -> float:
 class _ErlangMixture(Distribution):
     """A finite mixture of Erlang laws, given by the subclass's `components`.
 
-    Moments, survival, density, transform and integrated survival all follow
-    from the components; each family keeps its own sampler.
+    Moments, survival, density, transform, integrated survival and sampling
+    all follow from the components of positive weight.
     """
 
-    def mean(self):
-        return sum(w * k / r for w, k, r in self.components)
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positive-weight components as read-only arrays (w, k, r)."""
+        arrays = np.array([c for c in self.components if c[0] > 0.0],
+                          dtype=float).T.copy()
+        arrays.flags.writeable = False
+        return tuple(arrays)
 
-    def second_moment(self):
-        return sum(w * k * (k + 1) / r**2 for w, k, r in self.components)
+    def _rows(self):
+        """The components of `_arrays` as Python (w, k, r) triples."""
+        return zip(*(a.tolist() for a in self._arrays))
+
+    @functools.cached_property
+    def _moments(self) -> tuple[float, float]:
+        return (sum(w * k / r for w, k, r in self._rows()),
+                sum(w * k * (k + 1) / r**2 for w, k, r in self._rows()))
 
     def survival(self, x):
         return _evaluate(self._survival_terms, np.maximum(x, 0.0))
@@ -158,12 +178,11 @@ class _ErlangMixture(Distribution):
         finite only while s exceeds minus the rate of every component of
         positive weight.
         """
-        weighted = [(w, k, r) for w, k, r in self.components if w > 0.0]
-        rate = min(r for _, _, r in weighted)
+        rate = float(self._arrays[2].min())
         if (np.asarray(s) <= -rate).any():
             raise DomainError(f"lst needs s > {-rate!r}, minus the smallest "
                               "component rate")
-        return sum(w * (r / (r + s)) ** k for w, k, r in weighted)
+        return sum(w * (r / (r + s)) ** k for w, k, r in self._rows())
 
     def integrated_survival(self, x):
         # E[min(Y, x)] = E[Y; Y < x] + x P[Y >= x], and for Erlang(k, r)
@@ -171,7 +190,7 @@ class _ErlangMixture(Distribution):
         x = np.maximum(np.asarray(x, dtype=float), 0.0)
         infinite = x == np.inf
         x = np.where(infinite, 0.0, x)
-        w, k, r = np.array(self.components, dtype=float).T
+        w, k, r = self._arrays
         below = _gamma_p(k.astype(int) + 1, r * x[..., None]) @ (w * k / r)
         return np.where(infinite, self.mean(), below + x * self.survival(x))[()]
 
@@ -183,8 +202,8 @@ class _ErlangMixture(Distribution):
         Returns the arrays (log weight, k, r, j, log j!).
         """
         return np.array([(math.log(w), k, r, j, math.lgamma(j + 1))
-                         for w, k, r in self.components if w > 0.0
-                         for j in range(k)], dtype=float).T
+                         for w, k, r in self._rows()
+                         for j in range(int(k))], dtype=float).T
 
     @functools.cached_property
     def _survival_terms(self) -> _Terms:
@@ -196,8 +215,8 @@ class _ErlangMixture(Distribution):
     def _density_terms(self) -> _Terms:
         """The density: r^k x^(k-1) e^{-r x} / (k-1)! per component."""
         logw, k, r, log_fact = np.array(
-            [(math.log(w), k, r, math.lgamma(k)) for w, k, r in self.components
-             if w > 0.0], dtype=float).T
+            [(math.log(w), k, r, math.lgamma(k)) for w, k, r in self._rows()],
+            dtype=float).T
         return _terms(logw + k * np.log(r) - log_fact, 1.0, k - 1, r, np.inf)
 
     @functools.cached_property
@@ -213,12 +232,17 @@ class _ErlangMixture(Distribution):
         """E[Y^moment exp(-s Y) g(Y)] by the density, which ignores `left`."""
         return _integral(_product(self._density_terms, _weighted(g, moment, s)))
 
+    def sample(self, rng, size=None):
+        w, k, r = self._arrays
+        pick = _pick(w, rng, size)
+        return rng.standard_gamma(k[pick], size) * (1 / r[pick])
+
 
 class _Atomic(Distribution):
     """A finite set of atoms, given by the subclass's `atoms`.
 
-    Moments, survival, transform and integrated survival all follow from
-    the atoms; each family keeps its own sampler.
+    Moments, survival, transform, integrated survival and sampling all
+    follow from the atoms.
     """
 
     @functools.cached_property
@@ -230,15 +254,8 @@ class _Atomic(Distribution):
 
     @functools.cached_property
     def _moments(self) -> tuple[float, float]:
-        """(E[Y], E[Y^2]), summed once over the atoms."""
         values, weights = self._arrays
         return float(values @ weights), float((values**2) @ weights)
-
-    def mean(self):
-        return self._moments[0]
-
-    def second_moment(self):
-        return self._moments[1]
 
     def survival(self, x):
         values, weights = self._arrays
@@ -280,6 +297,11 @@ class _Atomic(Distribution):
         values, weights = self._arrays
         return float(_evaluate(_weighted(g, moment, s), values, left) @ weights)
 
+    def sample(self, rng, size=None):
+        values, weights = self._arrays
+        draws = values[_pick(weights, rng, size)]
+        return float(draws) if size is None else np.full(size, draws)
+
 
 @dataclass(frozen=True)
 class Exponential(_ErlangMixture):
@@ -294,9 +316,6 @@ class Exponential(_ErlangMixture):
     def components(self):
         return ((1.0, 1, self.rate),)
 
-    def sample(self, rng, size=None):
-        return rng.exponential(1.0 / self.rate, size=size)
-
 
 @dataclass(frozen=True)
 class Deterministic(_Atomic):
@@ -309,11 +328,6 @@ class Deterministic(_Atomic):
         if not (value >= 0.0) or not math.isfinite(value):
             raise DomainError(f"value must be finite and >= 0, got {value!r}")
         object.__setattr__(self, "atoms", ((value, 1.0),))
-
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
 
 
 @dataclass(frozen=True)
@@ -332,9 +346,6 @@ class Erlang(_ErlangMixture):
     @property
     def components(self):
         return ((1.0, self.phases, self.rate),)
-
-    def sample(self, rng, size=None):
-        return rng.gamma(self.phases, 1.0 / self.rate, size=size)
 
 
 @dataclass(frozen=True)
@@ -364,12 +375,6 @@ class MixedErlang(_ErlangMixture):
         return ((self.p, self.phases - 1, self.rate),
                 (1.0 - self.p, self.phases, self.rate))
 
-    def sample(self, rng, size=None):
-        shorter = rng.random(size) < self.p
-        if size is None:
-            return rng.gamma(self.phases - int(shorter), 1.0 / self.rate)
-        return rng.gamma(self.phases - shorter.astype(int), 1.0 / self.rate)
-
 
 @dataclass(frozen=True)
 class HyperExponential(_ErlangMixture):
@@ -388,12 +393,6 @@ class HyperExponential(_ErlangMixture):
     @property
     def components(self):
         return ((self.p, 1, self.rate1), (1.0 - self.p, 1, self.rate2))
-
-    def sample(self, rng, size=None):
-        fast = rng.random(size) < self.p
-        rate = np.where(fast, self.rate1, self.rate2)
-        return rng.standard_exponential(size) / rate if size is not None \
-            else rng.standard_exponential() / float(rate)
 
 
 @dataclass(frozen=True)
@@ -422,11 +421,18 @@ class Discrete(_Atomic):
         object.__setattr__(
             self, "atoms", tuple((v, w / total) for v, w in pairs))
 
-    def sample(self, rng, size=None):
-        values, weights = self._arrays
-        idx = np.searchsorted(np.cumsum(weights), rng.random(size), side="right")
-        idx = np.minimum(idx, len(values) - 1)
-        return values[idx] if size is not None else float(values[idx])
+
+def _pick(weights: np.ndarray, rng: np.random.Generator, size=None):
+    """Indices drawn with probabilities `weights`, one uniform per index.
+
+    A uniform u picks the first index whose cumulative weight exceeds u; the
+    last index takes every u beyond the one before it, also when rounding
+    leaves the total weight below 1. A single weight needs no draw: it
+    returns the index 0, whatever `size`, and leaves `rng` untouched.
+    """
+    if weights.size == 1:
+        return 0
+    return np.searchsorted(np.cumsum(weights[:-1]), rng.random(size), side="right")
 
 
 def has_atom_at_zero(law: Distribution) -> bool:
@@ -439,7 +445,7 @@ def residual_lst(law: Distribution, s: float) -> float:
 
     Equals (1 - lst(s)) / (s E[Y]) for s > 0 and 1 at s = 0.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise DomainError("residual_lst requires s >= 0")
     if s == 0.0:
         return 1.0
@@ -599,6 +605,8 @@ def survival_product_integral(a: Distribution, b: Distribution, s: float = 0.0,
     The common currency behind E[min(a, b)], its transform, and the residual
     overshoot terms.
     """
+    if not s >= 0.0:
+        raise DomainError("survival_product_integral requires s >= 0")
     return _integral(_weighted(
         _product(a._survival_terms, b._survival_terms), moment, s))
 
@@ -610,7 +618,7 @@ def expected_min(a: Distribution, b: Distribution) -> float:
 
 def min_lst(a: Distribution, b: Distribution, s: float) -> float:
     """E[exp(-s min(A, B))] for independent A and B, real s >= 0."""
-    if s < 0.0:
+    if not s >= 0.0:
         raise DomainError("min_lst requires s >= 0")
     if s == 0.0:
         return 1.0
@@ -634,7 +642,7 @@ def attempt_lst(service: Distribution, visit: Distribution,
     attempt lasts the requirement B, a failed one the whole visit V. At
     s = 0 these are the completion probability and its complement.
     """
-    if s < 0.0:
+    if not s >= 0.0:
         raise DomainError("attempt_lst requires s >= 0")
     success = service._expect(visit._survival_terms, 0, s, left=True)
     failure = visit._expect(service._survival_terms, 0, s)
@@ -650,6 +658,8 @@ def served_in_visit(service: Distribution, visit: Distribution,
     E[B^moment exp(-s B); B <= residual visit], the part of the sojourn
     time of a customer served in the visit it arrives in.
     """
+    if not s >= 0.0:
+        raise DomainError("served_in_visit requires s >= 0")
     return service._expect(visit._tail_terms, moment, s) / visit.mean()
 
 

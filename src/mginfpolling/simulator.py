@@ -1,13 +1,13 @@
 """Simulation oracle for the cyclic polling model.
 
-The simulator replays the model mechanics literally: at each polling
-instant every waiting customer draws a fresh service requirement and
-completes during the visit exactly when the requirement fits inside the
-visit time; customers arriving while the server is present complete exactly
-when their requirement fits inside the remaining visit; everybody else keeps
-waiting. No quantity measured here is assumed from theory, which is what
-makes the estimates usable as an independent cross-check of the analytic
-layer.
+The simulator replays the model mechanics literally, with one attempt
+rule: at each attempt a customer draws a fresh service requirement and
+completes exactly when it fits inside the visit time left. A customer
+waiting at a polling instant attempts with the whole visit; a customer
+arriving while the server is at its queue attempts at once, with the rest
+of that visit; whoever misses waits for the queue's next visit. No quantity
+measured here is assumed from theory, which is what makes the estimates
+usable as an independent cross-check of the analytic layer.
 
 The kernel is schedule-first. The server's visit and switch-over times do
 not depend on the queue contents, and given them every customer evolves
@@ -15,11 +15,10 @@ independently of every other customer. A replication therefore works on
 blocks of cycles: it draws the block's whole schedule as (cycles x N)
 arrays and lays each queue's arrivals on that timeline as one Poisson
 process over the whole block (a Poisson count, then that many uniform
-positions, each owned by the server interval it falls in). It settles the
-arrivals that land in their own queue's visit with one service draw each,
-and resolves every other customer's departure in vectorized retry rounds,
-where a customer completes at the first visit of its queue whose fresh
-requirement B satisfies B <= V and otherwise moves on to the next one.
+positions, each owned by the server interval it falls in). It resolves
+every customer's departure in vectorized retry rounds: a customer completes
+at its first attempt whose fresh requirement B fits in the visit time left,
+and otherwise moves on to its queue's next visit.
 Queue lengths at polling and visit-end instants are cumulative sums over
 arrival and departure instants. Customers still waiting at a block's end
 carry into the next block, so memory does not grow with run length.
@@ -31,8 +30,9 @@ Randomness comes from counter-based Philox streams keyed by (master seed,
 replication, queue, purpose), so every replication is an independent,
 reproducible stream bundle regardless of how replications are scheduled
 across processes. Per block, a queue's count stream gives one Poisson
-count and its position stream that many uniforms; `single_cycle_throughput`
-and `leftover_after_visit` instead draw one count per interval. Reports
+count, its position stream that many uniforms, and its service stream one
+requirement per customer in each retry round; `single_cycle_throughput` and
+`leftover_after_visit` instead draw one count per interval. Reports
 aggregate replication means in replication order, making results
 bit-identical for a fixed master seed and any thread count.
 """
@@ -72,8 +72,6 @@ _RUN_SALT = 0x706F6C6C
 _CYCLE_SALT = 0x74686574
 # cycles per kernel block; bounds a replication's memory for any run length
 _BLOCK_CYCLES = 4096
-# service draws pooled per queue and block, per customer the block handles
-_DRAWS_PER_CUSTOMER = 4
 
 
 @dataclass(frozen=True)
@@ -176,37 +174,21 @@ def _timeline_arrivals(rate: float, ends: np.ndarray,
     return np.searchsorted(ends, at, side="right"), at
 
 
-def _service_pool(law: Distribution, rng: np.random.Generator, size: int):
-    """Hand out consecutive requirements from pools of `size` draws.
+def _retry_rounds(attempt, arrival, offset, tag, visit, polled_at, service,
+                  rng):
+    """Resolve one queue's customers over one block of cycles.
 
-    Pooling keeps the sampling to about one call per queue and block however
-    many retry rounds the block needs; draws left in the last pool go unused.
-    """
-    pool = np.empty(0)
-    used = 0
-
-    def take(count: int) -> np.ndarray:
-        nonlocal pool, used
-        if used + count > pool.size:
-            pool = np.asarray(law.sample(rng, max(count, size)), dtype=float)
-            used = 0
-        used += count
-        return pool[used - count:used]
-
-    return take
-
-
-def _retry_rounds(attempt, arrival, tag, visit, polled_at, take):
-    """Resolve one queue's waiting customers over one block of cycles.
-
-    attempt holds each customer's next attempt cycle within the block,
-    arrival its arrival time and tag its arrival phase; visit and polled_at
-    are the queue's visit lengths and polling instants per cycle. Each round
-    every customer draws a fresh requirement at its attempt visit and
-    completes there when it fits, or moves on to the queue's next visit.
-    Returns the completing cycle, sojourn time and tag of every customer
-    served in the block, then the arrival time and tag of every customer
-    still waiting at its end.
+    attempt holds each customer's first attempt cycle within the block,
+    arrival its arrival time, offset how far into that attempt's visit it
+    starts (nonzero only for an arrival during the visit) and tag its
+    arrival phase; visit and polled_at are the queue's visit lengths and
+    polling instants per cycle. Each round draws a fresh requirement b from
+    `service` for every customer still inside the block, in order, and a
+    customer completes when offset + b <= visit[attempt]. A miss moves it to
+    the queue's next visit with offset 0, and a SERVED_SAME_VISIT tag
+    becomes CARRIED_FROM_VISIT. Returns the completing cycle, sojourn time
+    and tag of every customer served in the block, then the arrival time
+    and tag of every customer still waiting at its end.
     """
     cycles = visit.size
     done, sojourn, done_tag = [attempt[:0]], [arrival[:0]], [tag[:0]]
@@ -217,15 +199,22 @@ def _retry_rounds(attempt, arrival, tag, visit, polled_at, take):
             kept_time.append(arrival[~inside])
             kept_tag.append(tag[~inside])
             attempt, arrival, tag = attempt[inside], arrival[inside], tag[inside]
+            offset = offset[inside]
         if not attempt.size:
             break
-        b = take(attempt.size)
-        ok = b <= visit[attempt]
+        b = service.sample(rng, attempt.size)
+        ok = offset + b <= visit[attempt]
         done.append(attempt[ok])
-        sojourn.append(polled_at[attempt[ok]] + b[ok] - arrival[ok])
+        # polled_at - arrival and offset cancel exactly for an arrival
+        # during the visit, which is then in the system for exactly b
+        sojourn.append(polled_at[done[-1]] - arrival[ok] + offset[ok] + b[ok])
         done_tag.append(tag[ok])
         miss = ~ok
         attempt, arrival, tag = attempt[miss] + 1, arrival[miss], tag[miss]
+        # the next attempt has the whole of the queue's next visit; the tags
+        # are ordered, so this turns SERVED_SAME_VISIT into CARRIED_FROM_VISIT
+        offset = np.zeros(attempt.size)
+        tag = np.maximum(tag, CARRIED_FROM_VISIT)
     return tuple(np.concatenate(parts) for parts in
                  (done, sojourn, done_tag, kept_time, kept_tag))
 
@@ -255,12 +244,10 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
     for first in range(0, total, _BLOCK_CYCLES):
         cycles = min(_BLOCK_CYCLES, total - first)
         measured = np.arange(first, first + cycles) >= config.warmup_cycles
-        visits = np.column_stack([
-            np.asarray(q.visit.sample(s[_VISIT], cycles), dtype=float)
-            for q, s in zip(queues, streams)])
-        switches = np.column_stack([
-            np.asarray(q.switch.sample(s[_SWITCH], cycles), dtype=float)
-            for q, s in zip(queues, streams)])
+        visits = np.column_stack([q.visit.sample(s[_VISIT], cycles)
+                                  for q, s in zip(queues, streams)])
+        switches = np.column_stack([q.switch.sample(s[_SWITCH], cycles)
+                                    for q, s in zip(queues, streams)])
         # the server's intervals in time order: interval 2(c n + i) is the
         # visit to queue i in cycle c and the next one its switch-over;
         # boundary k is the start of interval k
@@ -273,45 +260,37 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
                                            s[_COUNT], s[_POSITION])
             cycle, slot = np.divmod(owner, 2 * n)
             own = slot == 2 * j
-            take = _service_pool(queue.service, s[_SERVICE],
-                                 _DRAWS_PER_CUSTOMER
-                                 * (owner.size + carry_time[j].size))
+            carried = carry_time[j].size
 
-            # arrivals during the queue's own visit start service at once
-            b = take(int(own.sum()))
-            fits = at[own] + b <= ends[owner[own]]
-            counted = measured[cycle[own]] & fits
-            served[j] += counted.sum()
-            phase_sum[j, SERVED_SAME_VISIT] += b[counted].sum()
-            phase_count[j, SERVED_SAME_VISIT] += counted.sum()
-
-            # everybody else waits; the first attempt is the queue's next
-            # visit, in this cycle when the arrival precedes it
-            waits = ~own
-            waits[own] = ~fits
-            arrived = owner[waits]
-            attempt = np.concatenate((np.zeros(carry_time[j].size, dtype=np.intp),
-                                      cycle[waits] + (slot[waits] >= 2 * j)))
-            arrival = np.concatenate((carry_time[j], at[waits]))
+            # an arrival during the queue's own visit attempts at once, with
+            # the rest of that visit; any other first attempts at the queue's
+            # next visit, in this cycle when the arrival precedes it
+            attempt = np.concatenate((np.zeros(carried, dtype=np.intp),
+                                      cycle + (slot > 2 * j)))
+            arrival = np.concatenate((carry_time[j], at))
+            offset = np.concatenate((np.zeros(carried),
+                                     np.where(own, at - starts[owner], 0.0)))
             tag = np.concatenate((carry_tag[j],
-                                  np.where(own[waits], CARRIED_FROM_VISIT,
-                                           OUTSIDE_VISIT)))
+                                  np.where(own, SERVED_SAME_VISIT, OUTSIDE_VISIT)))
 
             done, sojourn, done_tag, kept_time, kept_tag = _retry_rounds(
-                attempt, arrival, tag, visits[:, j], starts[2 * j::2 * n], take)
+                attempt, arrival, offset, tag, visits[:, j],
+                starts[2 * j::2 * n], queue.service, s[_SERVICE])
             counted = measured[done]
-            present_done[j] += counted.sum()
             served[j] += counted.sum()
+            present_done[j] += (counted & (done_tag != SERVED_SAME_VISIT)).sum()
             phase_sum[j] += np.bincount(done_tag[counted], weights=sojourn[counted],
                                         minlength=3)
             phase_count[j] += np.bincount(done_tag[counted], minlength=3)
 
-            # a waiting customer is present at the boundaries after its
-            # arrival interval up to and including its completing visit's start
+            # a customer is present at the boundaries after its arrival
+            # interval up to and including its completing visit's start; one
+            # served in its arrival visit arrives and leaves at that visit's
+            # end, so it is never present
             edges = ends.size + 1
-            step = np.bincount(arrived + 1, minlength=edges) \
+            step = np.bincount(owner + 1, minlength=edges) \
                 - np.bincount(2 * (done * n + j) + 1, minlength=edges)
-            present = (carry_time[j].size + np.cumsum(step[:-1])).reshape(cycles, n, 2)
+            present = (carried + np.cumsum(step[:-1])).reshape(cycles, n, 2)
             x_sum[:, j] += present[measured, :, 0].sum(axis=0)
             y_sum[:, j] += present[measured, :, 1].sum(axis=0)
             for k, (pq, zs) in enumerate(config.pgf_points):
@@ -515,9 +494,8 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
         gen = {p: _generator(master_seed, _CYCLE_SALT, 0, q, p) for p in range(5)}
         if central:
             out_rng = _generator(master_seed, _CYCLE_SALT, 1, q, _SWITCH)
-            elapsed = elapsed + np.asarray(spec.approach.sample(out_rng, reps),
-                                           dtype=float)
-        v = np.asarray(spec.visit.sample(gen[_VISIT], reps), dtype=float)
+            elapsed = elapsed + spec.approach.sample(out_rng, reps)
+        v = spec.visit.sample(gen[_VISIT], reps)
         rate = spec.arrival_rate
 
         pre_arrivals = gen[_COUNT].poisson(rate * elapsed) if rate > 0 \
@@ -526,7 +504,7 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
         total = int(present.sum())
         if total:
             owner = np.repeat(rep_ids, present)
-            b = np.asarray(spec.service.sample(gen[_SERVICE], total), dtype=float)
+            b = spec.service.sample(gen[_SERVICE], total)
             done = owner[b <= v[owner]]
             add = np.bincount(done, minlength=reps)
             served += add
@@ -535,8 +513,7 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
         if rate > 0:
             owner, t_a = _arrivals(rate, v, gen[_COUNT], gen[_POSITION])
             if owner.size:
-                b = np.asarray(spec.service.sample(gen[_SERVICE], owner.size),
-                               dtype=float)
+                b = spec.service.sample(gen[_SERVICE], owner.size)
                 done = owner[t_a + b <= v[owner]]
                 add = np.bincount(done, minlength=reps)
                 served += add
@@ -544,12 +521,10 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
 
         elapsed = elapsed + v
         if central:
-            back = np.asarray(spec.return_.sample(
-                _generator(master_seed, _CYCLE_SALT, 2, q, _SWITCH), reps), dtype=float)
-            elapsed = elapsed + back
+            elapsed = elapsed + spec.return_.sample(
+                _generator(master_seed, _CYCLE_SALT, 2, q, _SWITCH), reps)
         else:
-            elapsed = elapsed + np.asarray(spec.switch.sample(gen[_SWITCH], reps),
-                                           dtype=float)
+            elapsed = elapsed + spec.switch.sample(gen[_SWITCH], reps)
 
     mean = float(served.mean())
     stderr = float(served.std(ddof=1) / math.sqrt(reps)) if reps > 1 else float("nan")
@@ -574,8 +549,8 @@ def leftover_after_visit(arrival_rate: float, service: Distribution,
     if replications < 1:
         raise DomainError("replications must be >= 1")
     gen = {p: _generator(master_seed, _CYCLE_SALT, 3, 0, p) for p in range(5)}
-    v = np.asarray(visit.sample(gen[_VISIT], replications), dtype=float)
+    v = visit.sample(gen[_VISIT], replications)
     owner, t_a = _arrivals(arrival_rate, v, gen[_COUNT], gen[_POSITION])
-    b = np.asarray(service.sample(gen[_SERVICE], owner.size), dtype=float)
+    b = service.sample(gen[_SERVICE], owner.size)
     stay = owner[t_a + b > v[owner]]
     return np.bincount(stay, minlength=replications)

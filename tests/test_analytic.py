@@ -35,6 +35,11 @@ from mginfpolling.distributions import (
     Exponential,
     HyperExponential,
     MixedErlang,
+    attempt_lst,
+    min_lst,
+    residual_lst,
+    served_in_visit,
+    survival_product_integral,
 )
 from mginfpolling.errors import (
     DomainError,
@@ -621,3 +626,27 @@ class TestSojournMetrics:
     def test_negative_grid_rejected(self):
         with pytest.raises(DomainError):
             sojourn_metrics(reference_system(), (-1.0,))
+
+
+# every public function of a transform argument s >= 0; Distribution.lst
+# is left out, since it is also the moment generating function below 0
+_S_FUNCTIONS = {
+    "sojourn_lst": lambda s: sojourn_lst(reference_system(), 0, s),
+    "sojourn_lst_exponential":
+        lambda s: sojourn_lst_exponential(reference_system(), 0, s),
+    "sojourn_metrics": lambda s: sojourn_metrics(reference_system(), (0.5, s)),
+    "min_lst": lambda s: min_lst(Deterministic(1.0), Exponential(1.0), s),
+    "residual_lst": lambda s: residual_lst(Exponential(1.0), s),
+    "attempt_lst": lambda s: attempt_lst(Exponential(1.0), Exponential(1.0), s),
+    "served_in_visit":
+        lambda s: served_in_visit(Exponential(1.0), Exponential(1.0), s),
+    "survival_product_integral":
+        lambda s: survival_product_integral(Deterministic(1.0), Exponential(1.0), s),
+}
+
+
+@pytest.mark.parametrize("s", [math.nan, -0.5])
+@pytest.mark.parametrize("name", sorted(_S_FUNCTIONS))
+def test_transform_argument_below_zero_or_nan_is_rejected(name, s):
+    with pytest.raises(DomainError):
+        _S_FUNCTIONS[name](s)

@@ -626,8 +626,11 @@ class TestConsoleEntryPoints:
 
     def test_module_execution(self, tmp_path):
         cfg = write_config(tmp_path)
+        # the package the suite imports, also from a checkout
+        src = str(Path(mginfpolling.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-m", "mginfpolling",
                                "analyze", "--config", cfg],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0
         assert "sojourn_mean" in proc.stdout

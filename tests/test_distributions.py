@@ -308,9 +308,96 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_scalar_draws(self):
-        for d in ALL_LAWS:
+        # a float for no size, else a float64 array of that shape, which the
+        # simulator uses as it comes
+        for d in ALL_LAWS + [fit_two_moments(1.5, 0.3)]:
             v = d.sample(np.random.default_rng(3))
-            assert np.ndim(v) == 0 and float(v) >= 0.0
+            assert isinstance(v, float) and v >= 0.0
+            for size in (5, 0, (3, 4), (2, 0)):
+                v = d.sample(np.random.default_rng(3), size)
+                assert isinstance(v, np.ndarray) and v.dtype == np.float64
+                assert v.shape == np.empty(size).shape
+
+
+def family_formula(d, rng, size):
+    """Each family's own sampler, as written before sampling moved to the bases."""
+    if isinstance(d, Exponential):
+        return rng.exponential(1.0 / d.rate, size=size)
+    if isinstance(d, Deterministic):
+        return d.value if size is None else np.full(size, d.value)
+    if isinstance(d, Erlang):
+        return rng.gamma(d.phases, 1.0 / d.rate, size=size)
+    if isinstance(d, MixedErlang):
+        shorter = rng.random(size) < d.p
+        if size is None:
+            return rng.gamma(d.phases - int(shorter), 1.0 / d.rate)
+        return rng.gamma(d.phases - shorter.astype(int), 1.0 / d.rate)
+    if isinstance(d, HyperExponential):
+        rate = np.where(rng.random(size) < d.p, d.rate1, d.rate2)
+        return rng.standard_exponential(size) / rate if size is not None \
+            else rng.standard_exponential() / float(rate)
+    values, weights = np.array(d.atoms).T
+    idx = np.searchsorted(np.cumsum(weights), rng.random(size), side="right")
+    idx = np.minimum(idx, len(values) - 1)
+    return values[idx] if size is not None else float(values[idx])
+
+
+def both_streams(d, other, size, seed=17):
+    """Draws of `d.sample` and `other` from equal generators, and their states."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    a = d.sample(rng_a, size)
+    b = other(rng_b, size)
+    return (np.asarray(a), np.asarray(b),
+            rng_a.bit_generator.state, rng_b.bit_generator.state)
+
+
+class TestSamplingStreams:
+    """Draws equal the per-family samplers they replaced, stream for stream."""
+
+    @pytest.mark.parametrize("d", [
+        Exponential(1.3), Erlang(3, 2.1), Erlang(40, 7.0),
+        MixedErlang(0.3, 4, 2.0), MixedErlang(0.9, 2, 0.4), Deterministic(0.7),
+        Discrete(((0.2, 0.25), (1.0, 0.5), (2.5, 0.25))),
+        Discrete(((0.0, 0.1), (3.0, 0.9)))], ids=repr)
+    @pytest.mark.parametrize("size", [None, 1000, (7, 3)])
+    def test_bit_identical_to_the_family_formula(self, d, size):
+        a, b, state_a, state_b = both_streams(
+            d, lambda rng, size: family_formula(d, rng, size), size)
+        assert a.shape == b.shape and np.array_equal(a, b)
+        assert state_a == state_b
+
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_hyperexponential_within_one_ulp(self, size):
+        d = HyperExponential(0.6, 2.0, 0.5)
+        a, b, state_a, state_b = both_streams(
+            d, lambda rng, size: family_formula(d, rng, size), size)
+        np.testing.assert_array_max_ulp(a, b, maxulp=1)
+        assert state_a == state_b
+
+    @pytest.mark.parametrize("size", [None, 1000])
+    def test_degenerate_mixed_erlang_draws_the_erlang_stream(self, size):
+        for d, same in ((MixedErlang(0.0, 5, 1.5), Erlang(5, 1.5)),
+                        (MixedErlang(1.0, 5, 1.5), Erlang(4, 1.5))):
+            a, b, state_a, state_b = both_streams(d, same.sample, size)
+            assert np.array_equal(a, b) and state_a == state_b
+
+    @pytest.mark.parametrize("d", [Deterministic(0.7), Discrete(((2.5, 1.0),))],
+                             ids=repr)
+    def test_one_atom_leaves_the_generator_untouched(self, d):
+        rng = np.random.default_rng(17)
+        before = rng.bit_generator.state
+        assert d.sample(rng) == d.atoms[0][0]
+        assert np.array_equal(d.sample(rng, 4), np.full(4, d.atoms[0][0]))
+        assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("family", [Exponential, Deterministic, Erlang,
+                                    MixedErlang, HyperExponential, Discrete])
+def test_families_hold_only_parameters(family):
+    # every formula and the sampler live on the two bases
+    formulas = {"sample", "mean", "second_moment", "survival", "lst",
+                "integrated_survival", "pdf"}
+    assert not formulas & set(vars(family))
 
 
 class TestTwoLawFunctionals:

@@ -31,6 +31,7 @@ from mginfpolling.simulator import (
     OUTSIDE_VISIT,
     SERVED_SAME_VISIT,
     SimConfig,
+    _retry_rounds,
     _timeline_arrivals,
     leftover_after_visit,
     run,
@@ -159,6 +160,43 @@ class TestDegenerateSystems:
         assert rep.completion_fraction[0] == 1.0
         assert rep.sojourn_phase_counts[0, SERVED_SAME_VISIT] == 0
         assert rep.sojourn_phase_counts[0, CARRIED_FROM_VISIT] > 0
+
+
+class TestRetryRounds:
+    """The attempt rule on one queue's hand-made visits, with B = 0.3."""
+
+    VISIT = np.array([1.0, 0.2, 0.3])
+    POLLED_AT = np.array([4096.0, 4098.5, 4101.0])
+
+    def settle(self, customers):
+        attempt, arrival, offset, tag = (np.array(c) for c in zip(*customers))
+        return _retry_rounds(attempt, arrival, offset, tag, self.VISIT,
+                             self.POLLED_AT, Deterministic(0.3),
+                             np.random.default_rng(0))
+
+    def test_one_attempt_rule(self):
+        # (first attempt, arrival, offset into that visit, tag)
+        early = (0, 4096.1, 4096.1 - 4096.0, SERVED_SAME_VISIT)  # fits at once
+        late = (0, 4096.8, 4096.8 - 4096.0, SERVED_SAME_VISIT)   # 0.8 + 0.3 > 1
+        waiting = (0, 4095.0, 0.0, OUTSIDE_VISIT)                # fits in visit 0
+        between = (1, 4097.0, 0.0, OUTSIDE_VISIT)                # 0.2 < 0.3, then a tie
+        done, sojourn, done_tag, kept_time, kept_tag = self.settle(
+            [early, late, waiting, between])
+        assert done.tolist() == [0, 0, 2, 2]
+        assert done_tag.tolist() == [SERVED_SAME_VISIT, OUTSIDE_VISIT,
+                                     OUTSIDE_VISIT, CARRIED_FROM_VISIT]
+        # in the system for exactly its requirement, at any arrival time
+        assert sojourn[0] == 0.3
+        assert sojourn[1:] == pytest.approx([1.3, 4.3, 4.5], rel=1e-14)
+        assert kept_time.size == kept_tag.size == 0
+
+    def test_misses_past_the_block_are_kept(self):
+        last = (2, 4101.1, 4101.1 - 4101.0, SERVED_SAME_VISIT)  # 0.1 + 0.3 > 0.3
+        done, sojourn, done_tag, kept_time, kept_tag = self.settle(
+            [last, (3, 4101.5, 0.0, OUTSIDE_VISIT)])
+        assert done.size == 0
+        assert kept_time.tolist() == [4101.5, 4101.1]
+        assert kept_tag.tolist() == [OUTSIDE_VISIT, CARRIED_FROM_VISIT]
 
 
 class TestTimelineArrivals:
