@@ -18,12 +18,25 @@ the joint queue-length generating function at polling instants (for atomic
 visit laws and any switch-over laws), and the sojourn-time mean and
 Laplace-Stieltjes transform.
 
+Each value that depends on one immutable object only is computed once, on
+first use, and kept on that object: a `QueueSpec` keeps the four s-free
+functionals of its (service, visit) pair (completion probability, expected
+minimum, in-visit service mean and residual overshoot integral), and a
+`SystemSpec` keeps its `CycleMoments`. Both specs are frozen dataclasses, so
+the laws a cached value came from never change under it, and
+`dataclasses.replace` builds a new spec that starts with no cached values.
+A sweep therefore evaluates the functionals of its unchanged queues once for
+the whole grid. Functionals of a transform argument s are not cached;
+`sojourn_metrics` evaluates each visit and switch-over transform once per s
+and shares it across the queues.
+
 Conventions: queue indices are 0-based everywhere in the library. Optional
 central-point travel laws can ride along on a queue spec for tour planning,
 but they never alter the cyclic-model quantities computed here.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +96,12 @@ class QueueSpec:
         Optional central-point travel times: outbound from the central point
         to this queue and back. Either both present or both absent. They feed
         tour planning only and leave cyclic-model quantities untouched.
+
+    The s-free functionals of the (service, visit) pair are computed on
+    first use and kept on the spec, each in its own private cached
+    property, so a caller pays only for the ones it reads. The spec is
+    frozen, so they cannot go stale; `dataclasses.replace` returns a new
+    spec with none of them computed yet.
     """
 
     arrival_rate: float
@@ -106,10 +125,35 @@ class QueueSpec:
                 "central-point travel times must be given as a pair "
                 "(approach and return_) or not at all")
 
+    @functools.cached_property
+    def _completion_probability(self) -> float:
+        """P[B <= V]."""
+        return completion_probability(self.service, self.visit)
+
+    @functools.cached_property
+    def _expected_min(self) -> float:
+        """E[min(B, V)]."""
+        return expected_min(self.service, self.visit)
+
+    @functools.cached_property
+    def _served_mean(self) -> float:
+        """E[B; B <= residual visit], the in-visit service term."""
+        return served_in_visit(self.service, self.visit, moment=1)
+
+    @functools.cached_property
+    def _overshoot_integral(self) -> float:
+        """Integral of x S_V(x) S_B(x); over E[V], the residual overshoot."""
+        return survival_product_integral(self.visit, self.service, 0.0, 1)
+
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """An ordered set of queues; the order is the server's cyclic route."""
+    """An ordered set of queues; the order is the server's cyclic route.
+
+    The spec computes its `CycleMoments` on first use and keeps them; it is
+    frozen, so they cannot go stale, and `dataclasses.replace` returns a new
+    spec that computes its own.
+    """
 
     queues: tuple[QueueSpec, ...]
 
@@ -131,6 +175,23 @@ class SystemSpec:
     def has_central_point(self) -> bool:
         """True when every queue carries central-point travel laws."""
         return self.queues[0].approach is not None
+
+    @functools.cached_property
+    def _cycle_moments(self) -> CycleMoments:
+        visit_means = [q.visit.mean() for q in self.queues]
+        visit_vars = [q.visit.variance() for q in self.queues]
+        switch_mean = sum(q.switch.mean() for q in self.queues)
+        switch_var = sum(q.switch.variance() for q in self.queues)
+        cycle_mean = sum(visit_means) + switch_mean
+        partial_means = []
+        partial_seconds = []
+        for i in range(len(self.queues)):
+            mean_i = cycle_mean - visit_means[i]
+            var_i = sum(visit_vars) - visit_vars[i] + switch_var
+            partial_means.append(mean_i)
+            partial_seconds.append(var_i + mean_i**2)
+        return CycleMoments(cycle_mean, tuple(partial_means),
+                            tuple(partial_seconds))
 
 
 @dataclass(frozen=True)
@@ -212,8 +273,7 @@ def _queue_checked(system: SystemSpec, queue: int) -> QueueSpec:
 
 def _completion_prob(system: SystemSpec, queue: int) -> float:
     """The queue's completion probability, rejected when it is zero."""
-    spec = _queue_checked(system, queue)
-    p = completion_probability(spec.service, spec.visit)
+    p = _queue_checked(system, queue)._completion_probability
     if p <= 0.0:
         raise ModelError(
             f"queue {queue}: service never completes within a visit "
@@ -233,7 +293,7 @@ def derived_quantities(system: SystemSpec, queue: int) -> DerivedQueueQuantities
     """
     p = _completion_prob(system, queue)
     spec = system.queues[queue]
-    mmin = expected_min(spec.service, spec.visit)
+    mmin = spec._expected_min
     return DerivedQueueQuantities(
         completion_prob=p,
         min_mean=mmin,
@@ -244,20 +304,11 @@ def derived_quantities(system: SystemSpec, queue: int) -> DerivedQueueQuantities
 
 
 def cycle_moments(system: SystemSpec) -> CycleMoments:
-    """Moments of the cycle length and of the cycle less each queue's visit."""
-    visit_means = [q.visit.mean() for q in system.queues]
-    visit_vars = [q.visit.variance() for q in system.queues]
-    switch_mean = sum(q.switch.mean() for q in system.queues)
-    switch_var = sum(q.switch.variance() for q in system.queues)
-    cycle_mean = sum(visit_means) + switch_mean
-    partial_means = []
-    partial_seconds = []
-    for i in range(len(system.queues)):
-        mean_i = cycle_mean - visit_means[i]
-        var_i = sum(visit_vars) - visit_vars[i] + switch_var
-        partial_means.append(mean_i)
-        partial_seconds.append(var_i + mean_i**2)
-    return CycleMoments(cycle_mean, tuple(partial_means), tuple(partial_seconds))
+    """Moments of the cycle length and of the cycle less each queue's visit.
+
+    Computed once per system and kept on it.
+    """
+    return system._cycle_moments
 
 
 def polling_means(system: SystemSpec) -> PollingMeans:
@@ -455,8 +506,8 @@ def sojourn_mean(system: SystemSpec, queue: int) -> float:
     ec2mi = moments.partial_second_moments[queue]
     p, emin = derived.completion_prob, derived.min_mean
 
-    served = served_in_visit(spec.service, spec.visit, moment=1)
-    residual_excess = survival_product_integral(spec.visit, spec.service, 0.0, 1) / ev
+    served = spec._served_mean
+    residual_excess = spec._overshoot_integral / ev
     from_polling = (ecmi + emin) / p
     in_visit = (served + residual_excess
                 + derived.residual_overshoot_prob * from_polling)
@@ -481,18 +532,43 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
     if s == 0.0:
         return 1.0
     _completion_prob(system, queue)
+    return _sojourn_lst(system, queue, s, _server_lsts(system, s))
+
+
+def _server_lsts(system: SystemSpec, s: float):
+    """Every queue's visit transform and switch-over transform at s."""
+    return ([q.visit.lst(s) for q in system.queues],
+            [q.switch.lst(s) for q in system.queues])
+
+
+def _away_lst(lsts, queue: int) -> float:
+    """Transform of the cycle less the queue's visit, from `_server_lsts`.
+
+    Multiplies every other queue's visit transform, then every switch-over
+    transform, in queue order.
+    """
+    visits, switches = lsts
+    away = 1.0
+    for j, v in enumerate(visits):
+        if j != queue:
+            away *= v
+    for w in switches:
+        away *= w
+    return away
+
+
+def _sojourn_lst(system: SystemSpec, queue: int, s: float, lsts) -> float:
+    """`sojourn_lst` at s > 0 from the system's `_server_lsts` at s.
+
+    The caller has checked that the queue's completion probability is
+    positive.
+    """
     spec = system.queues[queue]
     moments = cycle_moments(system)
     ev, ec = spec.visit.mean(), moments.cycle_mean
     ecmi = moments.partial_means[queue]
 
-    # transform of the server-away remainder of a cycle
-    away = 1.0
-    for j, q in enumerate(system.queues):
-        if j != queue:
-            away *= q.visit.lst(s)
-    for q in system.queues:
-        away *= q.switch.lst(s)
+    away = _away_lst(lsts, queue)
     succ, fail = attempt_lst(spec.service, spec.visit, s)
     from_polling = succ / (1.0 - fail * away)
 
@@ -543,26 +619,29 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
         return 1.0
     gamma, mu = _exponential_rates(system, queue)
     ec = cycle_moments(system).cycle_mean
-    away = 1.0
-    for j, q in enumerate(system.queues):
-        if j != queue:
-            away *= q.visit.lst(s)
-        away *= q.switch.lst(s)
+    away = _away_lst(_server_lsts(system, s), queue)
     return ((1.0 / gamma + (1.0 - away) / s) / ec
             * mu / (mu + gamma + s - gamma * away))
 
 
 def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
-    """Sojourn means for every queue plus a transform table over `s_grid`."""
+    """Sojourn means for every queue plus a transform table over `s_grid`.
+
+    Each visit and switch-over transform is evaluated once per s and shared
+    by every queue's column entry.
+    """
     s_values = tuple(float(s) for s in s_grid)
     if any(not s >= 0.0 for s in s_values):
         raise DomainError("transform grid values must be >= 0")
     n = len(system.queues)
+    # sojourn_mean rejects a queue whose completion probability is zero
     means = tuple(sojourn_mean(system, i) for i in range(n))
-    table = np.empty((n, len(s_values)))
-    for i in range(n):
-        for k, s in enumerate(s_values):
-            table[i, k] = sojourn_lst(system, i, s)
+    table = np.ones((n, len(s_values)))
+    for k, s in enumerate(s_values):
+        if s > 0.0:
+            lsts = _server_lsts(system, s)
+            for i in range(n):
+                table[i, k] = _sojourn_lst(system, i, s, lsts)
     return SojournMetrics(means=means, s_grid=s_values, lst_table=table)
 
 

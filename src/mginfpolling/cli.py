@@ -325,19 +325,18 @@ def _thread_count(replications: int) -> int:
     return threads
 
 
-def _cell(value) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return repr(value)
-
-
 def _write_csv(out_path: str | None, header, rows) -> None:
+    """Write `header` and `rows` as CSV to `out_path`, or to stdout for None.
+
+    A cell that is not a string is written as repr(float(cell)): it goes to
+    the writer as a Python float, which the writer formats with str, and
+    str and repr agree on floats (nan, inf and -0.0 included).
+    """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([c if isinstance(c, str) else _cell(c) for c in row])
+    writer.writerows([c if isinstance(c, str) else float(c) for c in row]
+                     for row in rows)
     text = buffer.getvalue()
     if out_path is None:
         sys.stdout.write(text)
@@ -451,7 +450,7 @@ def cmd_simulate(args) -> int:
     if args.out:
         rows = []
         for (metric, values), mean, se in zip(table.items(), means, ses):
-            for r, value in enumerate(values):
+            for r, value in enumerate(values.tolist()):
                 rows.append((str(r + 1), metric, value, ""))
             rows.append(("all", metric, float(mean), float(se)))
         _write_csv(args.out, ("replication", "metric", "estimate", "stderr"),

@@ -232,10 +232,18 @@ class _ErlangMixture(Distribution):
         """E[Y^moment exp(-s Y) g(Y)] by the density, which ignores `left`."""
         return _integral(_product(self._density_terms, _weighted(g, moment, s)))
 
-    def sample(self, rng, size=None):
+    @functools.cached_property
+    def _draw_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What `sample` reads: the `_pick` edges, phases and 1 / rate."""
         w, k, r = self._arrays
-        pick = _pick(w, rng, size)
-        return rng.standard_gamma(k[pick], size) * (1 / r[pick])
+        scale = 1 / r
+        scale.flags.writeable = False
+        return _pick_edges(w), k, scale
+
+    def sample(self, rng, size=None):
+        edges, k, scale = self._draw_arrays
+        pick = _pick(edges, rng, size)
+        return rng.standard_gamma(k[pick], size) * scale[pick]
 
 
 class _Atomic(Distribution):
@@ -297,9 +305,15 @@ class _Atomic(Distribution):
         values, weights = self._arrays
         return float(_evaluate(_weighted(g, moment, s), values, left) @ weights)
 
-    def sample(self, rng, size=None):
+    @functools.cached_property
+    def _draw_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """What `sample` reads: the `_pick` edges and the atom values."""
         values, weights = self._arrays
-        draws = values[_pick(weights, rng, size)]
+        return _pick_edges(weights), values
+
+    def sample(self, rng, size=None):
+        edges, values = self._draw_arrays
+        draws = values[_pick(edges, rng, size)]
         return float(draws) if size is None else np.full(size, draws)
 
 
@@ -422,17 +436,25 @@ class Discrete(_Atomic):
             self, "atoms", tuple((v, w / total) for v, w in pairs))
 
 
-def _pick(weights: np.ndarray, rng: np.random.Generator, size=None):
-    """Indices drawn with probabilities `weights`, one uniform per index.
+def _pick_edges(weights: np.ndarray) -> np.ndarray:
+    """The cumulative weights `_pick` draws against: all but the last."""
+    edges = np.cumsum(weights[:-1])
+    edges.flags.writeable = False
+    return edges
+
+
+def _pick(edges: np.ndarray, rng: np.random.Generator, size=None):
+    """Indices drawn with the weights behind `edges`, one uniform per index.
 
     A uniform u picks the first index whose cumulative weight exceeds u; the
     last index takes every u beyond the one before it, also when rounding
-    leaves the total weight below 1. A single weight needs no draw: it
-    returns the index 0, whatever `size`, and leaves `rng` untouched.
+    leaves the total weight below 1. A single weight (no edges) needs no
+    draw: it returns the index 0, whatever `size`, and leaves `rng`
+    untouched.
     """
-    if weights.size == 1:
+    if edges.size == 0:
         return 0
-    return np.searchsorted(np.cumsum(weights[:-1]), rng.random(size), side="right")
+    return np.searchsorted(edges, rng.random(size), side="right")
 
 
 def has_atom_at_zero(law: Distribution) -> bool:

@@ -6,8 +6,10 @@ deterministic quarter-unit switch-over after each visit. All closed-form
 targets below (13/6, 7/6, 65/36, 8/3, 11/6, 31/12, 35/12, 141/52) were
 derived by hand from that parameterization before the code existed.
 """
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from mginfpolling.distributions import (
     HyperExponential,
     MixedErlang,
     attempt_lst,
+    completion_probability,
+    expected_min,
     min_lst,
     residual_lst,
     served_in_visit,
@@ -79,6 +83,20 @@ def never_serving_system() -> SystemSpec:
         QueueSpec(0.5, Deterministic(1.0), Discrete(((0.5, 0.5), (2.0, 0.5))),
                   Deterministic(0.2)),
         QueueSpec(0.5, Exponential(2.0), Deterministic(1.0), Deterministic(0.2)),
+    ))
+
+
+def mixed_system() -> SystemSpec:
+    """Four queues over every law family, atomic and continuous."""
+    return SystemSpec((
+        QueueSpec(0.3, Exponential(1.0), Exponential(1.2), Deterministic(0.1)),
+        QueueSpec(0.25, Erlang(2, 3.0), HyperExponential(0.7, 2.0, 0.5),
+                  Erlang(2, 20.0)),
+        QueueSpec(0.2, MixedErlang(0.4, 3, 4.0), Deterministic(0.8),
+                  Exponential(10.0)),
+        QueueSpec(0.35, Discrete(((0.2, 0.5), (0.9, 0.5))),
+                  MixedErlang(0.3, 4, 5.0),
+                  Discrete(((0.05, 0.5), (0.15, 0.5)))),
     ))
 
 
@@ -626,6 +644,106 @@ class TestSojournMetrics:
     def test_negative_grid_rejected(self):
         with pytest.raises(DomainError):
             sojourn_metrics(reference_system(), (-1.0,))
+
+    @pytest.mark.parametrize("make", [reference_system, atomic_system,
+                                      continuous_switch_system, mixed_system])
+    def test_metrics_table_equals_pointwise_transform(self, make):
+        system = make()
+        grid = (0.0, 1e-6, 0.3, 1.0, 4.0)
+        metrics = sojourn_metrics(system, grid)
+        for i in range(len(system)):
+            assert metrics.means[i] == sojourn_mean(system, i)
+            for k, s in enumerate(grid):
+                assert metrics.lst_table[i, k] == sojourn_lst(system, i, s)
+
+
+def cached_values(spec: QueueSpec) -> tuple[float, ...]:
+    return (spec._completion_probability, spec._expected_min,
+            spec._served_mean, spec._overshoot_integral)
+
+
+def fresh_values(spec: QueueSpec) -> tuple[float, ...]:
+    return (completion_probability(spec.service, spec.visit),
+            expected_min(spec.service, spec.visit),
+            served_in_visit(spec.service, spec.visit, moment=1),
+            survival_product_integral(spec.visit, spec.service, 0.0, 1))
+
+
+class TestCachedConstants:
+    """Values kept on the frozen specs equal a fresh evaluation, bit for bit."""
+
+    def test_queue_values_equal_fresh_calls(self):
+        for spec in mixed_system().queues:
+            assert cached_values(spec) == fresh_values(spec)
+
+    def test_derived_quantities_read_the_queue_values(self):
+        system = mixed_system()
+        for i, spec in enumerate(system.queues):
+            d = derived_quantities(system, i)
+            p, emin, _, _ = fresh_values(spec)
+            assert (d.completion_prob, d.min_mean) == (p, emin)
+            assert d.residual_overshoot_prob == emin / spec.visit.mean()
+
+    def test_cycle_moments_kept_on_the_system(self):
+        system = mixed_system()
+        moments = cycle_moments(system)
+        assert cycle_moments(system) is moments
+        rebuilt = cycle_moments(SystemSpec(system.queues))
+        assert rebuilt is not moments and rebuilt == moments
+
+    def test_replaced_queue_matches_its_new_laws(self):
+        spec = mixed_system().queues[1]
+        cached_values(spec)
+        for field, law in (("service", Exponential(0.5)),
+                           ("visit", Deterministic(0.4))):
+            new = dataclasses.replace(spec, **{field: law})
+            assert cached_values(new) == fresh_values(new)
+            assert cached_values(new) != cached_values(spec)
+
+    def test_replaced_system_matches_its_new_queues(self):
+        system = mixed_system()
+        old = cycle_moments(system)
+        queues = list(system.queues)
+        queues[2] = dataclasses.replace(queues[2], visit=Deterministic(2.0))
+        new = dataclasses.replace(system, queues=tuple(queues))
+        assert cycle_moments(new) == cycle_moments(SystemSpec(tuple(queues)))
+        assert cycle_moments(new).cycle_mean == pytest.approx(
+            old.cycle_mean + 1.2, rel=1e-15)
+        assert sojourn_mean(new, 0) == sojourn_mean(SystemSpec(tuple(queues)), 0)
+
+    def test_pickle_round_trip_keeps_the_values(self):
+        system = mixed_system()
+        for i in range(len(system)):
+            sojourn_mean(system, i)
+        moments = cycle_moments(system)
+        copy = pickle.loads(pickle.dumps(system))
+        assert copy == system and cycle_moments(copy) == moments
+        for spec, twin in zip(system.queues, copy.queues):
+            assert cached_values(twin) == cached_values(spec)
+
+    def test_caches_leave_equality_and_hash_alone(self):
+        fresh, used = mixed_system(), mixed_system()
+        for i in range(len(used)):
+            sojourn_mean(used, i)
+        assert fresh == used and hash(fresh) == hash(used)
+
+    def test_zero_completion_error_is_unchanged(self):
+        never = SystemSpec((
+            QueueSpec(0.5, Deterministic(1.0), Deterministic(0.5),
+                      Deterministic(0.2)),
+            QueueSpec(0.5, Exponential(2.0), Deterministic(1.0),
+                      Deterministic(0.2)),
+        ))
+        message = ("queue 0: service never completes within a visit "
+                   "(completion probability 0)")
+        for call in (lambda: derived_quantities(never, 0),
+                     lambda: sojourn_mean(never, 0),
+                     lambda: sojourn_lst(never, 0, 0.5),
+                     lambda: sojourn_metrics(never, (0.5,)),
+                     lambda: pgf_eval(never, 1, np.ones(2))):
+            with pytest.raises(ModelError) as info:
+                call()
+            assert str(info.value) == message
 
 
 # every public function of a transform argument s >= 0; Distribution.lst

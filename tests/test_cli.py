@@ -350,6 +350,16 @@ class TestSimulate:
                 metric
 
 
+@pytest.mark.parametrize("value", [
+    float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-5, 0.1, 3,
+    np.float64(2.0 / 3.0), np.float64("nan"), np.float32(0.1)], ids=repr)
+def test_csv_cells_are_float_reprs(tmp_path, value):
+    out_path = tmp_path / "cells.csv"
+    cli._write_csv(str(out_path), ("name", "value"), [("x", value)])
+    assert out_path.read_text().splitlines() == [
+        "name,value", f"x,{float(value)!r}"]
+
+
 class TestSweep:
     def test_service_mean_sweep_is_increasing(self, tmp_path, capsys):
         cfg = write_config(tmp_path,
@@ -388,6 +398,33 @@ class TestSweep:
         for row in rows:
             weighted, first, second = map(float, row.split(",")[1:])
             assert weighted == (0.8 * first + 0.5 * second) / 1.3
+
+    @pytest.mark.parametrize("config, n, g", [
+        ("three-queue", 3, 4),
+        ("bench/workloads/general-wide.json", 8, 6)])
+    def test_unchanged_queues_evaluate_their_functionals_once(
+            self, tmp_path, capsys, monkeypatch, config, n, g):
+        # the first grid point evaluates every queue, and each later one
+        # only the swept queue, whose spec is new at every point
+        counts = dict.fromkeys(("completion_probability", "expected_min",
+                                "served_in_visit",
+                                "survival_product_integral"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _f=getattr(analytic, name),
+                        **kwargs):
+                counts[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(analytic, name, counted)
+        if config == "three-queue":
+            cfg = write_config(
+                tmp_path, queues=BASE_QUEUES + [dict(BASE_QUEUES[0])],
+                sweep={"queue": 3, "target": "service_mean",
+                       "grid": [0.2, 0.5, 1.0, 1.5]})
+        else:
+            cfg = str(ROOT / config)
+        assert main(["sweep", "--config", cfg]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + g
+        assert counts == dict.fromkeys(counts, n + g - 1)
 
     def test_missing_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
