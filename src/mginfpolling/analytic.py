@@ -26,9 +26,11 @@ minimum, in-visit service mean and residual overshoot integral), and a
 the laws a cached value came from never change under it, and
 `dataclasses.replace` builds a new spec that starts with no cached values.
 A sweep therefore evaluates the functionals of its unchanged queues once for
-the whole grid. Functionals of a transform argument s are not cached;
-`sojourn_metrics` evaluates each visit and switch-over transform once per s
-and shares it across the queues.
+the whole grid. Functionals of a transform argument s are not cached; they
+take the whole s-grid at once instead. `sojourn_metrics` runs each queue's
+transform functionals once over every grid point, and evaluates each visit
+and switch-over transform once per point, shared across the queues. The
+scalar `sojourn_lst` is the same computation on a one-point grid.
 
 Conventions: queue indices are 0-based everywhere in the library. Optional
 central-point travel laws can ride along on a queue spec for tour planning,
@@ -532,20 +534,26 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
     if s == 0.0:
         return 1.0
     _completion_prob(system, queue)
-    return _sojourn_lst(system, queue, s, _server_lsts(system, s))
+    grid = np.array([s], dtype=float)
+    return float(_sojourn_lst(system, queue, grid, _server_lsts(system, grid))[0])
 
 
-def _server_lsts(system: SystemSpec, s: float):
-    """Every queue's visit transform and switch-over transform at s."""
-    return ([q.visit.lst(s) for q in system.queues],
-            [q.switch.lst(s) for q in system.queues])
+def _server_lsts(system: SystemSpec, s_grid):
+    """Every queue's visit and switch-over transforms over the grid.
+
+    Returns (visits, switches), one array over the grid per queue. Each law
+    is evaluated at one s at a time, as a lone call would be.
+    """
+    s_values = [float(s) for s in s_grid]
+    return ([np.array([q.visit.lst(s) for s in s_values]) for q in system.queues],
+            [np.array([q.switch.lst(s) for s in s_values]) for q in system.queues])
 
 
-def _away_lst(lsts, queue: int) -> float:
+def _away_lst(lsts, queue: int):
     """Transform of the cycle less the queue's visit, from `_server_lsts`.
 
     Multiplies every other queue's visit transform, then every switch-over
-    transform, in queue order.
+    transform, in queue order; one value per grid point.
     """
     visits, switches = lsts
     away = 1.0
@@ -557,11 +565,13 @@ def _away_lst(lsts, queue: int) -> float:
     return away
 
 
-def _sojourn_lst(system: SystemSpec, queue: int, s: float, lsts) -> float:
-    """`sojourn_lst` at s > 0 from the system's `_server_lsts` at s.
+def _sojourn_lst(system: SystemSpec, queue: int, s: np.ndarray,
+                 lsts) -> np.ndarray:
+    """`sojourn_lst` over a 1-D grid s of points > 0, one value per point.
 
-    The caller has checked that the queue's completion probability is
-    positive.
+    `lsts` is the system's `_server_lsts` over the same grid. Each of the
+    queue's four transform functionals runs once for the whole grid. The
+    caller has checked that the queue's completion probability is positive.
     """
     spec = system.queues[queue]
     moments = cycle_moments(system)
@@ -619,7 +629,7 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
         return 1.0
     gamma, mu = _exponential_rates(system, queue)
     ec = cycle_moments(system).cycle_mean
-    away = _away_lst(_server_lsts(system, s), queue)
+    away = float(_away_lst(_server_lsts(system, (s,)), queue)[0])
     return ((1.0 / gamma + (1.0 - away) / s) / ec
             * mu / (mu + gamma + s - gamma * away))
 
@@ -627,8 +637,11 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
 def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
     """Sojourn means for every queue plus a transform table over `s_grid`.
 
-    Each visit and switch-over transform is evaluated once per s and shared
-    by every queue's column entry.
+    The table is filled one queue row at a time: each queue's transform
+    functionals run once over all the grid points s > 0, and every visit
+    and switch-over transform is evaluated once per point and shared by all
+    the rows. Entries at s = 0 are 1. Each entry equals `sojourn_lst` at its
+    point, whatever the rest of the grid.
     """
     s_values = tuple(float(s) for s in s_grid)
     if any(not s >= 0.0 for s in s_values):
@@ -637,11 +650,13 @@ def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
     # sojourn_mean rejects a queue whose completion probability is zero
     means = tuple(sojourn_mean(system, i) for i in range(n))
     table = np.ones((n, len(s_values)))
-    for k, s in enumerate(s_values):
-        if s > 0.0:
-            lsts = _server_lsts(system, s)
-            for i in range(n):
-                table[i, k] = _sojourn_lst(system, i, s, lsts)
+    grid = np.array(s_values)
+    positive = grid > 0.0
+    if positive.any():
+        s = grid[positive]
+        lsts = _server_lsts(system, s)
+        for i in range(n):
+            table[i, positive] = _sojourn_lst(system, i, s, lsts)
     return SojournMetrics(means=means, s_grid=s_values, lst_table=table)
 
 

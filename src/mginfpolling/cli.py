@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -574,11 +575,11 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
 
     if all(isinstance(q.service, Exponential) and isinstance(q.visit, Exponential)
            for q in system.queues):
+        table = sojourn_metrics(system, DEFAULT_S_GRID).lst_table
         for i in range(n):
             closed = sojourn_mean_exponential(system, i)
             dev = abs(means[i] - closed) / closed
-            for s in DEFAULT_S_GRID:
-                a = sojourn_lst(system, i, s)
+            for a, s in zip(table[i].tolist(), DEFAULT_S_GRID):
                 b = sojourn_lst_exponential(system, i, s)
                 dev = max(dev, abs(a - b) / b)
             yield (f"memoryless_closed_form[{i + 1}]", 1e-8 * scale, dev)
@@ -711,8 +712,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call in a process.
+
+    Parsing leaves no state on the parser: each call gets a new namespace
+    with the defaults.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

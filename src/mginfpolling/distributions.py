@@ -21,6 +21,11 @@ P[B <= V], the expected minimum of two independent laws and its transform,
 survival-product integrals, the outcome-split transforms of one visit
 attempt, and the served-in-visit term of the sojourn time. Each is a finite
 sum of incomplete-gamma integrals of products of such terms, in log space.
+Those of a transform argument s (`survival_product_integral`, `attempt_lst`
+and `served_in_visit`) take a scalar or a 1-D grid of s in one pass: the
+term product and its log-gamma factors are built once, the grid rides on the
+rates as a leading axis, and each grid row is summed on its own, so every
+value equals that of a scalar call at its s.
 
 Every incomplete gamma function met here has an integer shape a, so it is a
 Poisson tail: P(a, x) = P[Poisson(x) >= a]. `_gamma_pq` sums the side of
@@ -227,9 +232,11 @@ class _ErlangMixture(Distribution):
         return _terms(logw + np.log(k - j) + (j - 1) * np.log(r) - log_fact,
                       1.0, j, r, np.inf)
 
-    def _expect(self, g: _Terms, moment: int = 0, s: float = 0.0,
-                left: bool = False) -> float:
-        """E[Y^moment exp(-s Y) g(Y)] by the density, which ignores `left`."""
+    def _expect(self, g: _Terms, moment: int = 0, s=0.0, left: bool = False):
+        """E[Y^moment exp(-s Y) g(Y)] by the density, which ignores `left`.
+
+        A float for a scalar s, one value per entry of a 1-D array s.
+        """
         return _integral(_product(self._density_terms, _weighted(g, moment, s)))
 
     @functools.cached_property
@@ -299,11 +306,16 @@ class _Atomic(Distribution):
                       np.repeat([0.0, 1.0], len(values)), 0.0,
                       np.tile(values, 2))
 
-    def _expect(self, g: _Terms, moment: int = 0, s: float = 0.0,
-                left: bool = False) -> float:
-        """E[Y^moment exp(-s Y) g(Y)] over the atoms, g(y-) when `left`."""
+    def _expect(self, g: _Terms, moment: int = 0, s=0.0, left: bool = False):
+        """E[Y^moment exp(-s Y) g(Y)] over the atoms, g(y-) when `left`.
+
+        A float for a scalar s, one value per entry of a 1-D array s.
+        """
         values, weights = self._arrays
-        return float(_evaluate(_weighted(g, moment, s), values, left) @ weights)
+        t = _weighted(g, moment, s)
+        # each grid row of rates meets every atom
+        return _dot(_evaluate(t._replace(r=t.r[..., None, :]), values, left),
+                    weights)
 
     @functools.cached_property
     def _draw_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -506,15 +518,41 @@ def _terms(logc, sign, p, r, u) -> _Terms:
     return terms
 
 
-def _weighted(t: _Terms, moment: int, s: float) -> _Terms:
-    """The term sum multiplied by x^moment exp(-s x)."""
-    return t._replace(p=t.p + moment, r=t.r + s)
+def _weighted(t: _Terms, moment: int, s) -> _Terms:
+    """The term sum multiplied by x^moment exp(-s x), one row per s.
+
+    A 1-D array s adds a leading grid axis to the rates, and to the rates
+    only: row k of `r` holds the rates of the sum multiplied by
+    exp(-s[k] x). A scalar s adds no axis.
+    """
+    return t._replace(p=t.p + moment,
+                      r=t.r + np.asarray(s, dtype=float)[..., None])
 
 
 def _product(a: _Terms, b: _Terms) -> _Terms:
-    """The pointwise product of two term sums, one term per pair."""
-    return _Terms(*(combine.outer(x, y).ravel() for combine, x, y in zip(
+    """The pointwise product of two term sums, one term per pair.
+
+    The pair (i, j) sits at i * len(b) + j; a field with a leading grid axis
+    keeps it, so the term product is built once for the whole grid.
+    """
+    def pairs(combine, x, y):
+        z = combine(x[..., :, None], y[..., None, :])
+        return z.reshape(z.shape[:-2] + (-1,))
+
+    return _Terms(*(pairs(combine, x, y) for combine, x, y in zip(
         (np.add, np.multiply, np.add, np.add, np.minimum), a, b)))
+
+
+def _dot(rows: np.ndarray, v: np.ndarray):
+    """rows @ v, as one 1-D dot product per row of a 2-D `rows`.
+
+    A float for 1-D rows, else an array with one value per grid row. Each
+    row is reduced on its own, exactly as a lone 1-D sum would be, so a
+    value does not depend on the rest of the grid.
+    """
+    if rows.ndim == 1:
+        return float(rows @ v)
+    return np.array([float(row @ v) for row in rows])
 
 
 #: log(n!) - log(sqrt(2 pi n) (n / e)^n) for n = 0..15; 0 stands in at n = 0
@@ -589,7 +627,7 @@ def _gamma_p(a, x) -> np.ndarray:
     return _gamma_pq_arrays(a, x)[0].astype(float)
 
 
-def _integral(t: _Terms) -> float:
+def _integral(t: _Terms):
     """Integral of a term sum over x >= 0, term by term in closed form.
 
     With a = p + 1, the integral of x^p e^{-r x} over [0, u] is
@@ -597,17 +635,23 @@ def _integral(t: _Terms) -> float:
     incomplete gamma function, and u^a / a for r = 0 (u is then finite).
     A term whose factor P(a, r u) underflows is below 1e-300 of its full
     integral and drops out.
+
+    Rates with a leading grid axis (from `_weighted` at a 1-D array s) give
+    one integral per grid row. The shapes, signs, cutoffs and log Gamma(a)
+    carry no grid axis, so they are formed once for the whole grid; only
+    the factors that depend on the rate are evaluated per row.
     """
     a = t.p + 1.0
     cut = np.isfinite(t.u) & (t.r > 0.0)
-    p = np.ones(a.shape)
+    p = np.ones(t.r.shape)
     if cut.any():
-        p[cut] = _gamma_p(a[cut].astype(int), t.r[cut] * t.u[cut])
+        p[cut] = _gamma_p(np.broadcast_to(a, cut.shape)[cut].astype(int),
+                          t.r[cut] * np.broadcast_to(t.u, cut.shape)[cut])
     log_gamma = np.array([math.lgamma(v) for v in a.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
         log_i = np.where(t.r > 0.0, log_gamma - a * np.log(t.r) + np.log(p),
                          a * np.log(t.u) - np.log(a))
-        return float(t.sign @ np.exp(t.logc + log_i))
+        return _dot(np.exp(t.logc + log_i), t.sign)
 
 
 def _evaluate(t: _Terms, x, left: bool = False):
@@ -620,15 +664,25 @@ def _evaluate(t: _Terms, x, left: bool = False):
     return np.where(inside, values, 0.0).sum(axis=-1)[()]
 
 
-def survival_product_integral(a: Distribution, b: Distribution, s: float = 0.0,
-                              moment: int = 0) -> float:
+def _check_s(s, name: str):
+    """Reject an s that is not a scalar or 1-D array of values >= 0."""
+    s = np.asarray(s, dtype=float)
+    if s.ndim > 1:
+        raise DomainError(f"{name} takes a scalar or 1-D array s, "
+                          f"got shape {s.shape}")
+    if not (s >= 0.0).all():
+        raise DomainError(f"{name} requires s >= 0")
+
+
+def survival_product_integral(a: Distribution, b: Distribution, s=0.0,
+                              moment: int = 0):
     """Integral of x^moment exp(-s x) S_a(x) S_b(x) over x >= 0.
 
     The common currency behind E[min(a, b)], its transform, and the residual
-    overshoot terms.
+    overshoot terms. A float for a scalar s; for a 1-D array s, one value per
+    entry, each equal to the scalar call at that entry.
     """
-    if not s >= 0.0:
-        raise DomainError("survival_product_integral requires s >= 0")
+    _check_s(s, "survival_product_integral")
     return _integral(_weighted(
         _product(a._survival_terms, b._survival_terms), moment, s))
 
@@ -656,32 +710,31 @@ def completion_probability(service: Distribution, visit: Distribution) -> float:
     return min(1.0, service._expect(visit._survival_terms, left=True))
 
 
-def attempt_lst(service: Distribution, visit: Distribution,
-                s: float) -> tuple[float, float]:
+def attempt_lst(service: Distribution, visit: Distribution, s):
     """Transforms of one visit attempt, split by its outcome.
 
     Returns (E[exp(-s B); B <= V], E[exp(-s V); V < B]): a completed
     attempt lasts the requirement B, a failed one the whole visit V. At
-    s = 0 these are the completion probability and its complement.
+    s = 0 these are the completion probability and its complement. Two
+    floats for a scalar s; for a 1-D array s, two arrays over its entries.
     """
-    if not s >= 0.0:
-        raise DomainError("attempt_lst requires s >= 0")
+    _check_s(s, "attempt_lst")
     success = service._expect(visit._survival_terms, 0, s, left=True)
     failure = visit._expect(service._survival_terms, 0, s)
     return success, failure
 
 
 def served_in_visit(service: Distribution, visit: Distribution,
-                    s: float = 0.0, moment: int = 0) -> float:
+                    s=0.0, moment: int = 0):
     """E[B^moment exp(-s B) (V - B)^+] / E[V] for independent B and V.
 
     E[(V - b)^+] / E[V] is the chance that the residual visit seen by an
     arrival at a uniform moment of a visit is at least b, so this is
     E[B^moment exp(-s B); B <= residual visit], the part of the sojourn
-    time of a customer served in the visit it arrives in.
+    time of a customer served in the visit it arrives in. A float for a
+    scalar s; for a 1-D array s, one value per entry.
     """
-    if not s >= 0.0:
-        raise DomainError("served_in_visit requires s >= 0")
+    _check_s(s, "served_in_visit")
     return service._expect(visit._tail_terms, moment, s) / visit.mean()
 
 

@@ -39,7 +39,6 @@ bit-identical for a fixed master seed and any thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -361,6 +360,10 @@ def run(system: SystemSpec, config: SimConfig, threads: int = 1) -> SimulationRe
 
     reps = config.replications
     if threads > 1 and reps > 1:
+        # imported here, so that a single-worker caller never loads
+        # multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(threads, reps)) as pool:
             futures = [pool.submit(_simulate_replication, system, config, r)
                        for r in range(reps)]

@@ -656,6 +656,16 @@ class TestSojournMetrics:
             for k, s in enumerate(grid):
                 assert metrics.lst_table[i, k] == sojourn_lst(system, i, s)
 
+    @pytest.mark.parametrize("make", [reference_system, atomic_system,
+                                      continuous_switch_system, mixed_system])
+    @pytest.mark.parametrize("s", [0.0, 1e-6, 0.3, 4.0])
+    def test_column_does_not_depend_on_the_rest_of_the_grid(self, make, s):
+        system = make()
+        alone = sojourn_metrics(system, (s,)).lst_table
+        among = sojourn_metrics(system, (0.1, s, 7.0)).lst_table
+        assert (alone[:, 0] == among[:, 1]).all()
+        assert isinstance(sojourn_lst(system, 0, s), float)
+
 
 def cached_values(spec: QueueSpec) -> tuple[float, ...]:
     return (spec._completion_probability, spec._expected_min,
@@ -768,3 +778,58 @@ _S_FUNCTIONS = {
 def test_transform_argument_below_zero_or_nan_is_rejected(name, s):
     with pytest.raises(DomainError):
         _S_FUNCTIONS[name](s)
+
+
+# the public functions that also take a 1-D array of transform arguments
+_ARRAY_S_FUNCTIONS = {name: _S_FUNCTIONS[name] for name in (
+    "attempt_lst", "served_in_visit", "survival_product_integral")}
+_ARRAY_S_FUNCTIONS["sojourn_metrics"] = (
+    lambda s: sojourn_metrics(reference_system(), s))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -0.5])
+@pytest.mark.parametrize("name", sorted(_ARRAY_S_FUNCTIONS))
+def test_array_with_one_entry_below_zero_or_nan_is_rejected(name, bad):
+    with pytest.raises(DomainError):
+        _ARRAY_S_FUNCTIONS[name](np.array([0.0, 0.5, bad, 2.0]))
+
+
+# each functional at moments 0 and 1 (attempt_lst: success and failure), one
+# row each
+_GRID_FUNCTIONS = {
+    "attempt_lst": lambda a, b, s: np.stack(attempt_lst(a, b, s)),
+    "served_in_visit": lambda a, b, s: np.stack(
+        [served_in_visit(a, b, s), served_in_visit(a, b, s, 1)]),
+    "survival_product_integral": lambda a, b, s: np.stack(
+        [survival_product_integral(a, b, s),
+         survival_product_integral(a, b, s, 1)]),
+}
+
+_GRID_PAIRS = {
+    "continuous/continuous": (MixedErlang(0.3, 3, 2.5),
+                              HyperExponential(0.7, 2.0, 0.5)),
+    "continuous/atomic": (Erlang(2, 2.0), Discrete(((0.5, 0.4), (1.5, 0.6)))),
+    "atomic/continuous": (Discrete(((0.5, 0.5), (1.0, 0.5))), Exponential(1.5)),
+    "atomic/atomic": (Discrete(((0.5, 0.5), (1.0, 0.5))),
+                      Discrete(((0.5, 0.3), (1.0, 0.7)))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_GRID_PAIRS))
+@pytest.mark.parametrize("name", sorted(_GRID_FUNCTIONS))
+def test_array_s_entry_does_not_depend_on_the_rest_of_the_grid(name, pair):
+    function, (a, b) = _GRID_FUNCTIONS[name], _GRID_PAIRS[pair]
+    for s in (0.0, 0.3, 2.5):
+        alone = function(a, b, np.array([s]))
+        among = function(a, b, np.array([0.1, s, 7.0]))
+        scalar = function(a, b, s)
+        assert alone.shape == (2, 1) and among.shape == (2, 3)
+        assert (alone[:, 0] == among[:, 1]).all()
+        assert (scalar == among[:, 1]).all()
+
+
+@pytest.mark.parametrize("name", sorted(_GRID_FUNCTIONS))
+def test_two_dimensional_s_is_rejected(name):
+    with pytest.raises(DomainError):
+        _GRID_FUNCTIONS[name](Exponential(1.0), Exponential(2.0),
+                              np.full((2, 2), 0.5))

@@ -653,6 +653,54 @@ def test_runs_with_scipy_blocked(tmp_path):
                                 "validate")}
 
 
+NO_MULTIPROCESSING = """
+import json, sys
+from mginfpolling.cli import main
+
+codes = [main([*op, "--config", sys.argv[1]])
+         for op in (["analyze"], ["simulate", "--cycles", "300"])]
+loaded = sorted(name for name in sys.modules
+                if name.split(".")[0] == "multiprocessing"
+                or name == "concurrent.futures.process")
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_single_worker_runs_leave_multiprocessing_unloaded(tmp_path):
+    cfg = write_config(tmp_path, sim=base_sim_block())
+    src = str(Path(mginfpolling.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", NO_MULTIPROCESSING, cfg],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src,
+                               "POLLING_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "loaded": []}
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; no call leaks into the next."""
+
+    def test_options_of_one_call_do_not_reach_the_next(self, tmp_path, capsys,
+                                                        monkeypatch):
+        monkeypatch.setenv("POLLING_NUM_THREADS", "1")
+        cfg = write_config(tmp_path, sim=base_sim_block(measured_cycles=300))
+        src = str(Path(mginfpolling.__file__).resolve().parents[1])
+        for first, second in (
+                (["analyze", "--s-grid", "0.3,4"], ["analyze"]),
+                (["simulate", "--seed", "99", "--cycles", "100"], ["simulate"])):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "mginfpolling", *second, "--config", cfg],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+            assert fresh.returncode == 0, fresh.stderr
+            assert main([*first, "--config", cfg]) == 0
+            capsys.readouterr()
+            assert main([*second, "--config", cfg]) == 0
+            assert capsys.readouterr().out == fresh.stdout
+        assert cli._parser() is cli._parser()
+
+
 class TestConsoleEntryPoints:
     def test_installed_script(self, tmp_path):
         cfg = write_config(tmp_path)
