@@ -18,10 +18,17 @@ process over the whole block (a Poisson count, then that many uniform
 positions, each owned by the server interval it falls in). It resolves
 every customer's departure in vectorized retry rounds: a customer completes
 at its first attempt whose fresh requirement B fits in the visit time left,
-and otherwise moves on to its queue's next visit.
+and otherwise moves on to its queue's next visit. The customers enter the
+rounds with nondecreasing first attempts (carried customers, then arrivals
+in time order), and a round moves all its misses on by one cycle in order,
+so a round works on one index array: those past the block end are always a
+suffix, found by one binary search. Sojourns and tags are computed once,
+after the last round, in round order.
 Queue lengths at polling and visit-end instants are cumulative sums over
-arrival and departure instants. Customers still waiting at a block's end
-carry into the next block, so memory does not grow with run length.
+arrival and departure instants. The measured cycles of a block are the
+suffix after the warmup, so the queue-length and pgf sums run over a slice
+of the block's cycles. Customers still waiting at a block's end carry into
+the next block, so memory does not grow with run length.
 
 Ties follow the model: an arrival at a visit's exact end waits for the next
 visit, and a requirement equal to the remaining visit time completes.
@@ -29,9 +36,11 @@ visit, and a requirement equal to the remaining visit time completes.
 Randomness comes from counter-based Philox streams keyed by (master seed,
 replication, queue, purpose), so every replication is an independent,
 reproducible stream bundle regardless of how replications are scheduled
-across processes. Per block, a queue's count stream gives one Poisson
-count, its position stream that many uniforms, and its service stream one
-requirement per customer in each retry round; `single_cycle_throughput` and
+across processes. Each stream's seed sequence gets the key as one array
+of 32-bit words, the same entropy as the key tuple and so the same draws.
+Per block, a queue's count stream gives one Poisson count, its position
+stream that many uniforms, and its service stream one requirement per
+customer in each retry round; `single_cycle_throughput` and
 `leftover_after_visit` instead draw one count per interval. Reports
 aggregate replication means in replication order, making results
 bit-identical for a fixed master seed and any thread count.
@@ -39,6 +48,7 @@ bit-identical for a fixed master seed and any thread count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +147,17 @@ class SimulationReport:
 
 def _generator(master_seed: int, salt: int, rep: int, queue: int,
                purpose: int) -> np.random.Generator:
-    seq = np.random.SeedSequence((master_seed, salt, rep, queue, purpose))
+    # SeedSequence splits each int of its entropy into little-endian 32-bit
+    # words; handing it those words as one uint32 array skips its per-int
+    # coercion and fills the same pool, so the key and every draw match the
+    # tuple (master_seed, salt, rep, queue, purpose). A Python int makes a
+    # negative seed raise, as the tuple does, where a numpy int would wrap.
+    words, high = [], operator.index(master_seed)
+    while high >= 2**32:
+        high, low = divmod(high, 2**32)
+        words.append(low)
+    words += (high, salt, rep, queue, purpose)
+    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -188,34 +208,50 @@ def _retry_rounds(attempt, arrival, offset, tag, visit, polled_at, service,
     becomes CARRIED_FROM_VISIT. Returns the completing cycle, sojourn time
     and tag of every customer served in the block, then the arrival time
     and tag of every customer still waiting at its end.
+
+    attempt must be nondecreasing, as it is for carried customers (all 0)
+    followed by arrivals in time order. A round keeps its misses in order
+    and moves each one cycle on, so attempt stays nondecreasing and the
+    customers past the block end are always a suffix: a round is one
+    `searchsorted` and slices of one index array. Both outputs list the
+    customers in round order (within a round, in input order), the order in
+    which the rounds read `rng`; it fixes the order of every sum over the
+    outputs and of the next block's carried customers, so keeping it keeps
+    every seeded result.
     """
     cycles = visit.size
-    done, sojourn, done_tag = [attempt[:0]], [arrival[:0]], [tag[:0]]
-    kept_time, kept_tag = [arrival[:0]], [tag[:0]]
+    who = np.arange(attempt.size)
+    rounds, kept = [], []
     while True:
-        inside = attempt < cycles
-        if not inside.all():
-            kept_time.append(arrival[~inside])
-            kept_tag.append(tag[~inside])
-            attempt, arrival, tag = attempt[inside], arrival[inside], tag[inside]
-            offset = offset[inside]
-        if not attempt.size:
+        cut = attempt.searchsorted(cycles)
+        kept.append(who[cut:])
+        if not cut:
             break
-        b = service.sample(rng, attempt.size)
-        ok = offset + b <= visit[attempt]
-        done.append(attempt[ok])
-        # polled_at - arrival and offset cancel exactly for an arrival
-        # during the visit, which is then in the system for exactly b
-        sojourn.append(polled_at[done[-1]] - arrival[ok] + offset[ok] + b[ok])
-        done_tag.append(tag[ok])
+        who, attempt = who[:cut], attempt[:cut]
+        b = service.sample(rng, cut)
+        # only a first attempt, in round 0, can start inside its visit
+        ok = (b if rounds else offset[:cut] + b) <= visit[attempt]
+        rounds.append((attempt[ok], who[ok], b[ok]))
         miss = ~ok
-        attempt, arrival, tag = attempt[miss] + 1, arrival[miss], tag[miss]
-        # the next attempt has the whole of the queue's next visit; the tags
-        # are ordered, so this turns SERVED_SAME_VISIT into CARRIED_FROM_VISIT
-        offset = np.zeros(attempt.size)
-        tag = np.maximum(tag, CARRIED_FROM_VISIT)
-    return tuple(np.concatenate(parts) for parts in
-                 (done, sojourn, done_tag, kept_time, kept_tag))
+        who, attempt = who[miss], attempt[miss] + 1
+
+    # the customers of later rounds missed once: they attempt from offset 0,
+    # and the tags are ordered, so a miss turns SERVED_SAME_VISIT into
+    # CARRIED_FROM_VISIT
+    first_done = rounds[0][1].size if rounds else 0
+    first_kept = kept[0].size
+    done, done_who, b = (np.concatenate(parts) for parts in
+                         zip((who[:0], who[:0], offset[:0]), *rounds))
+    start = np.zeros(b.size)
+    start[:first_done] = offset[done_who[:first_done]]
+    # polled_at - arrival and offset cancel exactly for an arrival during the
+    # visit, which is then in the system for exactly b
+    sojourn = polled_at[done] - arrival[done_who] + start + b
+    kept = np.concatenate(kept)
+    done_tag, kept_tag = tag[done_who], tag[kept]
+    for tags, first in ((done_tag, first_done), (kept_tag, first_kept)):
+        np.maximum(tags[first:], CARRIED_FROM_VISIT, out=tags[first:])
+    return done, sojourn, done_tag, arrival[kept], kept_tag
 
 
 def _simulate_replication(system: SystemSpec, config: SimConfig,
@@ -242,7 +278,8 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
     total = config.warmup_cycles + config.measured_cycles
     for first in range(0, total, _BLOCK_CYCLES):
         cycles = min(_BLOCK_CYCLES, total - first)
-        measured = np.arange(first, first + cycles) >= config.warmup_cycles
+        # the block's measured cycles are its suffix from cycle lo on
+        lo = min(max(config.warmup_cycles - first, 0), cycles)
         visits = np.column_stack([q.visit.sample(s[_VISIT], cycles)
                                   for q, s in zip(queues, streams)])
         switches = np.column_stack([q.switch.sample(s[_SWITCH], cycles)
@@ -252,7 +289,9 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
         # boundary k is the start of interval k
         ends = np.cumsum(np.stack((visits, switches), axis=2).ravel())
         starts = np.concatenate(([0.0], ends[:-1]))
-        pgf_terms = np.ones((len(config.pgf_points), cycles))
+        # one row per measured cycle: the sum down the rows adds each
+        # point's terms one cycle after another
+        pgf_terms = np.ones((cycles - lo, len(config.pgf_points)))
 
         for j, (queue, s) in enumerate(zip(queues, streams)):
             owner, at = _timeline_arrivals(queue.arrival_rate, ends,
@@ -275,30 +314,36 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
             done, sojourn, done_tag, kept_time, kept_tag = _retry_rounds(
                 attempt, arrival, offset, tag, visits[:, j],
                 starts[2 * j::2 * n], queue.service, s[_SERVICE])
-            counted = measured[done]
-            served[j] += counted.sum()
-            present_done[j] += (counted & (done_tag != SERVED_SAME_VISIT)).sum()
-            phase_sum[j] += np.bincount(done_tag[counted], weights=sojourn[counted],
-                                        minlength=3)
-            phase_count[j] += np.bincount(done_tag[counted], minlength=3)
+            # completions before cycle lo go to bins 3-5, which are dropped;
+            # each bin sums its sojourns in round order
+            bins = done_tag + 3 * (done < lo) if lo else done_tag
+            counts = np.bincount(bins, minlength=6)[:3]
+            served[j] += counts.sum()
+            present_done[j] += counts[1:].sum()
+            phase_sum[j] += np.bincount(bins, weights=sojourn, minlength=6)[:3]
+            phase_count[j] += counts
 
             # a customer is present at the boundaries after its arrival
             # interval up to and including its completing visit's start; one
             # served in its arrival visit arrives and leaves at that visit's
-            # end, so it is never present
-            edges = ends.size + 1
-            step = np.bincount(owner + 1, minlength=edges) \
-                - np.bincount(2 * (done * n + j) + 1, minlength=edges)
-            present = (carried + np.cumsum(step[:-1])).reshape(cycles, n, 2)
-            x_sum[:, j] += present[measured, :, 0].sum(axis=0)
-            y_sum[:, j] += present[measured, :, 1].sum(axis=0)
+            # end, so it is never present. step[k] is the change in the count
+            # at boundary k; no arrival or departure changes it at boundary 0,
+            # which starts from the carried customers
+            step = np.bincount(owner + 1, minlength=ends.size + 1)[:-1]
+            step[0] = carried
+            step.reshape(cycles, n, 2)[:, j, 1] -= np.bincount(done,
+                                                               minlength=cycles)
+            present = np.cumsum(step).reshape(cycles, n, 2)[lo:]
+            seen = present.sum(axis=0)
+            x_sum[:, j] += seen[:, 0]
+            y_sum[:, j] += seen[:, 1]
             for k, (pq, zs) in enumerate(config.pgf_points):
-                pgf_terms[k] *= np.power(zs[j], present[:, pq, 0])
+                pgf_terms[:, k] *= np.power(zs[j], present[:, pq, 0])
 
             carry_time[j] = kept_time - ends[-1]
             carry_tag[j] = kept_tag
 
-        pgf_sum += pgf_terms[:, measured].sum(axis=1)
+        pgf_sum += pgf_terms.sum(axis=0)
 
     m = float(config.measured_cycles)
     return {

@@ -27,10 +27,13 @@ from mginfpolling.distributions import (
 from mginfpolling.errors import DomainError
 from mginfpolling.simulator import (
     _BLOCK_CYCLES,
+    _CYCLE_SALT,
+    _RUN_SALT,
     CARRIED_FROM_VISIT,
     OUTSIDE_VISIT,
     SERVED_SAME_VISIT,
     SimConfig,
+    _generator,
     _retry_rounds,
     _timeline_arrivals,
     leftover_after_visit,
@@ -197,6 +200,28 @@ class TestRetryRounds:
         assert done.size == 0
         assert kept_time.tolist() == [4101.5, 4101.1]
         assert kept_tag.tolist() == [OUTSIDE_VISIT, CARRIED_FROM_VISIT]
+
+    def test_outputs_follow_round_order(self):
+        carried = (0, 4090.0, 0.0, OUTSIDE_VISIT)                 # fits in visit 0
+        early = (0, 4096.2, 4096.2 - 4096.0, SERVED_SAME_VISIT)   # fits at once
+        late = (0, 4096.9, 4096.9 - 4096.0, SERVED_SAME_VISIT)    # misses twice
+        between = (1, 4097.0, 0.0, OUTSIDE_VISIT)                 # misses once
+        last = (2, 4101.1, 4101.1 - 4101.0, SERVED_SAME_VISIT)    # misses, leaves
+        after = [(3, 4101.5, 0.0, OUTSIDE_VISIT),                 # never attempt
+                 (3, 4101.6, 0.0, OUTSIDE_VISIT)]
+        done, sojourn, done_tag, kept_time, kept_tag = self.settle(
+            [carried, early, late, between, last, *after])
+        # round 0 serves carried and early, round 1 between, round 2 late
+        assert done.tolist() == [0, 0, 2, 2]
+        assert done_tag.tolist() == [OUTSIDE_VISIT, SERVED_SAME_VISIT,
+                                     OUTSIDE_VISIT, CARRIED_FROM_VISIT]
+        assert sojourn[1] == 0.3
+        assert sojourn[[0, 2, 3]] == pytest.approx([6.3, 4.3, 4.4], rel=1e-14)
+        # the never-attempted leave in round 0, ahead of the miss that
+        # pushed `last` past the block in round 1
+        assert kept_time.tolist() == [4101.5, 4101.6, 4101.1]
+        assert kept_tag.tolist() == [OUTSIDE_VISIT, OUTSIDE_VISIT,
+                                     CARRIED_FROM_VISIT]
 
 
 class TestTimelineArrivals:
@@ -565,6 +590,15 @@ class TestDeterminism:
         b = run(sys, SimConfig(warmup_cycles=10, measured_cycles=300,
                                replications=2, master_seed=2))
         assert not np.array_equal(a.polling_means, b.polling_means)
+
+    @pytest.mark.parametrize("salt", [_RUN_SALT, _CYCLE_SALT])
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_stream_keys_match_tuple_seeding(self, master_seed, salt):
+        for rep, queue, purpose in ((0, 0, 0), (3, 7, 4), (9, 1, 2)):
+            key = np.random.Philox(np.random.SeedSequence(
+                (master_seed, salt, rep, queue, purpose))).state["state"]["key"]
+            got = _generator(master_seed, salt, rep, queue, purpose)
+            assert np.array_equal(got.bit_generator.state["state"]["key"], key)
 
     def test_single_cycle_and_leftover_reproduce(self):
         sys = base_system()
