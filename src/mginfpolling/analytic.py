@@ -385,7 +385,12 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
 
     A level holds the distinct counts of crossed visit atoms reached so far
     (they fix u) and each count vector's mass: the summed product of the
-    factors along every history that reaches it. A vector retires, adding
+    factors along every history that reaches it. Only the queues with
+    z_j != 1 carry counts. For any other queue u_j stays 0, so its atoms
+    never change u, and a crossing of its visit multiplies every mass by the
+    visit's transform visit.lst(lambda . u) without branching. Points where
+    all but one coordinate equal 1, such as marginals and gradients at
+    z = 1, therefore keep each level narrow. A vector retires, adding
     its mass to the value, once every coordinate of u is below 1e-15 (its
     remaining factor is then one) or once its mass is below 1e-20. The
     remaining factor of a vector lies in [0, 1] for z in [0, 1], so the
@@ -407,8 +412,8 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     ModelError
         If some queue's completion probability is zero.
     DomainError
-        If z is out of range, or if z above one takes some lambda . u to
-        where a switch-over's transform does not exist.
+        If z is out of range or not finite, or if z above one takes some
+        lambda . u to where a switch-over's transform does not exist.
     NumericsError
         If some vector is still live after 500 cycles of history, which
         happens when service almost never completes, or if a level holds
@@ -420,7 +425,7 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     z = np.asarray(z, dtype=float)
     if z.shape != (n,):
         raise DomainError(f"z must have shape ({n},), got {z.shape}")
-    if np.any(z < 0.0) or np.any(z > 1.02):
+    if not np.all((z >= 0.0) & (z <= 1.02)):
         raise DomainError("z components must lie in [0, 1] "
                           "(small overshoot above 1 is allowed)")
     for idx, q in enumerate(queues):
@@ -432,23 +437,30 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
         _completion_prob(system, j)
 
     rates = np.array([q.arrival_rate for q in queues])
+    u0 = 1.0 - z
+    # only the queues with u_j != 0 carry count columns: for any other queue
+    # u_j stays 0 at every level, so its atom counts never change the future
+    tracked = u0 != 0.0
     # per queue: visit atom values and weights, and per atom the expected
     # number of its own arrivals still present when the visit ends
     atoms = [np.array(q.visit.atoms).T for q in queues]
     left = [rate * q.service.integrated_survival(v)
             for rate, q, (v, _) in zip(rates, queues, atoms)]
-    survive = np.concatenate(
-        [q.service.survival(v) for q, (v, _) in zip(queues, atoms)])
-    # a count vector holds queue j's atoms in columns starts[j]:starts[j + 1]
-    starts = np.cumsum([0] + [len(v) for v, _ in atoms])
+    survive = np.concatenate([np.zeros(0)] + [  # empty at z = 1
+        q.service.survival(v)
+        for q, (v, _), t in zip(queues, atoms, tracked) if t])
+    # a count vector holds tracked queue j's atoms in columns
+    # starts[j]:starts[j + 1]; the other queues' ranges are empty
+    starts = np.cumsum([0] + [len(v) * t for (v, _), t in zip(atoms, tracked)])
     horizon = _PGF_MAX_CYCLES * n
 
-    u0 = 1.0 - z
     counts = np.zeros((1, starts[-1]), dtype=np.int32)
     mass = np.ones(1)
     value = 0.0
     for level in range(horizon + 1):
-        u = u0 * np.multiply.reduceat(survive**counts, starts[:-1], axis=1)
+        u = np.zeros((len(counts), n))
+        u[:, tracked] = u0[tracked] * np.multiply.reduceat(
+            survive**counts, starts[:-1][tracked], axis=1)
         retire = ((np.max(np.abs(u), axis=1) < _PGF_U_FLOOR)
                   | (mass < _PGF_MASS_FLOOR))
         value += mass[retire].sum()
@@ -463,10 +475,14 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
 
         # going back, the server crosses queue j's switch-over, then its visit
         j = (queue - 1 - level) % n
-        v, w = atoms[j]
         lam_dot = u @ rates
-        other = lam_dot - rates[j] * u[:, j]
         mass = mass * queues[j].switch.lst(lam_dot)
+        if not tracked[j]:
+            # its atoms only weigh the other queues' arrivals during it
+            mass = mass * queues[j].visit.lst(lam_dot)
+            continue
+        v, w = atoms[j]
+        other = lam_dot - rates[j] * u[:, j]
         child_mass = mass[:, None] * w * np.exp(
             -np.outer(other, v) - np.outer(u[:, j], left[j]))
         children = np.repeat(counts, len(v), axis=0)

@@ -10,10 +10,12 @@ import dataclasses
 import itertools
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
 
+from mginfpolling import analytic
 from mginfpolling.analytic import (
     CycleMoments,
     QueueSpec,
@@ -98,6 +100,78 @@ def mixed_system() -> SystemSpec:
                   MixedErlang(0.3, 4, 5.0),
                   Discrete(((0.05, 0.5), (0.15, 0.5)))),
     ))
+
+
+def three_queue_deterministic_system() -> SystemSpec:
+    """Deterministic visits and switch-overs, one with zero length."""
+    return SystemSpec((
+        QueueSpec(0.6, HyperExponential(0.4, 3.0, 0.8), Deterministic(1.0),
+                  Deterministic(0.0)),
+        QueueSpec(0.5, Deterministic(0.7), Deterministic(1.2),
+                  Deterministic(0.3)),
+        QueueSpec(0.4, MixedErlang(0.3, 3, 4.0), Deterministic(0.8),
+                  Deterministic(0.1)),
+    ))
+
+
+def atomic_pgf_system() -> SystemSpec:
+    """Two-atom visit laws and atomic switch-overs on three queues."""
+    return SystemSpec((
+        QueueSpec(0.6, Exponential(5.0), Discrete(((0.8, 0.5), (1.6, 0.5))),
+                  Deterministic(0.2)),
+        QueueSpec(0.4, Erlang(2, 6.0), Discrete(((0.6, 0.6), (1.2, 0.4))),
+                  Discrete(((0.1, 0.5), (0.3, 0.5)))),
+        QueueSpec(0.5, Exponential(5.0), Discrete(((0.5, 0.3), (1.0, 0.7))),
+                  Deterministic(0.15)),
+    ))
+
+
+def full_walk_pgf(system: SystemSpec, queue: int, z) -> float:
+    """`pgf_eval`'s level recursion with every queue's atom counts tracked.
+
+    The reference for `pgf_eval`, which tracks only the queues with
+    z_j != 1. Takes valid inputs only.
+    """
+    queues = system.queues
+    n = len(queues)
+    rates = np.array([q.arrival_rate for q in queues])
+    atoms = [np.array(q.visit.atoms).T for q in queues]
+    left = [rate * q.service.integrated_survival(v)
+            for rate, q, (v, _) in zip(rates, queues, atoms)]
+    survive = np.concatenate(
+        [q.service.survival(v) for q, (v, _) in zip(queues, atoms)])
+    starts = np.cumsum([0] + [len(v) for v, _ in atoms])
+    u0 = 1.0 - np.asarray(z, dtype=float)
+    counts = np.zeros((1, starts[-1]), dtype=np.int32)
+    mass = np.ones(1)
+    value = 0.0
+    for level in range(analytic._PGF_MAX_CYCLES * n + 1):
+        u = u0 * np.multiply.reduceat(survive**counts, starts[:-1], axis=1)
+        retire = ((np.max(np.abs(u), axis=1) < analytic._PGF_U_FLOOR)
+                  | (mass < analytic._PGF_MASS_FLOOR))
+        value += mass[retire].sum()
+        live = ~retire
+        if not live.any():
+            return float(value)
+        counts, mass, u = counts[live], mass[live], u[live]
+        j = (queue - 1 - level) % n
+        v, w = atoms[j]
+        lam_dot = u @ rates
+        other = lam_dot - rates[j] * u[:, j]
+        mass = mass * queues[j].switch.lst(lam_dot)
+        child_mass = mass[:, None] * w * np.exp(
+            -np.outer(other, v) - np.outer(u[:, j], left[j]))
+        children = np.repeat(counts, len(v), axis=0)
+        children[:, starts[j]:starts[j + 1]] += np.tile(
+            np.eye(len(v), dtype=counts.dtype), (len(counts), 1))
+        order = np.lexsort(children.T)
+        children = children[order]
+        first = np.ones(len(children), dtype=bool)
+        first[1:] = np.any(children[1:] != children[:-1], axis=1)
+        counts = children[first]
+        mass = np.bincount(np.cumsum(first) - 1,
+                           weights=child_mass.ravel()[order])
+    raise AssertionError("the full walk did not settle")
 
 
 class TestModelValidation:
@@ -424,6 +498,86 @@ class TestPgf:
         h = 1e-6
         grad = (1.0 - pgf_eval(sys2, 0, (1.0 - h, 1.0))) / h
         assert abs(grad - pm.at_polling[0, 0]) < 1e-4
+
+
+#: systems compared with the full walk
+PGF_SYSTEMS = {
+    "atomic": atomic_system,
+    "three_deterministic": three_queue_deterministic_system,
+    "never_serving": never_serving_system,
+    "continuous_switch": continuous_switch_system,
+    "atomic_pgf": atomic_pgf_system,
+}
+
+
+# the points put coordinates just below and just above 1 as well as far off
+def off_one_points(n: int):
+    """Points with no coordinate at 1."""
+    if n == 2:
+        return [(0.0, 0.4), (0.4, 1.0 - 1e-6), (1.0 + 1e-5, 0.0),
+                (1.0 - 1e-6, 1.0 + 1e-5)]
+    return [(0.5, 0.5, 0.5), (0.8, 0.6, 0.9), (0.0, 0.3, 1.0 + 1e-5),
+            (1.0 - 1e-6, 0.2, 0.7)]
+
+
+def at_one_points(n: int):
+    """Points with one coordinate at 1 and, on three queues, with two."""
+    if n == 2:
+        return [(1.0, 0.4), (0.0, 1.0), (1.0, 1.0 - 1e-6), (1.0 + 1e-5, 1.0)]
+    return [(1.0, 0.5, 0.7), (0.0, 1.0, 1.0 - 1e-6), (1.0 + 1e-5, 0.4, 1.0),
+            (1.0, 0.5, 1.0), (1.0 - 1e-6, 1.0, 1.0), (1.0, 1.0, 1.0 + 1e-5)]
+
+
+class TestPgfTrackedQueues:
+    """`pgf_eval` carries atom counts only for the queues with z_j != 1."""
+
+    @pytest.mark.parametrize("name", PGF_SYSTEMS)
+    def test_equal_to_full_walk_off_one(self, name):
+        system = PGF_SYSTEMS[name]()
+        n = len(system)
+        for z in off_one_points(n):
+            for i in range(n):
+                assert pgf_eval(system, i, z) == full_walk_pgf(system, i, z), \
+                    (i, z)
+
+    @pytest.mark.parametrize("name", PGF_SYSTEMS)
+    def test_close_to_full_walk_at_one(self, name):
+        system = PGF_SYSTEMS[name]()
+        n = len(system)
+        for z in at_one_points(n):
+            for i in range(n):
+                assert abs(pgf_eval(system, i, z)
+                           - full_walk_pgf(system, i, z)) < 1e-14, (i, z)
+
+    def test_levels_stay_narrow_at_marginal_points(self, monkeypatch):
+        # the full walk holds 840 and 108 vectors on its widest levels here
+        monkeypatch.setattr(analytic, "_PGF_MAX_VECTORS", 64)
+        system = atomic_pgf_system()
+        for z in ((1.0, 0.5, 1.0), (1.0 - 1e-6, 1.0, 1.0)):
+            for i in range(3):
+                assert 0.0 < pgf_eval(system, i, z) < 1.0
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_marginal_is_bitwise_free_of_the_service_law(self, j):
+        base = atomic_pgf_system()
+        z = [0.3, 0.6, 0.8]
+        z[j] = 1.0
+        values = set()
+        for service in (Exponential(5.0), Erlang(3, 1.0), Deterministic(0.7),
+                        HyperExponential(0.4, 3.0, 0.8)):
+            queues = list(base.queues)
+            queues[j] = dataclasses.replace(queues[j], service=service)
+            values.add(pgf_eval(SystemSpec(tuple(queues)), 0, z))
+        assert len(values) == 1
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_nan_z_rejected_before_the_walk(self, j):
+        z = [0.5, 0.5, 0.5]
+        z[j] = math.nan
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="must lie in"):
+            pgf_eval(atomic_pgf_system(), 0, z)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSojournMean:
