@@ -1,7 +1,7 @@
 """How visit-time choices shape the mean sojourn time.
 
 Two experiments on the base system, both refitting queue 2's visit law
-with a two-moment phase-type fit at each grid point:
+with a two-moment phase-type fit at each grid point (`sojourn_sweep`):
 
  * sweep the visit mean: too-short visits rarely finish anyone, too-long
    visits starve the other queue, so the arrival-weighted sojourn mean
@@ -9,8 +9,6 @@ with a two-moment phase-type fit at each grid point:
  * sweep the visit squared coefficient of variation at fixed mean to see
    the (mild) effect of visit-time variability.
 """
-import dataclasses
-
 import numpy as np
 
 from mginfpolling import (
@@ -19,7 +17,7 @@ from mginfpolling import (
     QueueSpec,
     SystemSpec,
     fit_two_moments,
-    weighted_sojourn_mean,
+    sojourn_sweep,
 )
 
 base = SystemSpec((
@@ -30,16 +28,9 @@ base = SystemSpec((
 ))
 
 
-def with_visit(system, queue, law):
-    queues = list(system.queues)
-    queues[queue] = dataclasses.replace(queues[queue], visit=law)
-    return SystemSpec(tuple(queues))
-
-
 print("sweep 1: queue 2 visit mean, scv held at 1")
 grid = np.linspace(0.1, 3.0, 25)
-values = [weighted_sojourn_mean(with_visit(base, 1, fit_two_moments(g, 1.0)))
-          for g in grid]
+values = [v for v, _ in sojourn_sweep(base, 1, "visit_mean", grid)]
 for g, v in zip(grid[::4], values[::4]):
     print(f"  E[V2] = {g:5.3f}  weighted E[S] = {v:.5f}")
 best = int(np.argmin(values))
@@ -47,9 +38,9 @@ print(f"  minimum {values[best]:.5f} at E[V2] = {grid[best]:.3f} "
       f"(interior point {best + 1} of {len(grid)})")
 
 print("\nsweep 2: queue 2 visit scv, mean held at 2/3")
-for scv in (0.25, 0.5, 1.0, 2.0, 4.0):
+scvs = (0.25, 0.5, 1.0, 2.0, 4.0)
+for scv, (v, _) in zip(scvs, sojourn_sweep(base, 1, "visit_scv", scvs)):
     law = fit_two_moments(2 / 3, scv)
-    v = weighted_sojourn_mean(with_visit(base, 1, law))
     print(f"  scv = {scv:4.2f} ({type(law).__name__:<16}) "
           f"weighted E[S] = {v:.5f}")
 print("the fit family switches at scv = 1; the sojourn mean moves "

@@ -55,6 +55,7 @@ from .analytic import (
     sojourn_mean,
     sojourn_mean_exponential,
     sojourn_metrics,
+    sojourn_sweep,
     weighted_sojourn_mean,
 )
 from .simulator import (

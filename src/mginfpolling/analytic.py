@@ -26,11 +26,13 @@ minimum, in-visit service mean and residual overshoot integral), and a
 the laws a cached value came from never change under it, and
 `dataclasses.replace` builds a new spec that starts with no cached values.
 A sweep therefore evaluates the functionals of its unchanged queues once for
-the whole grid. Functionals of a transform argument s are not cached; they
-take the whole s-grid at once instead. `sojourn_metrics` runs each queue's
-transform functionals once over every grid point, and evaluates each visit
-and switch-over transform once per point, shared across the queues. The
-scalar `sojourn_lst` is the same computation on a one-point grid.
+the whole grid, and `sojourn_sweep` evaluates those of the swept queue once
+per group of fitted laws with the same phases. Functionals of a transform
+argument s are not cached; they take the whole s-grid at once instead.
+`sojourn_metrics` runs each queue's transform functionals once over every
+grid point, and evaluates each visit and switch-over transform once per
+point, shared across the queues. The scalar `sojourn_lst` is the same
+computation on a one-point grid.
 
 Conventions: queue indices are 0-based everywhere in the library. Optional
 central-point travel laws can ride along on a queue spec for tour planning,
@@ -38,6 +40,7 @@ but they never alter the cyclic-model quantities computed here.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -46,9 +49,12 @@ import numpy as np
 
 from .distributions import (
     Distribution,
+    _phase_groups,
+    _Stack,
     attempt_lst,
     completion_probability,
     expected_min,
+    fit_two_moments,
     has_atom_at_zero,
     served_in_visit,
     survival_product_integral,
@@ -77,8 +83,23 @@ __all__ = [
     "sojourn_mean_exponential",
     "sojourn_lst_exponential",
     "sojourn_metrics",
+    "sojourn_sweep",
     "weighted_sojourn_mean",
 ]
+
+
+#: The s-free functionals of a (service, visit) pair that a `QueueSpec`
+#: keeps, each under the name of the cached property that holds it. Either
+#: law may be a `_Stack`, which gives one value per law of the stack. Each
+#: looks its functional up at call time, so a wrapper set on this module
+#: sees every call.
+_PAIR_FUNCTIONALS = {
+    "_completion_probability": lambda b, v: completion_probability(b, v),
+    "_expected_min": lambda b, v: expected_min(b, v),
+    "_served_mean": lambda b, v: served_in_visit(b, v, moment=1),
+    "_overshoot_integral":
+        lambda b, v: survival_product_integral(v, b, 0.0, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -103,7 +124,8 @@ class QueueSpec:
     first use and kept on the spec, each in its own private cached
     property, so a caller pays only for the ones it reads. The spec is
     frozen, so they cannot go stale; `dataclasses.replace` returns a new
-    spec with none of them computed yet.
+    spec with none of them computed yet. `sojourn_sweep` fills them for
+    many specs at once from one pass over their laws.
     """
 
     arrival_rate: float
@@ -127,25 +149,36 @@ class QueueSpec:
                 "central-point travel times must be given as a pair "
                 "(approach and return_) or not at all")
 
+    def _pair(self, name: str) -> float:
+        return _PAIR_FUNCTIONALS[name](self.service, self.visit)
+
     @functools.cached_property
     def _completion_probability(self) -> float:
         """P[B <= V]."""
-        return completion_probability(self.service, self.visit)
+        return self._pair("_completion_probability")
 
     @functools.cached_property
     def _expected_min(self) -> float:
         """E[min(B, V)]."""
-        return expected_min(self.service, self.visit)
+        return self._pair("_expected_min")
 
     @functools.cached_property
     def _served_mean(self) -> float:
         """E[B; B <= residual visit], the in-visit service term."""
-        return served_in_visit(self.service, self.visit, moment=1)
+        return self._pair("_served_mean")
 
     @functools.cached_property
     def _overshoot_integral(self) -> float:
         """Integral of x S_V(x) S_B(x); over E[V], the residual overshoot."""
-        return survival_product_integral(self.visit, self.service, 0.0, 1)
+        return self._pair("_overshoot_integral")
+
+    def _keep(self, values: dict) -> None:
+        """Fill cached functionals with values computed for the pair elsewhere.
+
+        `values` maps names of `_PAIR_FUNCTIONALS` to what the property
+        would compute; `sojourn_sweep` gets them for many specs in one pass.
+        """
+        vars(self).update(values)
 
 
 @dataclass(frozen=True)
@@ -185,11 +218,12 @@ class SystemSpec:
         switch_mean = sum(q.switch.mean() for q in self.queues)
         switch_var = sum(q.switch.variance() for q in self.queues)
         cycle_mean = sum(visit_means) + switch_mean
+        visit_var = sum(visit_vars)
         partial_means = []
         partial_seconds = []
         for i in range(len(self.queues)):
             mean_i = cycle_mean - visit_means[i]
-            var_i = sum(visit_vars) - visit_vars[i] + switch_var
+            var_i = visit_var - visit_vars[i] + switch_var
             partial_means.append(mean_i)
             partial_seconds.append(var_i + mean_i**2)
         return CycleMoments(cycle_mean, tuple(partial_means),
@@ -637,7 +671,9 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
     The decomposition of `sojourn_lst` specialized by hand: with service
     rate mu, visit rate gamma and server-away transform A, it reads
     [E[V]/E[C] + (1 - A)/(s E[C])] mu / (mu + gamma + s - gamma A). It
-    cross-checks the finite-sum functionals, not the decomposition itself.
+    cross-checks the finite-sum functionals, not the decomposition itself,
+    and forms A from the laws' transforms without the general path's
+    helpers.
     """
     if not s >= 0.0:
         raise DomainError("transform argument s must be >= 0")
@@ -645,7 +681,10 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
         return 1.0
     gamma, mu = _exponential_rates(system, queue)
     ec = cycle_moments(system).cycle_mean
-    away = float(_away_lst(_server_lsts(system, (s,)), queue)[0])
+    queues = system.queues
+    away = float(math.prod(
+        [q.visit.lst(s) for j, q in enumerate(queues) if j != queue]
+        + [q.switch.lst(s) for q in queues]))
     return ((1.0 / gamma + (1.0 - away) / s) / ec
             * mu / (mu + gamma + s - gamma * away))
 
@@ -674,6 +713,75 @@ def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
         for i in range(n):
             table[i, positive] = _sojourn_lst(system, i, s, lsts)
     return SojournMetrics(means=means, s_grid=s_values, lst_table=table)
+
+
+#: the law and moment a `sojourn_sweep` grid value sets
+_SWEEP_TARGETS = ("service_mean", "service_scv", "visit_mean", "visit_scv")
+
+
+def sojourn_sweep(system: SystemSpec, queue: int, target: str, grid):
+    """Sojourn means as one law of one queue is refitted over a grid.
+
+    `target` is "service_mean", "service_scv", "visit_mean" or "visit_scv":
+    the queue's law and the moment each grid value sets. At each value the
+    law is refitted with `fit_two_moments`, keeping its other moment, and
+    the queue gets the fitted law. Returns, per grid value in grid order,
+    the pair (weighted, per_queue) of the arrival-rate weighted sojourn mean
+    and the tuple of every queue's `sojourn_mean` on that system.
+
+    Fitted laws with the same phases share one evaluation of the queue's
+    four s-free pair functionals: a `_Stack` of them goes through each
+    functional once, and every point's spec is given its values. Each value
+    equals that of the point's own evaluation.
+
+    Raises
+    ------
+    ModelError
+        If a grid value admits no fitted law, naming the value, or if a
+        point's system has no sojourn mean; for the first such point.
+    """
+    spec = _queue_checked(system, queue)
+    if target not in _SWEEP_TARGETS:
+        raise DomainError(f"unknown sweep target {target!r} (expected one of: "
+                          f"{', '.join(_SWEEP_TARGETS)})")
+    field, moment = target.split("_")
+    law = getattr(spec, field)
+    laws = []
+    for value in grid:
+        if moment == "mean":
+            mean, scv = value, law.scv()
+        else:
+            mean, scv = law.mean(), value
+        try:
+            laws.append(fit_two_moments(mean, scv))
+        except (DomainError, ModelError) as exc:
+            # the points before a bad value raise their own errors first
+            _sweep_points(system, queue, field, laws)
+            raise ModelError(f"grid value {value:g}: {exc}") from exc
+    return _sweep_points(system, queue, field, laws)
+
+
+def _sweep_points(system: SystemSpec, queue: int, field: str, laws) -> list:
+    """`sojourn_sweep` for the fitted laws of one field of one queue."""
+    spec = system.queues[queue]
+    specs = [dataclasses.replace(spec, **{field: law}) for law in laws]
+    for group in _phase_groups(laws):
+        if len(group) == 1:
+            continue  # a lone law fills its own cache on first use
+        pair = {"service": spec.service, "visit": spec.visit,
+                field: _Stack(laws[k] for k in group)}
+        columns = [f(pair["service"], pair["visit"]).tolist()
+                   for f in _PAIR_FUNCTIONALS.values()]
+        for k, values in zip(group, zip(*columns)):
+            specs[k]._keep(dict(zip(_PAIR_FUNCTIONALS, values)))
+    queues = list(system.queues)
+    points = []
+    for new in specs:
+        queues[queue] = new
+        swept = SystemSpec(tuple(queues))
+        per_queue = tuple(sojourn_mean(swept, i) for i in range(len(queues)))
+        points.append((_rate_weighted(swept, per_queue), per_queue))
+    return points
 
 
 def weighted_sojourn_mean(system: SystemSpec) -> float:

@@ -30,9 +30,9 @@ import sys
 import numpy as np
 
 from .analytic import (
+    _SWEEP_TARGETS,
     QueueSpec,
     SystemSpec,
-    _rate_weighted,
     cycle_moments,
     derived_quantities,
     pgf_eval,
@@ -42,6 +42,7 @@ from .analytic import (
     sojourn_mean,
     sojourn_mean_exponential,
     sojourn_metrics,
+    sojourn_sweep,
 )
 from .distributions import (
     Deterministic,
@@ -51,7 +52,6 @@ from .distributions import (
     Exponential,
     HyperExponential,
     MixedErlang,
-    fit_two_moments,
 )
 from .errors import (
     ConfigError,
@@ -219,9 +219,6 @@ def _build_sim(obj, path: str, n_queues: int) -> SimConfig:
         return SimConfig(**kwargs)
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-_SWEEP_TARGETS = ("service_mean", "service_scv", "visit_mean", "visit_scv")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -459,26 +456,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_row(system: SystemSpec, spec: _SweepSpec, value: float):
-    queue = system.queues[spec.queue]
-    law = queue.service if spec.target.startswith("service") else queue.visit
-    if spec.target.endswith("mean"):
-        mean, scv = value, law.scv()
-    else:
-        mean, scv = law.mean(), value
-    try:
-        fitted = fit_two_moments(mean, scv)
-    except (DomainError, ModelError) as exc:
-        raise ModelError(f"grid value {value:g}: {exc}") from exc
-    field = "service" if spec.target.startswith("service") else "visit"
-    new_queue = dataclasses.replace(queue, **{field: fitted})
-    queues = list(system.queues)
-    queues[spec.queue] = new_queue
-    swept = SystemSpec(tuple(queues))
-    per_queue = [sojourn_mean(swept, i) for i in range(len(queues))]
-    return _rate_weighted(swept, per_queue), per_queue
-
-
 def cmd_sweep(args) -> int:
     raw = _load_config(args.config)
     system = _build_system(raw["system"])
@@ -487,10 +464,9 @@ def cmd_sweep(args) -> int:
 
     header = ("grid_value", "ES_weighted") + tuple(f"ES[{i + 1}]"
                                                    for i in range(n))
-    rows = []
-    for value in spec.grid:
-        weighted, per_queue = _sweep_row(system, spec, value)
-        rows.append((value, weighted) + tuple(per_queue))
+    points = sojourn_sweep(system, spec.queue, spec.target, spec.grid)
+    rows = [(value, weighted) + per_queue
+            for value, (weighted, per_queue) in zip(spec.grid, points)]
     _write_csv(args.out, header, rows)
     return 0
 

@@ -25,7 +25,10 @@ Those of a transform argument s (`survival_product_integral`, `attempt_lst`
 and `served_in_visit`) take a scalar or a 1-D grid of s in one pass: the
 term product and its log-gamma factors are built once, the grid rides on the
 rates as a leading axis, and each grid row is summed on its own, so every
-value equals that of a scalar call at its s.
+value equals that of a scalar call at its s. In the same way a `_Stack` of
+Erlang mixtures with the same phases stands in for one law of a pair: its
+term sums carry a grid axis on the coefficients and the rates, and an
+s-free functional returns one value per law.
 
 Every incomplete gamma function met here has an integer shape a, so it is a
 Poisson tail: P(a, x) = P[Poisson(x) >= a]. `_gamma_pq` sums the side of
@@ -235,7 +238,8 @@ class _ErlangMixture(Distribution):
     def _expect(self, g: _Terms, moment: int = 0, s=0.0, left: bool = False):
         """E[Y^moment exp(-s Y) g(Y)] by the density, which ignores `left`.
 
-        A float for a scalar s, one value per entry of a 1-D array s.
+        A float for a scalar s, one value per entry of a 1-D array s, and
+        one value per law for a `g` of a `_Stack`, or on a `_Stack`.
         """
         return _integral(_product(self._density_terms, _weighted(g, moment, s)))
 
@@ -309,12 +313,14 @@ class _Atomic(Distribution):
     def _expect(self, g: _Terms, moment: int = 0, s=0.0, left: bool = False):
         """E[Y^moment exp(-s Y) g(Y)] over the atoms, g(y-) when `left`.
 
-        A float for a scalar s, one value per entry of a 1-D array s.
+        A float for a scalar s, one value per entry of a 1-D array s, and
+        one value per law for a `g` of a `_Stack`.
         """
         values, weights = self._arrays
         t = _weighted(g, moment, s)
-        # each grid row of rates meets every atom
-        return _dot(_evaluate(t._replace(r=t.r[..., None, :]), values, left),
+        # each grid row of coefficients and rates meets every atom
+        return _dot(_evaluate(t._replace(logc=t.logc[..., None, :],
+                                         r=t.r[..., None, :]), values, left),
                     weights)
 
     @functools.cached_property
@@ -446,6 +452,56 @@ class Discrete(_Atomic):
         # renormalize so downstream sums treat the weights as exact
         object.__setattr__(
             self, "atoms", tuple((v, w / total) for v, w in pairs))
+
+
+class _Stack:
+    """Erlang mixtures with the same phases, as one law with a grid axis.
+
+    Each term sum holds the laws' own cached sums stacked row by row. Their
+    powers, signs and cutoffs depend on the phases only, so they are those
+    of every law; `logc` and `r` gain a leading axis with one row per law.
+    The s-free two-law functionals, at a scalar s, take a stack in place of
+    either law and return one value per law. Each row is reduced on its
+    own, so each value equals that of the law alone.
+    """
+
+    def __init__(self, laws):
+        self._laws = tuple(laws)
+
+    def _stacked(self, name: str) -> _Terms:
+        sums = [getattr(law, name) for law in self._laws]
+        return sums[0]._replace(logc=np.stack([t.logc for t in sums]),
+                                r=np.stack([t.r for t in sums]))
+
+    @functools.cached_property
+    def _survival_terms(self) -> _Terms:
+        return self._stacked("_survival_terms")
+
+    @functools.cached_property
+    def _density_terms(self) -> _Terms:
+        return self._stacked("_density_terms")
+
+    @functools.cached_property
+    def _tail_terms(self) -> _Terms:
+        return self._stacked("_tail_terms")
+
+    def mean(self) -> np.ndarray:
+        return np.array([law.mean() for law in self._laws])
+
+    _expect = _ErlangMixture._expect
+
+
+def _phase_groups(laws) -> list[list[int]]:
+    """Indices of Erlang mixtures grouped by the phases of their components.
+
+    Only components of positive weight count. Laws of one group have term
+    sums of one shape, so a `_Stack` can hold them. Groups, and the indices
+    in each, come in the order of the laws.
+    """
+    groups: dict[bytes, list[int]] = {}
+    for k, law in enumerate(laws):
+        groups.setdefault(law._arrays[1].tobytes(), []).append(k)
+    return list(groups.values())
 
 
 def _pick_edges(weights: np.ndarray) -> np.ndarray:
@@ -636,10 +692,11 @@ def _integral(t: _Terms):
     A term whose factor P(a, r u) underflows is below 1e-300 of its full
     integral and drops out.
 
-    Rates with a leading grid axis (from `_weighted` at a 1-D array s) give
-    one integral per grid row. The shapes, signs, cutoffs and log Gamma(a)
-    carry no grid axis, so they are formed once for the whole grid; only
-    the factors that depend on the rate are evaluated per row.
+    Rates with a leading grid axis (from `_weighted` at a 1-D array s), or
+    coefficients and rates with one (from a `_Stack`), give one integral
+    per grid row. The shapes, signs, cutoffs and log Gamma(a) carry no grid
+    axis, so they are formed once for the whole grid; only the factors
+    that depend on the coefficient or the rate are evaluated per row.
     """
     a = t.p + 1.0
     cut = np.isfinite(t.u) & (t.r > 0.0)
@@ -707,7 +764,9 @@ def completion_probability(service: Distribution, visit: Distribution) -> float:
     Computed as E[P[V >= B]], a sum of positive terms, which carries the
     shared-atom overlap term exactly when both laws are atomic.
     """
-    return min(1.0, service._expect(visit._survival_terms, left=True))
+    p = service._expect(visit._survival_terms, left=True)
+    # a `_Stack` in place of either law gives one value per law
+    return np.minimum(p, 1.0) if isinstance(p, np.ndarray) else min(1.0, p)
 
 
 def attempt_lst(service: Distribution, visit: Distribution, s):

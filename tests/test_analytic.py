@@ -710,6 +710,24 @@ class TestSojournLst:
         with pytest.raises(UnsupportedModelError):
             sojourn_lst_exponential(sys2, 0, 1.0)
 
+    def test_closed_form_shares_no_helper_with_the_general_path(
+            self, monkeypatch):
+        # the closed form checks the general transform, so it must not reach
+        # the server transforms through the general path's own helpers
+        def refuse(*args, **kwargs):
+            raise AssertionError("general-path helper called")
+
+        sys2 = reference_system()
+        monkeypatch.setattr(analytic, "_server_lsts", refuse)
+        monkeypatch.setattr(analytic, "_away_lst", refuse)
+        for queue, gamma, mu, other in ((0, 1.0, 1.0, 1.5), (1, 1.5, 1.5, 1.0)):
+            for s in (0.1, 0.5, 2.0):
+                away = other / (other + s) * math.exp(-0.5 * s)
+                closed = ((1.0 / gamma + (1.0 - away) / s) / (13.0 / 6.0)
+                          * mu / (mu + gamma + s - gamma * away))
+                assert sojourn_lst_exponential(sys2, queue, s) == \
+                    pytest.approx(closed, rel=1e-14)
+
 
 def tagged_sojourns(system: SystemSpec, queue: int, cycles: int,
                     seed: int) -> np.ndarray:

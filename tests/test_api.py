@@ -24,8 +24,8 @@ PACKAGE_NAMES = [
     "optimal_order", "pgf_eval", "polling_means", "residual_lst",
     "residual_survival", "run", "served_in_visit", "single_cycle_throughput",
     "sojourn_lst", "sojourn_lst_exponential", "sojourn_mean",
-    "sojourn_mean_exponential", "sojourn_metrics", "survival_product_integral",
-    "weighted_sojourn_mean",
+    "sojourn_mean_exponential", "sojourn_metrics", "sojourn_sweep",
+    "survival_product_integral", "weighted_sojourn_mean",
 ]
 
 MODULE_ALL = {
@@ -42,7 +42,8 @@ MODULE_ALL = {
         "PollingMeans", "SojournMetrics", "derived_quantities",
         "cycle_moments", "polling_means", "end_of_visit_means", "pgf_eval",
         "sojourn_mean", "sojourn_lst", "sojourn_mean_exponential",
-        "sojourn_lst_exponential", "sojourn_metrics", "weighted_sojourn_mean",
+        "sojourn_lst_exponential", "sojourn_metrics", "sojourn_sweep",
+        "weighted_sojourn_mean",
     ],
     "simulator": [
         "SERVED_SAME_VISIT", "CARRIED_FROM_VISIT", "OUTSIDE_VISIT",

@@ -428,13 +428,14 @@ class TestSweep:
             weighted, first, second = map(float, row.split(",")[1:])
             assert weighted == (0.8 * first + 0.5 * second) / 1.3
 
-    @pytest.mark.parametrize("config, n, g", [
-        ("three-queue", 3, 4),
-        ("bench/workloads/general-wide.json", 8, 6)])
+    @pytest.mark.parametrize("config, n, g, groups", [
+        ("three-queue", 3, 4, 1),
+        ("bench/workloads/general-wide.json", 8, 6, 5)])
     def test_unchanged_queues_evaluate_their_functionals_once(
-            self, tmp_path, capsys, monkeypatch, config, n, g):
-        # the first grid point evaluates every queue, and each later one
-        # only the swept queue, whose spec is new at every point
+            self, tmp_path, capsys, monkeypatch, config, n, g, groups):
+        # every unchanged queue is evaluated once, and the swept queue once
+        # per group of fitted laws with the same phases, shared by the new
+        # specs of the group's points
         counts = dict.fromkeys(("completion_probability", "expected_min",
                                 "served_in_visit",
                                 "survival_product_integral"), 0)
@@ -453,7 +454,7 @@ class TestSweep:
             cfg = str(ROOT / config)
         assert main(["sweep", "--config", cfg]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + g
-        assert counts == dict.fromkeys(counts, n + g - 1)
+        assert counts == dict.fromkeys(counts, n - 1 + groups)
 
     def test_missing_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
