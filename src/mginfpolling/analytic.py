@@ -40,10 +40,10 @@ but they never alter the cyclic-model quantities computed here.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -124,8 +124,7 @@ class QueueSpec:
     first use and kept on the spec, each in its own private cached
     property, so a caller pays only for the ones it reads. The spec is
     frozen, so they cannot go stale; `dataclasses.replace` returns a new
-    spec with none of them computed yet. `sojourn_sweep` fills them for
-    many specs at once from one pass over their laws.
+    spec with none of them computed yet.
     """
 
     arrival_rate: float
@@ -172,14 +171,6 @@ class QueueSpec:
         """Integral of x S_V(x) S_B(x); over E[V], the residual overshoot."""
         return self._pair("_overshoot_integral")
 
-    def _keep(self, values: dict) -> None:
-        """Fill cached functionals with values computed for the pair elsewhere.
-
-        `values` maps names of `_PAIR_FUNCTIONALS` to what the property
-        would compute; `sojourn_sweep` gets them for many specs in one pass.
-        """
-        vars(self).update(values)
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -213,21 +204,11 @@ class SystemSpec:
 
     @functools.cached_property
     def _cycle_moments(self) -> CycleMoments:
-        visit_means = [q.visit.mean() for q in self.queues]
-        visit_vars = [q.visit.variance() for q in self.queues]
-        switch_mean = sum(q.switch.mean() for q in self.queues)
-        switch_var = sum(q.switch.variance() for q in self.queues)
-        cycle_mean = sum(visit_means) + switch_mean
-        visit_var = sum(visit_vars)
-        partial_means = []
-        partial_seconds = []
-        for i in range(len(self.queues)):
-            mean_i = cycle_mean - visit_means[i]
-            var_i = visit_var - visit_vars[i] + switch_var
-            partial_means.append(mean_i)
-            partial_seconds.append(var_i + mean_i**2)
-        return CycleMoments(cycle_mean, tuple(partial_means),
-                            tuple(partial_seconds))
+        queues = self.queues
+        return _cycle_moments_from([q.visit.mean() for q in queues],
+                                   [q.visit.variance() for q in queues],
+                                   sum(q.switch.mean() for q in queues),
+                                   sum(q.switch.variance() for q in queues))
 
 
 @dataclass(frozen=True)
@@ -272,6 +253,27 @@ class CycleMoments:
     cycle_mean: float
     partial_means: tuple[float, ...]
     partial_second_moments: tuple[float, ...]
+
+
+def _cycle_moments_from(visit_means, visit_vars, switch_mean: float,
+                        switch_var: float) -> CycleMoments:
+    """`CycleMoments` from per-queue visit moments and summed switch-overs.
+
+    `visit_means` and `visit_vars` hold each queue's visit mean and
+    variance in queue order; `SystemSpec` and `sojourn_sweep` both form
+    the moments here.
+    """
+    cycle_mean = sum(visit_means) + switch_mean
+    visit_var = sum(visit_vars)
+    partial_means = []
+    partial_seconds = []
+    for mean_v, var_v in zip(visit_means, visit_vars):
+        mean_i = cycle_mean - mean_v
+        var_i = visit_var - var_v + switch_var
+        partial_means.append(mean_i)
+        partial_seconds.append(var_i + mean_i**2)
+    return CycleMoments(cycle_mean, tuple(partial_means),
+                        tuple(partial_seconds))
 
 
 @dataclass(frozen=True)
@@ -550,19 +552,18 @@ def sojourn_mean(system: SystemSpec, queue: int) -> float:
     attempt adds the expected minimum of requirement and visit plus, on
     failure, the server-elsewhere remainder of the cycle.
     """
-    derived = derived_quantities(system, queue)
+    p = _completion_prob(system, queue)
     spec = system.queues[queue]
+    emin = spec._expected_min
     moments = cycle_moments(system)
     ev, ec = spec.visit.mean(), moments.cycle_mean
     ecmi = moments.partial_means[queue]
     ec2mi = moments.partial_second_moments[queue]
-    p, emin = derived.completion_prob, derived.min_mean
 
     served = spec._served_mean
     residual_excess = spec._overshoot_integral / ev
     from_polling = (ecmi + emin) / p
-    in_visit = (served + residual_excess
-                + derived.residual_overshoot_prob * from_polling)
+    in_visit = served + residual_excess + emin / ev * from_polling
     out_of_visit = (ec2mi / (2.0 * ecmi)
                     + (1.0 - p) / p * ecmi + emin / p)
     return (ev / ec) * in_visit + (ecmi / ec) * out_of_visit
@@ -730,9 +731,12 @@ def sojourn_sweep(system: SystemSpec, queue: int, target: str, grid):
     and the tuple of every queue's `sojourn_mean` on that system.
 
     Fitted laws with the same phases share one evaluation of the queue's
-    four s-free pair functionals: a `_Stack` of them goes through each
-    functional once, and every point's spec is given its values. Each value
-    equals that of the point's own evaluation.
+    four s-free pair functionals: a `_Stack` builds their term sums from
+    the laws' weights and rates in one array pass and goes through each
+    functional once. No spec is built per point: each point's cycle
+    moments come from the helper behind `SystemSpec`'s, and `sojourn_mean`
+    reads the point's values. Each value equals that of the point's own
+    evaluation.
 
     Raises
     ------
@@ -762,25 +766,38 @@ def sojourn_sweep(system: SystemSpec, queue: int, target: str, grid):
 
 
 def _sweep_points(system: SystemSpec, queue: int, field: str, laws) -> list:
-    """`sojourn_sweep` for the fitted laws of one field of one queue."""
+    """`sojourn_sweep` for the fitted laws of one field of one queue.
+
+    No spec is built per point. `sojourn_mean` reads a point through the
+    attributes it reads on a `SystemSpec` (`queues`, `_cycle_moments`) and
+    on the swept `QueueSpec` (`visit` and the `_PAIR_FUNCTIONALS` names).
+    """
     spec = system.queues[queue]
-    specs = [dataclasses.replace(spec, **{field: law}) for law in laws]
+    pairs = [None] * len(laws)
     for group in _phase_groups(laws):
-        if len(group) == 1:
-            continue  # a lone law fills its own cache on first use
-        pair = {"service": spec.service, "visit": spec.visit,
-                field: _Stack(laws[k] for k in group)}
-        columns = [f(pair["service"], pair["visit"]).tolist()
+        # a lone law takes the plain path
+        law = (laws[group[0]] if len(group) == 1
+               else _Stack(laws[k] for k in group))
+        both = {"service": spec.service, "visit": spec.visit, field: law}
+        columns = [np.ravel(f(both["service"], both["visit"])).tolist()
                    for f in _PAIR_FUNCTIONALS.values()]
         for k, values in zip(group, zip(*columns)):
-            specs[k]._keep(dict(zip(_PAIR_FUNCTIONALS, values)))
+            pairs[k] = dict(zip(_PAIR_FUNCTIONALS, values))
     queues = list(system.queues)
+    visits = [q.visit for q in queues]
+    switch_mean = sum(q.switch.mean() for q in queues)
+    switch_var = sum(q.switch.variance() for q in queues)
     points = []
-    for new in specs:
-        queues[queue] = new
-        swept = SystemSpec(tuple(queues))
-        per_queue = tuple(sojourn_mean(swept, i) for i in range(len(queues)))
-        points.append((_rate_weighted(swept, per_queue), per_queue))
+    for law, pair in zip(laws, pairs):
+        if field == "visit":
+            visits[queue] = law
+        queues[queue] = SimpleNamespace(visit=visits[queue], **pair)
+        moments = _cycle_moments_from([v.mean() for v in visits],
+                                      [v.variance() for v in visits],
+                                      switch_mean, switch_var)
+        point = SimpleNamespace(queues=queues, _cycle_moments=moments)
+        per_queue = tuple(sojourn_mean(point, i) for i in range(len(queues)))
+        points.append((_rate_weighted(system, per_queue), per_queue))
     return points
 
 

@@ -26,9 +26,11 @@ and `served_in_visit`) take a scalar or a 1-D grid of s in one pass: the
 term product and its log-gamma factors are built once, the grid rides on the
 rates as a leading axis, and each grid row is summed on its own, so every
 value equals that of a scalar call at its s. In the same way a `_Stack` of
-Erlang mixtures with the same phases stands in for one law of a pair: its
-term sums carry a grid axis on the coefficients and the rates, and an
-s-free functional returns one value per law.
+Erlang mixtures with the same phases stands in for one law of a pair: one
+builder, `_erlang_terms`, forms its term sums from the laws' weights and
+rates in one array pass, as it forms those of a lone law, so they carry a
+grid axis on the coefficients and the rates, and an s-free functional
+returns one value per law.
 
 Every incomplete gamma function met here has an integer shape a, so it is a
 Poisson tail: P(a, x) = P[Poisson(x) >= a]. `_gamma_pq` sums the side of
@@ -204,36 +206,20 @@ class _ErlangMixture(Distribution):
 
     # The law as sums of terms c x^p exp(-r x) 1{x < u}, each built once.
 
-    def _phases(self):
-        """One row per phase j < k of each weighted Erlang(k, r) component.
-
-        Returns the arrays (log weight, k, r, j, log j!).
-        """
-        return np.array([(math.log(w), k, r, j, math.lgamma(j + 1))
-                         for w, k, r in self._rows()
-                         for j in range(int(k))], dtype=float).T
-
     @functools.cached_property
     def _survival_terms(self) -> _Terms:
         """P[Y > x]: the tail sum (r x)^j / j! e^{-r x}, j < k, of each component."""
-        logw, _, r, j, log_fact = self._phases()
-        return _terms(logw + j * np.log(r) - log_fact, 1.0, j, r, np.inf)
+        return _erlang_terms("survival", *self._arrays)
 
     @functools.cached_property
     def _density_terms(self) -> _Terms:
         """The density: r^k x^(k-1) e^{-r x} / (k-1)! per component."""
-        logw, k, r, log_fact = np.array(
-            [(math.log(w), k, r, math.lgamma(k)) for w, k, r in self._rows()],
-            dtype=float).T
-        return _terms(logw + k * np.log(r) - log_fact, 1.0, k - 1, r, np.inf)
+        return _erlang_terms("density", *self._arrays)
 
     @functools.cached_property
     def _tail_terms(self) -> _Terms:
         """E[(Y - x)^+], the integral of the survival function beyond x."""
-        # Erlang(k, r): sum over j < k of (k - j) / r * (r x)^j / j! e^{-r x}
-        logw, k, r, j, log_fact = self._phases()
-        return _terms(logw + np.log(k - j) + (j - 1) * np.log(r) - log_fact,
-                      1.0, j, r, np.inf)
+        return _erlang_terms("tail", *self._arrays)
 
     def _expect(self, g: _Terms, moment: int = 0, s=0.0, left: bool = False):
         """E[Y^moment exp(-s Y) g(Y)] by the density, which ignores `left`.
@@ -457,33 +443,28 @@ class Discrete(_Atomic):
 class _Stack:
     """Erlang mixtures with the same phases, as one law with a grid axis.
 
-    Each term sum holds the laws' own cached sums stacked row by row. Their
-    powers, signs and cutoffs depend on the phases only, so they are those
-    of every law; `logc` and `r` gain a leading axis with one row per law.
-    The s-free two-law functionals, at a scalar s, take a stack in place of
-    either law and return one value per law. Each row is reduced on its
+    Its term sums come from the laws' weights and rates, stacked as
+    (laws x components) arrays, through the `_erlang_terms` that builds the
+    sums of a lone law; no law builds its own. Their powers, signs and
+    cutoffs depend on the phases only, so they are those of every law;
+    `logc` and `r` gain a leading axis with one row per law. The s-free
+    two-law functionals, at a scalar s, take a stack in place of either law
+    and return one value per law. Each row is formed and reduced on its
     own, so each value equals that of the law alone.
     """
 
     def __init__(self, laws):
         self._laws = tuple(laws)
 
-    def _stacked(self, name: str) -> _Terms:
-        sums = [getattr(law, name) for law in self._laws]
-        return sums[0]._replace(logc=np.stack([t.logc for t in sums]),
-                                r=np.stack([t.r for t in sums]))
-
     @functools.cached_property
-    def _survival_terms(self) -> _Terms:
-        return self._stacked("_survival_terms")
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(w, k, r): weights and rates with one row per law, shared phases."""
+        w, k, r = zip(*(law._arrays for law in self._laws))
+        return np.stack(w), k[0], np.stack(r)
 
-    @functools.cached_property
-    def _density_terms(self) -> _Terms:
-        return self._stacked("_density_terms")
-
-    @functools.cached_property
-    def _tail_terms(self) -> _Terms:
-        return self._stacked("_tail_terms")
+    _survival_terms = _ErlangMixture._survival_terms
+    _density_terms = _ErlangMixture._density_terms
+    _tail_terms = _ErlangMixture._tail_terms
 
     def mean(self) -> np.ndarray:
         return np.array([law.mean() for law in self._laws])
@@ -565,13 +546,48 @@ class _Terms(NamedTuple):
 def _terms(logc, sign, p, r, u) -> _Terms:
     """Terms from a log-coefficient array and fields broadcast against it.
 
-    A law keeps its term sums for every caller, so they are read-only.
+    The rates take the shape of `logc`, which may carry a leading grid axis;
+    signs, powers and cutoffs take that of its last axis, one per term. A
+    law keeps its term sums for every caller, so they are read-only.
     """
-    zero = np.zeros_like(logc, dtype=float)
-    terms = _Terms(*(zero + a for a in (logc, sign, p, r, u)))
+    zero = np.zeros(np.shape(logc))
+    row = np.zeros(zero.shape[-1:])
+    terms = _Terms(zero + logc, row + sign, row + p, zero + r, row + u)
     for field in terms:
         field.flags.writeable = False
     return terms
+
+
+def _erlang_terms(kind: str, w, k, r) -> _Terms:
+    """One term sum of an Erlang mixture: "survival", "density" or "tail".
+
+    `k` holds the phases of the components; `w` and `r` hold their weights
+    and rates on the last axis. A leading axis on `w` and `r`, one row per
+    law, gives the sums of a `_Stack`: their coefficients and rates carry
+    it. Each weight's log is taken alone with `math.log`, and every other
+    step acts on one element at a time, so a row equals the sum of its law
+    built alone.
+    """
+    logw = np.fromiter(map(math.log, w.ravel().tolist()), float,
+                       w.size).reshape(w.shape)
+    log_r = np.log(r)
+    if kind == "density":
+        # r^k x^(k-1) e^{-r x} / (k-1)! per component
+        log_fact = [math.lgamma(x) for x in k.tolist()]
+        return _terms(logw + k * log_r - log_fact, 1.0, k - 1, r, np.inf)
+    # one term per phase j < k of each component
+    phases = k.astype(int).tolist()
+    comp = np.array([c for c, n in enumerate(phases) for _ in range(n)])
+    j = np.array([float(i) for n in phases for i in range(n)])
+    log_fact = [math.lgamma(x + 1) for x in j.tolist()]
+    logw, log_r, r = (a.take(comp, axis=-1) for a in (logw, log_r, r))
+    if kind == "survival":
+        # the tail sum (r x)^j / j! e^{-r x}, j < k, of each component
+        logc = logw + j * log_r - log_fact
+    else:
+        # E[(Y - x)^+]: (k - j) / r * (r x)^j / j! e^{-r x} per phase j < k
+        logc = logw + np.log(k[comp] - j) + (j - 1) * log_r - log_fact
+    return _terms(logc, 1.0, j, r, np.inf)
 
 
 def _weighted(t: _Terms, moment: int, s) -> _Terms:

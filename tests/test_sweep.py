@@ -7,6 +7,7 @@ the sweep must equal it bit for bit (`==`), not to a tolerance.
 """
 import dataclasses
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from mginfpolling import (
     sojourn_mean,
     sojourn_sweep,
 )
-from mginfpolling import cli, distributions
+from mginfpolling import analytic, cli, distributions
 from mginfpolling.analytic import _rate_weighted
 from mginfpolling.cli import main
 from mginfpolling.errors import DomainError
@@ -150,6 +151,79 @@ def test_shared_shape_grid_integrates_once_per_functional(monkeypatch):
     assert all(shape[0] == 25 for shape in calls)
 
 
+TERM_SUMS = ("_survival_terms", "_density_terms", "_tail_terms")
+
+
+@pytest.mark.parametrize("scv", [1.0, 0.6, 0.3, 0.05, 1.7, 2.5, 2.79, 0.25],
+                         ids=["exponential", "mixed-0.6", "mixed-0.3",
+                              "mixed-0.05", "hyper-1.7", "hyper-2.5",
+                              "hyper-2.79", "mixed-dropped"])
+def test_stack_sums_equal_the_stacked_law_sums(scv):
+    # at scv 0.25 the fit is MixedErlang(0, 4, rate), whose zero-weight
+    # Erlang(3) component is dropped; at 2.79, np.log of the weight 0.8436...
+    # differs from math.log in its last bit
+    laws = [fit_two_moments(mean, scv) for mean in np.geomspace(1e-3, 1e3, 41)]
+    assert len(distributions._phase_groups(laws)) == 1
+    if scv == 0.25:
+        assert laws[0].p == 0.0 and laws[0]._arrays[1].tolist() == [4.0]
+    stack = distributions._Stack(laws)
+    # the phase j = 0 term of each component has the log weight, taken with
+    # math.log, as its coefficient
+    phases = laws[0]._arrays[1]
+    weights = [law._arrays[0].tolist() for law in laws]
+    starts = (np.cumsum(phases) - phases).astype(int)
+    first = stack._survival_terms.logc[:, starts]
+    assert first.tolist() == [[math.log(w) for w in row] for row in weights]
+    for name in TERM_SUMS:
+        sums = [getattr(law, name) for law in laws]
+        expected = sums[0]._replace(logc=np.stack([t.logc for t in sums]),
+                                    r=np.stack([t.r for t in sums]))
+        for got, want in zip(getattr(stack, name), expected):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_shared_shape_sweep_builds_no_per_law_sums(monkeypatch):
+    fitted = []
+    fit = analytic.fit_two_moments
+
+    def recording(mean, scv):
+        fitted.append(fit(mean, scv))
+        return fitted[-1]
+
+    reads = []
+    for name in TERM_SUMS:
+        original = vars(distributions._ErlangMixture)[name]
+
+        def watched(law, _name=name, _original=original):
+            if any(law is f for f in fitted):
+                reads.append(_name)
+            return _original.__get__(law, type(law))
+
+        monkeypatch.setattr(distributions._ErlangMixture, name,
+                            property(watched))
+    monkeypatch.setattr(analytic, "fit_two_moments", recording)
+    grid = list(np.linspace(0.1, 3.0, 25))
+    sojourn_sweep(readme_system(), 1, "visit_mean", grid)
+    assert len(fitted) == 25 and reads == []
+
+
+def test_cycle_moment_squares_match_the_point_loop():
+    # at E[V2] = 0.92068 queue 0's partial cycle mean m is 1.42068, and
+    # m ** 2 (libm pow) differs from m * m in its last bit, which moves
+    # queue 0's sojourn mean and the weighted one; the values are pinned
+    # as the point loop gave them before the sweep shared any work
+    m = 1.0 + fit_two_moments(0.92068, 1.0).mean() + 0.5 - 1.0
+    assert m**2 != m * m
+    grid = [0.5, 0.92068, 1.5]
+    assert_bit_equal(readme_system(), 1, "visit_mean", grid)
+    weighted, per_queue = sojourn_sweep(readme_system(), 1, "visit_mean",
+                                        grid)[1]
+    assert weighted.hex() == "0x1.64a5662e18c32p+1"
+    assert [v.hex() for v in per_queue] == ["0x1.819ecf2b53876p+1",
+                                            "0x1.36498aff5455ep+1"]
+
+
 def test_lone_law_takes_the_plain_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a lone law must not be stacked")
@@ -191,7 +265,9 @@ def test_rejects_bad_queue_and_target():
     (DEMO, "18e524cb8fa77997b3cba420e6c77d99cf570eedac6dafd919de902a31f06792"),
     (WORKLOADS / "general-wide.json",
      "29addc1a650af8b6034c229e5930f66b0ba72a591c3567ec974903fd3a283efc"),
-], ids=["demo", "general-wide"])
+    (WORKLOADS / "atomic-pgf.json",
+     "f1b3d78293bb08e020154bc0e8010aea90153ad349de96df24c4303bc490ae4b"),
+], ids=["demo", "general-wide", "atomic-pgf"])
 def test_sweep_bytes_are_pinned(tmp_path, path, digest):
     # a change that moves any bit of a sweep value changes these bytes
     out_path = tmp_path / "sweep.csv"
