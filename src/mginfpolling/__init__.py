@@ -32,9 +32,6 @@ from .distributions import (
     fit_hyperexponential,
     fit_mixed_erlang,
     fit_two_moments,
-    min_lst,
-    residual_lst,
-    residual_survival,
     served_in_visit,
     survival_product_integral,
 )
@@ -47,7 +44,6 @@ from .analytic import (
     SystemSpec,
     cycle_moments,
     derived_quantities,
-    end_of_visit_means,
     pgf_eval,
     polling_means,
     sojourn_lst,

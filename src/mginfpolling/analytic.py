@@ -29,10 +29,12 @@ A sweep therefore evaluates the functionals of its unchanged queues once for
 the whole grid, and `sojourn_sweep` evaluates those of the swept queue once
 per group of fitted laws with the same phases. Functionals of a transform
 argument s are not cached; they take the whole s-grid at once instead.
-`sojourn_metrics` runs each queue's transform functionals once over every
-grid point, and evaluates each visit and switch-over transform once per
-point, shared across the queues. The scalar `sojourn_lst` is the same
-computation on a one-point grid.
+
+A one-point call is the one-row case of the grid pass. `sojourn_metrics`
+runs each queue's transform functionals once over the whole grid and each
+visit and switch-over transform once over it, shared across the queues;
+the scalar `sojourn_lst` is the same computation on a one-point grid. A
+sweep point whose fitted law has phases of its own is a stack of one law.
 
 Conventions: queue indices are 0-based everywhere in the library. Optional
 central-point travel laws can ride along on a queue spec for tour planning,
@@ -76,7 +78,6 @@ __all__ = [
     "derived_quantities",
     "cycle_moments",
     "polling_means",
-    "end_of_visit_means",
     "pgf_eval",
     "sojourn_mean",
     "sojourn_lst",
@@ -389,11 +390,6 @@ def polling_means(system: SystemSpec) -> PollingMeans:
     return PollingMeans(at_polling=at_polling, at_visit_end=at_end)
 
 
-def end_of_visit_means(system: SystemSpec) -> np.ndarray:
-    """Mean queue lengths at visit-end instants; row i is the end of visit i."""
-    return polling_means(system).at_visit_end
-
-
 #: history depth, in cycles, after which `pgf_eval` gives up
 _PGF_MAX_CYCLES = 500
 #: most distinct atom-count vectors `pgf_eval` holds on one level
@@ -589,15 +585,16 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
     return float(_sojourn_lst(system, queue, grid, _server_lsts(system, grid))[0])
 
 
-def _server_lsts(system: SystemSpec, s_grid):
+def _server_lsts(system: SystemSpec, s_grid: np.ndarray):
     """Every queue's visit and switch-over transforms over the grid.
 
-    Returns (visits, switches), one array over the grid per queue. Each law
-    is evaluated at one s at a time, as a lone call would be.
+    Returns (visits, switches), one array over the grid per queue, from one
+    `lst` call per law over the whole grid. A law's transform at one point
+    is the one-row case of that call, so each entry is the law's `lst` at
+    its point.
     """
-    s_values = [float(s) for s in s_grid]
-    return ([np.array([q.visit.lst(s) for s in s_values]) for q in system.queues],
-            [np.array([q.switch.lst(s) for s in s_values]) for q in system.queues])
+    return ([q.visit.lst(s_grid) for q in system.queues],
+            [q.switch.lst(s_grid) for q in system.queues])
 
 
 def _away_lst(lsts, queue: int):
@@ -695,9 +692,10 @@ def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
 
     The table is filled one queue row at a time: each queue's transform
     functionals run once over all the grid points s > 0, and every visit
-    and switch-over transform is evaluated once per point and shared by all
-    the rows. Entries at s = 0 are 1. Each entry equals `sojourn_lst` at its
-    point, whatever the rest of the grid.
+    and switch-over transform runs once over them and is shared by all the
+    rows. Entries at s = 0 are 1. `sojourn_lst` at one point is the
+    one-point case of this pass, so each entry equals it, whatever the rest
+    of the grid.
     """
     s_values = tuple(float(s) for s in s_grid)
     if any(not s >= 0.0 for s in s_values):
@@ -768,18 +766,19 @@ def sojourn_sweep(system: SystemSpec, queue: int, target: str, grid):
 def _sweep_points(system: SystemSpec, queue: int, field: str, laws) -> list:
     """`sojourn_sweep` for the fitted laws of one field of one queue.
 
-    No spec is built per point. `sojourn_mean` reads a point through the
-    attributes it reads on a `SystemSpec` (`queues`, `_cycle_moments`) and
-    on the swept `QueueSpec` (`visit` and the `_PAIR_FUNCTIONALS` names).
+    Each group of laws with the same phases goes through the four pair
+    functionals as one `_Stack`; a law with phases of its own is a stack of
+    one, the one-row case of the same pass. No spec is built per point.
+    `sojourn_mean` reads a point through the attributes it reads on a
+    `SystemSpec` (`queues`, `_cycle_moments`) and on the swept `QueueSpec`
+    (`visit` and the `_PAIR_FUNCTIONALS` names).
     """
     spec = system.queues[queue]
     pairs = [None] * len(laws)
     for group in _phase_groups(laws):
-        # a lone law takes the plain path
-        law = (laws[group[0]] if len(group) == 1
-               else _Stack(laws[k] for k in group))
-        both = {"service": spec.service, "visit": spec.visit, field: law}
-        columns = [np.ravel(f(both["service"], both["visit"])).tolist()
+        both = {"service": spec.service, "visit": spec.visit,
+                field: _Stack(laws[k] for k in group)}
+        columns = [f(both["service"], both["visit"]).tolist()
                    for f in _PAIR_FUNCTIONALS.values()]
         for k, values in zip(group, zip(*columns)):
             pairs[k] = dict(zip(_PAIR_FUNCTIONALS, values))

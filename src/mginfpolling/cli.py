@@ -211,6 +211,10 @@ def _build_sim(obj, path: str, n_queues: int) -> SimConfig:
                                   f"1..{n_queues}")
             zs = tuple(_as_number(z, f"{ppath}[1][{j}]")
                        for j, z in enumerate(pair[1]))
+            for j, z in enumerate(zs):
+                if not math.isfinite(z):
+                    raise ConfigError(f"{ppath}[1][{j}]: z must be finite, "
+                                      f"got {z!r}")
             if len(zs) != n_queues:
                 raise ConfigError(f"{ppath}[1]: expected {n_queues} z values")
             points.append((queue - 1, zs))

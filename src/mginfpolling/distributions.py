@@ -17,20 +17,22 @@ finite sums of terms c x^p exp(-r x) 1{x < u}, and a draw picks a component
 or an atom by its weight.
 
 Two-law functionals live here as free functions: the completion probability
-P[B <= V], the expected minimum of two independent laws and its transform,
-survival-product integrals, the outcome-split transforms of one visit
-attempt, and the served-in-visit term of the sojourn time. Each is a finite
-sum of incomplete-gamma integrals of products of such terms, in log space.
-Those of a transform argument s (`survival_product_integral`, `attempt_lst`
-and `served_in_visit`) take a scalar or a 1-D grid of s in one pass: the
-term product and its log-gamma factors are built once, the grid rides on the
-rates as a leading axis, and each grid row is summed on its own, so every
-value equals that of a scalar call at its s. In the same way a `_Stack` of
-Erlang mixtures with the same phases stands in for one law of a pair: one
-builder, `_erlang_terms`, forms its term sums from the laws' weights and
-rates in one array pass, as it forms those of a lone law, so they carry a
-grid axis on the coefficients and the rates, and an s-free functional
-returns one value per law.
+P[B <= V], the expected minimum of two independent laws, survival-product
+integrals, the outcome-split transforms of one visit attempt, and the
+served-in-visit term of the sojourn time. Each is a finite sum of
+incomplete-gamma integrals of products of such terms, in log space.
+
+One rule holds for every evaluation here: a one-point call is the one-row
+case of the grid pass. A law's `lst`, `survival` and `integrated_survival`
+run a scalar argument through their array code. The functionals of a
+transform argument s (`survival_product_integral`, `attempt_lst` and
+`served_in_visit`) take a scalar or a 1-D grid of s, which rides on the
+rates as a leading axis. A `_Stack` of Erlang mixtures with the same phases
+stands in for one law of a pair and puts one row per law on the
+coefficients and the rates. Weighted sums over atoms and components, and
+sums of integrated terms, go through `_dot`, which reduces every row with
+the 1-D dot product that a lone row gets, so a grid entry has the bits of
+its one-point call.
 
 Every incomplete gamma function met here has an integer shape a, so it is a
 Poisson tail: P(a, x) = P[Poisson(x) >= a]. `_gamma_pq` sums the side of
@@ -65,11 +67,8 @@ __all__ = [
     "HyperExponential",
     "Discrete",
     "has_atom_at_zero",
-    "residual_lst",
-    "residual_survival",
     "survival_product_integral",
     "expected_min",
-    "min_lst",
     "completion_probability",
     "attempt_lst",
     "served_in_visit",
@@ -188,11 +187,16 @@ class _ErlangMixture(Distribution):
         finite only while s exceeds minus the rate of every component of
         positive weight.
         """
+        s = np.asarray(s, dtype=float)
         rate = float(self._arrays[2].min())
-        if (np.asarray(s) <= -rate).any():
+        if (s <= -rate).any():
             raise DomainError(f"lst needs s > {-rate!r}, minus the smallest "
                               "component rate")
-        return sum(w * (r / (r + s)) ** k for w, k, r in self._rows())
+        # a scalar s is the one-point grid, so it meets numpy's power as
+        # every entry of an array s does
+        grid = s.reshape(-1)
+        return sum(w * (r / (r + grid)) ** k
+                   for w, k, r in self._rows()).reshape(s.shape)[()]
 
     def integrated_survival(self, x):
         # E[min(Y, x)] = E[Y; Y < x] + x P[Y >= x], and for Erlang(k, r)
@@ -201,7 +205,7 @@ class _ErlangMixture(Distribution):
         infinite = x == np.inf
         x = np.where(infinite, 0.0, x)
         w, k, r = self._arrays
-        below = _gamma_p(k.astype(int) + 1, r * x[..., None]) @ (w * k / r)
+        below = _dot(_gamma_p(k.astype(int) + 1, r * x[..., None]), w * k / r)
         return np.where(infinite, self.mean(), below + x * self.survival(x))[()]
 
     # The law as sums of terms c x^p exp(-r x) 1{x < u}, each built once.
@@ -272,12 +276,12 @@ class _Atomic(Distribution):
     def lst(self, s):
         values, weights = self._arrays
         s = np.asarray(s, dtype=float)
-        return (np.exp(-s[..., None] * values) @ weights)[()]
+        return _dot(np.exp(-s[..., None] * values), weights)
 
     def integrated_survival(self, x):
         values, weights = self._arrays
         x = np.asarray(x, dtype=float)
-        return (np.minimum(x[..., None], values) @ weights)[()]
+        return _dot(np.minimum(x[..., None], values), weights)
 
     @functools.cached_property
     def _survival_terms(self) -> _Terms:
@@ -449,8 +453,9 @@ class _Stack:
     cutoffs depend on the phases only, so they are those of every law;
     `logc` and `r` gain a leading axis with one row per law. The s-free
     two-law functionals, at a scalar s, take a stack in place of either law
-    and return one value per law. Each row is formed and reduced on its
-    own, so each value equals that of the law alone.
+    and return one array with one value per law, also for a stack of one.
+    A lone law is the one-row case of its stack: each value equals that of
+    the law alone.
     """
 
     def __init__(self, laws):
@@ -509,23 +514,6 @@ def _pick(edges: np.ndarray, rng: np.random.Generator, size=None):
 def has_atom_at_zero(law: Distribution) -> bool:
     """True when the law puts positive probability on the value 0."""
     return law.atoms is not None and any(v == 0.0 and w > 0.0 for v, w in law.atoms)
-
-
-def residual_lst(law: Distribution, s: float) -> float:
-    """Transform of the stationary residual (equilibrium) law of Y.
-
-    Equals (1 - lst(s)) / (s E[Y]) for s > 0 and 1 at s = 0.
-    """
-    if not s >= 0.0:
-        raise DomainError("residual_lst requires s >= 0")
-    if s == 0.0:
-        return 1.0
-    return (1.0 - law.lst(s)) / (s * law.mean())
-
-
-def residual_survival(law: Distribution, x):
-    """Survival function of the stationary residual law of Y."""
-    return 1.0 - law.integrated_survival(x) / law.mean()
 
 
 class _Terms(NamedTuple):
@@ -616,15 +604,16 @@ def _product(a: _Terms, b: _Terms) -> _Terms:
 
 
 def _dot(rows: np.ndarray, v: np.ndarray):
-    """rows @ v, as one 1-D dot product per row of a 2-D `rows`.
+    """rows @ v along the last axis: one value per row, a float for 1-D rows.
 
-    A float for 1-D rows, else an array with one value per grid row. Each
-    row is reduced on its own, exactly as a lone 1-D sum would be, so a
-    value does not depend on the rest of the grid.
+    One batched matrix product reduces every row as a (1 x n) @ (n x 1)
+    product, which runs the 1-D dot product of a lone `row @ v`. A 1-D
+    `rows` is the one-row case of this pass, so a value does not depend on
+    the rest of the grid. (A 2-D `rows @ v` is a matrix-vector product,
+    whose sums need not match the lone row's.)
     """
-    if rows.ndim == 1:
-        return float(rows @ v)
-    return np.array([float(row @ v) for row in rows])
+    out = (rows[..., None, :] @ v[:, None])[..., 0, 0]
+    return float(out) if rows.ndim == 1 else out
 
 
 #: log(n!) - log(sqrt(2 pi n) (n / e)^n) for n = 0..15; 0 stands in at n = 0
@@ -763,15 +752,6 @@ def survival_product_integral(a: Distribution, b: Distribution, s=0.0,
 def expected_min(a: Distribution, b: Distribution) -> float:
     """E[min(A, B)] for independent A and B."""
     return survival_product_integral(a, b)
-
-
-def min_lst(a: Distribution, b: Distribution, s: float) -> float:
-    """E[exp(-s min(A, B))] for independent A and B, real s >= 0."""
-    if not s >= 0.0:
-        raise DomainError("min_lst requires s >= 0")
-    if s == 0.0:
-        return 1.0
-    return 1.0 - s * survival_product_integral(a, b, s)
 
 
 def completion_probability(service: Distribution, visit: Distribution) -> float:

@@ -108,6 +108,8 @@ class SimConfig:
             raise DomainError("master_seed must fit in 64 bits")
         points = tuple((int(q), tuple(float(z) for z in zs))
                        for q, zs in self.pgf_points)
+        if not all(math.isfinite(z) for _, zs in points for z in zs):
+            raise DomainError("pgf_points z values must be finite")
         object.__setattr__(self, "pgf_points", points)
 
 

@@ -22,7 +22,6 @@ from mginfpolling.analytic import (
     SystemSpec,
     cycle_moments,
     derived_quantities,
-    end_of_visit_means,
     pgf_eval,
     polling_means,
     sojourn_lst,
@@ -42,8 +41,6 @@ from mginfpolling.distributions import (
     attempt_lst,
     completion_probability,
     expected_min,
-    min_lst,
-    residual_lst,
     served_in_visit,
     survival_product_integral,
 )
@@ -338,7 +335,6 @@ class TestPollingMeans:
         assert pm.at_visit_end[0, 0] == pytest.approx(want, rel=1e-10)
         off = pm.at_polling[0, 1] + 0.5 * sys2.queues[0].visit.mean()
         assert pm.at_visit_end[0, 1] == pytest.approx(off, rel=1e-10)
-        assert np.array_equal(end_of_visit_means(sys2), pm.at_visit_end)
 
     def test_no_arrivals_no_customers(self):
         sys2 = SystemSpec((
@@ -935,8 +931,6 @@ _S_FUNCTIONS = {
     "sojourn_lst_exponential":
         lambda s: sojourn_lst_exponential(reference_system(), 0, s),
     "sojourn_metrics": lambda s: sojourn_metrics(reference_system(), (0.5, s)),
-    "min_lst": lambda s: min_lst(Deterministic(1.0), Exponential(1.0), s),
-    "residual_lst": lambda s: residual_lst(Exponential(1.0), s),
     "attempt_lst": lambda s: attempt_lst(Exponential(1.0), Exponential(1.0), s),
     "served_in_visit":
         lambda s: served_in_visit(Exponential(1.0), Exponential(1.0), s),

@@ -18,11 +18,10 @@ PACKAGE_NAMES = [
     "SimConfig", "SimulationReport", "SingleCycleEstimate", "SojournMetrics",
     "SystemSpec", "ThroughputReport", "TourState", "UnsupportedModelError",
     "attempt_lst", "brute_force_order", "completion_probability",
-    "cycle_moments", "derived_quantities", "end_of_visit_means",
-    "expected_min", "expected_throughput", "fit_hyperexponential",
-    "fit_mixed_erlang", "fit_two_moments", "leftover_after_visit", "min_lst",
-    "optimal_order", "pgf_eval", "polling_means", "residual_lst",
-    "residual_survival", "run", "served_in_visit", "single_cycle_throughput",
+    "cycle_moments", "derived_quantities", "expected_min",
+    "expected_throughput", "fit_hyperexponential", "fit_mixed_erlang",
+    "fit_two_moments", "leftover_after_visit", "optimal_order", "pgf_eval",
+    "polling_means", "run", "served_in_visit", "single_cycle_throughput",
     "sojourn_lst", "sojourn_lst_exponential", "sojourn_mean",
     "sojourn_mean_exponential", "sojourn_metrics", "sojourn_sweep",
     "survival_product_integral", "weighted_sojourn_mean",
@@ -32,15 +31,14 @@ MODULE_ALL = {
     "distributions": [
         "Distribution", "Exponential", "Deterministic", "Erlang",
         "MixedErlang", "HyperExponential", "Discrete", "has_atom_at_zero",
-        "residual_lst", "residual_survival", "survival_product_integral",
-        "expected_min", "min_lst", "completion_probability", "attempt_lst",
-        "served_in_visit", "fit_mixed_erlang", "fit_hyperexponential",
-        "fit_two_moments",
+        "survival_product_integral", "expected_min", "completion_probability",
+        "attempt_lst", "served_in_visit", "fit_mixed_erlang",
+        "fit_hyperexponential", "fit_two_moments",
     ],
     "analytic": [
         "QueueSpec", "SystemSpec", "DerivedQueueQuantities", "CycleMoments",
         "PollingMeans", "SojournMetrics", "derived_quantities",
-        "cycle_moments", "polling_means", "end_of_visit_means", "pgf_eval",
+        "cycle_moments", "polling_means", "pgf_eval",
         "sojourn_mean", "sojourn_lst", "sojourn_mean_exponential",
         "sojourn_lst_exponential", "sojourn_metrics", "sojourn_sweep",
         "weighted_sojourn_mean",

@@ -3,6 +3,7 @@ output, CSV schemas, exit codes, and byte-level determinism."""
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -203,6 +204,16 @@ class TestConfigParsing:
                            sim=base_sim_block(pgf_points=[[7, [0.5, 0.5]]]))
         assert main(["simulate", "--config", cfg]) == 2
         assert "sim.pgf_points[0][0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pgf_z(self, tmp_path, capsys, z):
+        # json.load reads NaN and Infinity, so the config must refuse them
+        cfg = write_config(tmp_path,
+                           sim=base_sim_block(pgf_points=[[1, [0.5, 0.5]],
+                                                          [2, [0.5, z]]]))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "sim.pgf_points[1][1][1]: z must be finite" \
+            in capsys.readouterr().err
 
     def test_removed_collect_toggle_is_unknown(self, tmp_path, capsys):
         cfg = write_config(tmp_path,

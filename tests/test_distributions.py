@@ -29,11 +29,9 @@ from mginfpolling.distributions import (
     fit_mixed_erlang,
     fit_two_moments,
     has_atom_at_zero,
-    min_lst,
-    residual_lst,
-    residual_survival,
     served_in_visit,
     survival_product_integral,
+    _dot,
     _gamma_pq,
 )
 from mginfpolling.errors import DomainError
@@ -124,7 +122,18 @@ class TestSurvivalAndTransforms:
         assert np.shape(on_grid) == grid.shape
         assert np.ndim(d.lst(0.5)) == 0
         for s, val in zip(grid.ravel(), np.ravel(on_grid)):
-            assert val == pytest.approx(d.lst(float(s)), rel=1e-15, abs=0.0)
+            assert val == d.lst(float(s))
+
+    @pytest.mark.parametrize("name", ["lst", "survival", "integrated_survival"])
+    @pytest.mark.parametrize("d", ALL_LAWS, ids=lambda d: type(d).__name__)
+    def test_grid_entries_have_the_bits_of_one_point_calls(self, d, name):
+        # a one-point call is the one-row case of the grid pass
+        grid = np.random.default_rng(16).uniform(0.0, 6.0, (9, 41))
+        grid[0, :3] = 0.0, 0.7, 2.5  # at atoms and s = 0
+        on_grid = getattr(d, name)(grid)
+        assert np.shape(on_grid) == grid.shape
+        for x, value in zip(grid.ravel().tolist(), on_grid.ravel().tolist()):
+            assert value == getattr(d, name)(x), (x, value)
 
     @pytest.mark.parametrize("d", ALL_LAWS, ids=lambda d: type(d).__name__)
     def test_integrated_survival_matches_numeric(self, d):
@@ -181,18 +190,50 @@ class TestSurvivalAndTransforms:
             want = math.exp(-1.5 * x) * (1 + 1.5 * x)
             assert float(d.survival(x)) == pytest.approx(want, rel=1e-12)
 
-    def test_residual_transform_of_point_mass(self):
-        # residual of det(2) is uniform(0,2): (1 - e^{-2s}) / (2s)
-        got = residual_lst(Deterministic(2.0), 1.0)
-        assert got == pytest.approx(0.43233235838169365, rel=1e-13)
-        assert residual_lst(Deterministic(2.0), 0.0) == 1.0
-
-    def test_residual_of_exponential_is_itself(self):
+    def test_integrated_survival_of_exponential(self):
+        # the stationary residual of an exponential law is the law itself:
+        # the integrated survival over the mean is the cdf
         d = Exponential(1.7)
         xs = np.linspace(0.0, 5.0, 11)
-        assert np.allclose(residual_survival(d, xs), d.survival(xs), atol=1e-12)
-        for s in (0.3, 1.0, 4.0):
-            assert residual_lst(d, s) == pytest.approx(d.lst(s), rel=1e-12)
+        assert np.allclose(d.integrated_survival(xs) / d.mean(), d.cdf(xs),
+                           atol=1e-12)
+
+
+class TestDot:
+    """`_dot` gives every row the bits of the lone product `row @ v`."""
+
+    @staticmethod
+    def check(rows, v):
+        got = _dot(rows, v)
+        assert np.shape(got) == rows.shape[:-1]
+        for row, value in zip(rows.reshape(-1, rows.shape[-1]),
+                              np.ravel(got).tolist()):
+            assert value == float(row @ v)
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(1616)
+        for _ in range(300):
+            m, n = rng.integers(1, 40), rng.integers(1, 200)
+            rows = rng.standard_normal((m, n)) * np.exp(
+                rng.uniform(-20.0, 20.0, (m, n)))
+            v = rng.standard_normal(n)
+            self.check(rows, v)
+            # non-contiguous rows: every other column of a wider array
+            wide = rng.standard_normal((m, 2 * n))
+            self.check(wide[:, ::2], v)
+            # and every other row
+            self.check(rows[::2], v)
+
+    def test_one_row_and_a_lone_row(self):
+        rng = np.random.default_rng(16)
+        rows, v = rng.standard_normal((1, 57)), rng.standard_normal(57)
+        self.check(rows, v)
+        lone = _dot(rows[0], v)
+        assert type(lone) is float and lone == float(rows[0] @ v)
+
+    def test_grid_axes_beyond_one(self):
+        rng = np.random.default_rng(61)
+        self.check(rng.standard_normal((3, 5, 29)), rng.standard_normal(29))
 
 
 def point_masses(v):
@@ -413,11 +454,12 @@ class TestTwoLawFunctionals:
         se = np.std(x) / math.sqrt(len(x))
         assert abs(expected_min(a, b) - np.mean(x)) < 5 * se
 
-    def test_min_lst_point_mass_vs_exponential(self):
-        # min(det(1), exp(1)): E[e^{-s min}] at s=1 is (1-e^{-2})/2 + e^{-2}
-        got = min_lst(Deterministic(1.0), Exponential(1.0), 1.0)
+    def test_transform_of_the_minimum_point_mass_vs_exponential(self):
+        # min(det(1), exp(1)): E[e^{-s min}] at s=1 is (1-e^{-2})/2 + e^{-2},
+        # and it equals 1 - s times the survival-product integral at s
+        got = 1.0 - survival_product_integral(Deterministic(1.0),
+                                              Exponential(1.0), 1.0)
         assert got == pytest.approx(0.5676676416183064, rel=1e-12)
-        assert min_lst(Deterministic(1.0), Exponential(1.0), 0.0) == 1.0
 
     def test_exponential_pair_fast_path_consistent(self):
         # Erlang with one phase is the same law, built by another family
@@ -433,12 +475,6 @@ class TestTwoLawFunctionals:
         # int x e^{-x} e^{-2x} dx = 1/9
         got = survival_product_integral(Exponential(1.0), Exponential(2.0), 0.0, 1)
         assert got == pytest.approx(1.0 / 9.0, rel=1e-12)
-
-    def test_negative_s_rejected(self):
-        with pytest.raises(DomainError):
-            residual_lst(Exponential(1.0), -0.5)
-        with pytest.raises(DomainError):
-            min_lst(Exponential(1.0), Exponential(1.0), -1.0)
 
 
 class TestCompletionProbability:
@@ -692,6 +728,30 @@ class TestContinuousLawsAgainstMpmath:
                 for value, want in zip(got, self.references(d, x, mpmath)):
                     assert np.ndim(value) == 0
                     assert relative_error(float(value), want) <= 1e-12, (x, value, want)
+
+    @pytest.mark.parametrize("d", LAWS, ids=lambda d: type(d).__name__)
+    def test_lst_at_several_s(self, d):
+        # sum of w (r / (r + s))^k; the rounding of r / (r + s) grows k-fold
+        # in the power, so the 500-phase law gets k times the machine epsilon
+        digits, mpmath = mp_reference()
+        bound = max(1e-14, 2.0**-52 * max(k for _, k, _ in d.components))
+        s_values = [1e-9, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0]
+        with digits:
+            for s, value in zip(s_values, d.lst(np.array(s_values)).tolist()):
+                want = sum(mpmath.mpf(w) * (mpmath.mpf(r) / (r + mpmath.mpf(s))) ** k
+                           for w, k, r in d.components)
+                assert relative_error(value, want) <= bound, (s, value, want)
+
+
+@pytest.mark.parametrize("d", [law for law in ALL_LAWS if law.atoms],
+                         ids=lambda d: type(d).__name__)
+def test_atomic_lst_against_fsum(d):
+    # an independent sum: math.fsum of w exp(-s v) is correctly rounded from
+    # the terms, which math.exp gives to within an ulp
+    s_values = [0.0, 1e-9, 0.05, 0.5, 1.0, 2.0, 5.0, 20.0]
+    for s, value in zip(s_values, d.lst(np.array(s_values)).tolist()):
+        want = math.fsum(w * math.exp(-s * v) for v, w in d.atoms)
+        assert value == pytest.approx(want, rel=1e-14, abs=0.0), s
 
 
 def test_import_leaves_out_scipy_integrate():

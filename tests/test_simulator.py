@@ -11,7 +11,6 @@ from mginfpolling.analytic import (
     SystemSpec,
     derived_quantities,
     cycle_moments,
-    end_of_visit_means,
     pgf_eval,
     polling_means,
     sojourn_mean,
@@ -84,6 +83,11 @@ class TestValidation:
                         pgf_points=((0, (0.5,)),))
         with pytest.raises(DomainError):
             run(sys, cfg)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pgf_z_rejected(self, z):
+        with pytest.raises(DomainError, match="must be finite"):
+            SimConfig(pgf_points=((0, (0.5, z)),))
 
     def test_single_cycle_rejects_bad_orders(self):
         sys = base_system()
@@ -339,7 +343,7 @@ class TestAgainstAnalytic:
         zcheck(base_report.polling_means, target, base_report.polling_stderr)
 
     def test_visit_end_matrix(self, base_report):
-        target = end_of_visit_means(base_system())
+        target = polling_means(base_system()).at_visit_end
         zcheck(base_report.visit_end_means, target, base_report.visit_end_stderr)
 
     def test_sojourn_means(self, base_report):
