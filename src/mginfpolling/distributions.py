@@ -504,7 +504,8 @@ def _pick(edges: np.ndarray, rng: np.random.Generator, size=None):
     last index takes every u beyond the one before it, also when rounding
     leaves the total weight below 1. A single weight (no edges) needs no
     draw: it returns the index 0, whatever `size`, and leaves `rng`
-    untouched.
+    untouched, so `rng` may then be None. The simulator relies on this to
+    build no stream for a one-atom law.
     """
     if edges.size == 0:
         return 0

@@ -20,9 +20,13 @@ every customer's departure in vectorized retry rounds: a customer completes
 at its first attempt whose fresh requirement B fits in the visit time left,
 and otherwise moves on to its queue's next visit. The customers enter the
 rounds with nondecreasing first attempts (carried customers, then arrivals
-in time order), and a round moves all its misses on by one cycle in order,
-so a round works on one index array: those past the block end are always a
-suffix, found by one binary search. Sojourns and tags are computed once,
+in time order), and every customer still waiting in round k has missed k
+times, so it attempts at its first attempt + k. The rounds therefore carry
+one index array of the waiting customers, in order, and no attempt array:
+a round gathers their first attempts, finds those past the block end as a
+suffix by one binary search, compares the fresh requirements with the
+visits k cycles on, takes the completions by position and compresses the
+index array once. Completion cycles, sojourns and tags are computed once,
 after the last round, in round order.
 Queue lengths at polling and visit-end instants are cumulative sums over
 arrival and departure instants. The measured cycles of a block are the
@@ -41,7 +45,10 @@ of 32-bit words, the same entropy as the key tuple and so the same draws.
 Per block, a queue's count stream gives one Poisson count, its position
 stream that many uniforms, and its service stream one requirement per
 customer in each retry round; `single_cycle_throughput` and
-`leftover_after_visit` instead draw one count per interval. Reports
+`leftover_after_visit` instead draw one count per interval. A one-atom
+law (`Deterministic`, a one-atom `Discrete`) never reads its stream, so
+`run` builds no visit, switch-over or service stream for one and hands
+its sampler None; every other stream keeps its key. Reports
 aggregate replication means in replication order, making results
 bit-identical for a fixed master seed and any thread count.
 """
@@ -163,6 +170,16 @@ def _generator(master_seed: int, salt: int, rep: int, queue: int,
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _reads_stream(law: Distribution) -> bool:
+    """Whether `law.sample` reads its rng; only a one-atom law does not.
+
+    A one-atom law (`Deterministic`, a one-atom `Discrete`) has one weight,
+    so `_pick` draws no uniform and `sample` returns the atom without
+    touching its rng, which may then be None.
+    """
+    return law.atoms is None or len(law.atoms) > 1
+
+
 def _arrivals(rate: float, lengths: np.ndarray, count_rng: np.random.Generator,
               position_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Poisson arrivals over independent intervals of the given lengths.
@@ -212,38 +229,45 @@ def _retry_rounds(attempt, arrival, offset, tag, visit, polled_at, service,
     and tag of every customer still waiting at its end.
 
     attempt must be nondecreasing, as it is for carried customers (all 0)
-    followed by arrivals in time order. A round keeps its misses in order
-    and moves each one cycle on, so attempt stays nondecreasing and the
-    customers past the block end are always a suffix: a round is one
-    `searchsorted` and slices of one index array. Both outputs list the
-    customers in round order (within a round, in input order), the order in
-    which the rounds read `rng`; it fixes the order of every sum over the
-    outputs and of the next block's carried customers, so keeping it keeps
-    every seeded result.
+    followed by arrivals in time order. The rounds carry only `who`, the
+    input indices of the customers still waiting, in input order: a
+    customer still waiting in round k missed k times, so it attempts in
+    cycle attempt[who] + k, and attempt[who] is nondecreasing. The
+    customers past the block end are then always a suffix, found by one
+    `searchsorted`; a round gathers the completions by their positions and
+    compresses only `who`. Both outputs list the customers in round order
+    (within a round, in input order), the order in which the rounds read
+    `rng`; it fixes the order of every sum over the outputs and of the next
+    block's carried customers, so keeping it keeps every seeded result.
     """
     cycles = visit.size
     who = np.arange(attempt.size)
-    rounds, kept = [], []
-    while True:
-        cut = attempt.searchsorted(cycles)
+    whos, bs, kept = [], [], []
+    # round `cycles` finds every customer past the block end, if none before
+    for k in range(cycles + 1):
+        first = attempt[who] if k else attempt
+        cut = first.searchsorted(cycles - k)
         kept.append(who[cut:])
         if not cut:
             break
-        who, attempt = who[:cut], attempt[:cut]
+        who = who[:cut]
         b = service.sample(rng, cut)
         # only a first attempt, in round 0, can start inside its visit
-        ok = (b if rounds else offset[:cut] + b) <= visit[attempt]
-        rounds.append((attempt[ok], who[ok], b[ok]))
-        miss = ~ok
-        who, attempt = who[miss], attempt[miss] + 1
+        ok = (b if k else offset[:cut] + b) <= visit[k:][first[:cut]]
+        hit = np.flatnonzero(ok)
+        whos.append(who.take(hit))
+        bs.append(b.take(hit))
+        who = who[~ok]
 
     # the customers of later rounds missed once: they attempt from offset 0,
     # and the tags are ordered, so a miss turns SERVED_SAME_VISIT into
     # CARRIED_FROM_VISIT
-    first_done = rounds[0][1].size if rounds else 0
+    sizes = [w.size for w in whos]
+    first_done = sizes[0] if sizes else 0
     first_kept = kept[0].size
-    done, done_who, b = (np.concatenate(parts) for parts in
-                         zip((who[:0], who[:0], offset[:0]), *rounds))
+    done_who = np.concatenate([who[:0], *whos])
+    b = np.concatenate([offset[:0], *bs])
+    done = attempt[done_who] + np.repeat(np.arange(len(sizes)), sizes)
     start = np.zeros(b.size)
     start[:first_done] = offset[done_who[:first_done]]
     # polled_at - arrival and offset cancel exactly for an arrival during the
@@ -261,8 +285,15 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
     """One independent replication; returns raw per-replication accumulators."""
     queues = system.queues
     n = len(queues)
-    streams = [[_generator(config.master_seed, _RUN_SALT, rep, j, purpose)
-                for purpose in range(5)] for j in range(n)]
+    # the count and position streams always draw; a visit, switch-over or
+    # service law gets its stream only when its `sample` reads one
+    streams = []
+    for j, q in enumerate(queues):
+        laws = {_VISIT: q.visit, _SWITCH: q.switch, _SERVICE: q.service}
+        streams.append([
+            _generator(config.master_seed, _RUN_SALT, rep, j, purpose)
+            if purpose not in laws or _reads_stream(laws[purpose]) else None
+            for purpose in range(5)])
 
     x_sum = np.zeros((n, n))
     y_sum = np.zeros((n, n))

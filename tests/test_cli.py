@@ -315,6 +315,40 @@ class TestSimulate:
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == \
             "621641e22e9cd6cbf130fef7b314189a271c88472cd5a8f6852b857017c8f01f"
 
+    def test_seeded_bytes_with_drawless_laws_are_pinned(self, tmp_path,
+                                                        capsys):
+        # a second pin for what the first lacks: a deterministic visit and
+        # one-atom discrete switch-overs, whose samplers read no stream; a
+        # mixed Erlang service, which draws a uniform before each gamma; a
+        # queue without arrivals, whose retry rounds are empty; and a warmup
+        # that ends inside the second block. Recorded before the retry
+        # rounds lost their attempt array and the drawless laws their
+        # streams, and never re-taken (numpy 2.4 on x86-64).
+        queues = [
+            {"arrival_rate": 0.7,
+             "service": {"type": "mixed_erlang", "p": 0.4, "phases": 3,
+                         "rate": 4.0},
+             "visit": {"type": "deterministic", "value": 0.6},
+             "switch": {"type": "discrete", "atoms": [[0.15, 1.0]]}},
+            {"arrival_rate": 0.0, "service": {"type": "exponential", "rate": 2.0},
+             "visit": {"type": "exponential", "rate": 1.5},
+             "switch": {"type": "deterministic", "value": 0.1}},
+            {"arrival_rate": 0.5,
+             "service": {"type": "hyperexponential", "p": 0.3, "rate1": 0.5,
+                         "rate2": 5.0},
+             "visit": {"type": "discrete", "atoms": [[0.2, 0.5], [1.1, 0.5]]},
+             "switch": {"type": "discrete", "atoms": [[0.05, 1.0]]}},
+        ]
+        sim = {"warmup_cycles": _BLOCK_CYCLES + 150,
+               "measured_cycles": _BLOCK_CYCLES + 200,
+               "replications": 2, "master_seed": 9001,
+               "pgf_points": [[1, [0.6, 0.9, 0.7]], [3, [0.8, 0.5, 0.95]]]}
+        cfg = write_config(tmp_path, queues=queues, sim=sim)
+        out_path = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out_path)]) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == \
+            "41d8ca6513563f00e3248427b350103c5df50798476ab53fe933a41745dcb536"
+
     def test_bad_thread_cap(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, sim=base_sim_block())
         monkeypatch.setenv("POLLING_NUM_THREADS", "many")

@@ -35,6 +35,7 @@ from mginfpolling.distributions import (
     _gamma_pq,
 )
 from mginfpolling.errors import DomainError
+from mginfpolling.simulator import _reads_stream
 
 ALL_LAWS = [
     Exponential(1.3),
@@ -44,6 +45,8 @@ ALL_LAWS = [
     HyperExponential(0.6, 2.0, 0.5),
     Discrete(((0.2, 0.25), (1.0, 0.5), (2.5, 0.25))),
 ]
+# the laws whose sampler reads no generator
+ONE_ATOM_LAWS = [Deterministic(0.7), Discrete(((2.5, 1.0),))]
 
 
 def tail_point(d, eps):
@@ -422,14 +425,28 @@ class TestSamplingStreams:
             a, b, state_a, state_b = both_streams(d, same.sample, size)
             assert np.array_equal(a, b) and state_a == state_b
 
-    @pytest.mark.parametrize("d", [Deterministic(0.7), Discrete(((2.5, 1.0),))],
-                             ids=repr)
+    @pytest.mark.parametrize("d", ONE_ATOM_LAWS, ids=repr)
     def test_one_atom_leaves_the_generator_untouched(self, d):
+        # so the simulator builds no stream for it and hands it None
         rng = np.random.default_rng(17)
         before = rng.bit_generator.state
-        assert d.sample(rng) == d.atoms[0][0]
-        assert np.array_equal(d.sample(rng, 4), np.full(4, d.atoms[0][0]))
+        atom = d.atoms[0][0]
+        assert d.sample(rng) == atom and d.sample(None) == atom
+        assert np.array_equal(d.sample(rng, 4), np.full(4, atom))
+        assert np.array_equal(d.sample(None, (2, 3)), np.full((2, 3), atom))
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("d", ALL_LAWS + [Discrete(((2.5, 1.0),)),
+                                              MixedErlang(0.0, 3, 2.0)],
+                             ids=repr)
+    def test_every_other_law_advances_its_generator(self, d):
+        # a Philox state holds small arrays, so its repr compares it whole
+        rng = np.random.Generator(np.random.Philox(17))
+        before = repr(rng.bit_generator.state)
+        d.sample(rng, 6)
+        advanced = repr(rng.bit_generator.state) != before
+        assert advanced == (d not in ONE_ATOM_LAWS)
+        assert _reads_stream(d) == advanced
 
 
 @pytest.mark.parametrize("family", [Exponential, Deterministic, Erlang,

@@ -169,6 +169,60 @@ class TestDegenerateSystems:
         assert rep.sojourn_phase_counts[0, CARRIED_FROM_VISIT] > 0
 
 
+class ScriptedService:
+    """A service law that hands out the next values of a fixed array.
+
+    It logs the size of every request, so a test sees how many draws each
+    retry round asked for.
+    """
+
+    def __init__(self, values):
+        self.values, self.used, self.sizes = values, 0, []
+
+    def sample(self, rng, size):
+        self.sizes.append(size)
+        self.used += size
+        return self.values[self.used - size:self.used].copy()
+
+
+def walk_rounds(attempt, arrival, offset, tag, visit, polled_at, draws):
+    """The retry rounds in plain Python, one customer at a time.
+
+    In round k every customer still waiting attempts in cycle
+    attempt + k, in input order, each taking the next draw; those at or
+    past the block end wait out the block instead. Returns the outputs of
+    `_retry_rounds` as lists, and the number of draws of each round.
+    """
+    cycles = len(visit)
+    waiting, kept, sizes = list(range(len(attempt))), [], []
+    done, sojourn, done_tag = [], [], []
+    drawn = iter(draws)
+    k = 0
+    while True:
+        inside = [i for i in waiting if attempt[i] + k < cycles]
+        kept += [(i, k) for i in waiting if attempt[i] + k >= cycles]
+        if not inside:
+            break
+        sizes.append(len(inside))
+        waiting = []
+        for i in inside:
+            b, c = float(next(drawn)), int(attempt[i]) + k
+            start = float(offset[i]) if k == 0 else 0.0
+            if (start + b if k == 0 else b) <= visit[c]:
+                done.append(c)
+                sojourn.append(float(polled_at[c]) - float(arrival[i])
+                               + start + b)
+                done_tag.append(int(tag[i]) if k == 0
+                                else max(int(tag[i]), CARRIED_FROM_VISIT))
+            else:
+                waiting.append(i)
+        k += 1
+    kept_time = [float(arrival[i]) for i, _ in kept]
+    kept_tag = [int(tag[i]) if r == 0 else max(int(tag[i]), CARRIED_FROM_VISIT)
+                for i, r in kept]
+    return [done, sojourn, done_tag, kept_time, kept_tag], sizes
+
+
 class TestRetryRounds:
     """The attempt rule on one queue's hand-made visits, with B = 0.3."""
 
@@ -226,6 +280,43 @@ class TestRetryRounds:
         assert kept_time.tolist() == [4101.5, 4101.6, 4101.1]
         assert kept_tag.tolist() == [OUTSIDE_VISIT, OUTSIDE_VISIT,
                                      CARRIED_FROM_VISIT]
+
+    def test_matches_a_customer_by_customer_walk(self):
+        # random blocks against a plain-Python walk of the rounds: every
+        # output and every draw size equal, with ties, customers that start
+        # past the block end and chains of ten or more misses
+        rng = np.random.default_rng(20261019)
+        longest = past_end = 0
+        for case in range(200):
+            cycles = int(rng.integers(1, 16))
+            grid = case % 2 == 0  # quarter steps make ties exact
+            if grid:
+                visit = rng.choice([0.0, 0.25, 0.5, 1.0], cycles)
+            else:
+                visit = rng.exponential(rng.choice([0.05, 1.0]), cycles)
+            polled_at = 4096.0 + np.cumsum(rng.random(cycles) + visit)
+            n = int(rng.integers(0, 30))
+            attempt = np.sort(rng.integers(0, cycles + 3, n))
+            arrival = polled_at[np.minimum(attempt, cycles - 1)] - rng.random(n)
+            during = (rng.random(n) < 0.4) & (attempt < cycles)
+            offset = np.where(during, rng.choice([0.25, 0.5], n) if grid
+                              else rng.random(n), 0.0)
+            tag = np.where(during, SERVED_SAME_VISIT,
+                           rng.choice([CARRIED_FROM_VISIT, OUTSIDE_VISIT], n))
+            scale = rng.choice([0.3, 3.0])
+            draws = (rng.choice([0.25, 0.5, 0.75, 1.0, 2.0], 40 * n + 1) if grid
+                     else rng.exponential(scale, 40 * n + 1))
+
+            service = ScriptedService(draws)
+            got = _retry_rounds(attempt, arrival, offset, tag, visit,
+                                polled_at, service, None)
+            want, sizes = walk_rounds(attempt, arrival, offset, tag, visit,
+                                      polled_at, draws)
+            assert [out.tolist() for out in got] == want
+            assert service.sizes == sizes
+            longest = max(longest, len(sizes))
+            past_end += int((attempt >= cycles).sum())
+        assert longest >= 11 and past_end > 0
 
 
 class TestTimelineArrivals:
