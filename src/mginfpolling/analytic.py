@@ -22,9 +22,11 @@ Each value that depends on one immutable object only is computed once, on
 first use, and kept on that object: a `QueueSpec` keeps the four s-free
 functionals of its (service, visit) pair (completion probability, expected
 minimum, in-visit service mean and residual overshoot integral), and a
-`SystemSpec` keeps its `CycleMoments`. Both specs are frozen dataclasses, so
-the laws a cached value came from never change under it, and
-`dataclasses.replace` builds a new spec that starts with no cached values.
+`SystemSpec` keeps its `CycleMoments` and the per-queue constants of
+`pgf_eval`, so repeated pgf points on one system build them once. Both
+specs are frozen dataclasses, so the laws a cached value came from never
+change under it, and `dataclasses.replace` builds a new spec that starts
+with no cached values.
 A sweep therefore evaluates the functionals of its unchanged queues once for
 the whole grid, and `sojourn_sweep` evaluates those of the swept queue once
 per group of fitted laws with the same phases. Functionals of a transform
@@ -46,6 +48,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -173,13 +176,33 @@ class QueueSpec:
         return self._pair("_overshoot_integral")
 
 
+class _PgfConstants(NamedTuple):
+    """The per-queue constants `pgf_eval` reads, one list entry per queue.
+
+    `atoms` holds the visit atom values and weights; per atom, `left` holds
+    the expected number of the queue's own arrivals during the visit still
+    present when it ends, and `survive` the chance that a present customer's
+    service does not fit in it; `steps` is the identity block that adds one
+    crossing of each atom to a count vector.
+    """
+
+    rates: np.ndarray
+    atoms: list
+    left: list
+    survive: list
+    steps: list
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """An ordered set of queues; the order is the server's cyclic route.
 
-    The spec computes its `CycleMoments` on first use and keeps them; it is
-    frozen, so they cannot go stale, and `dataclasses.replace` returns a new
-    spec that computes its own.
+    The spec computes its `CycleMoments` and, for `pgf_eval`, its
+    `_PgfConstants` (arrival rates and per-queue visit atoms, `left`,
+    `survive` and count steps) on first use and keeps them; it is frozen, so
+    they cannot go stale, and `dataclasses.replace` returns a new spec that
+    computes its own. A build whose checks fail keeps nothing and raises
+    again on the next use.
     """
 
     queues: tuple[QueueSpec, ...]
@@ -210,6 +233,33 @@ class SystemSpec:
                                    [q.visit.variance() for q in queues],
                                    sum(q.switch.mean() for q in queues),
                                    sum(q.switch.variance() for q in queues))
+
+    @functools.cached_property
+    def _pgf_constants(self) -> _PgfConstants:
+        """What `pgf_eval` reads of the system besides z.
+
+        Raises `UnsupportedModelError` for the first queue whose visit law
+        is not atomic, then `ModelError` for the first queue whose
+        completion probability is zero.
+        """
+        queues = self.queues
+        for idx, q in enumerate(queues):
+            if q.visit.atoms is None:
+                raise UnsupportedModelError(
+                    f"queue {idx}: generating-function evaluation needs an "
+                    "atomic visit law")
+        for j in range(len(queues)):
+            _completion_prob(self, j)
+        rates = np.array([q.arrival_rate for q in queues])
+        atoms = [np.array(q.visit.atoms).T for q in queues]
+        return _PgfConstants(
+            rates=rates,
+            atoms=atoms,
+            left=[rate * q.service.integrated_survival(v)
+                  for rate, q, (v, _) in zip(rates, queues, atoms)],
+            survive=[q.service.survival(v)
+                     for q, (v, _) in zip(queues, atoms)],
+            steps=[np.eye(len(v), dtype=np.int32) for v, _ in atoms])
 
 
 @dataclass(frozen=True)
@@ -419,17 +469,28 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     (they fix u) and each count vector's mass: the summed product of the
     factors along every history that reaches it. Only the queues with
     z_j != 1 carry counts. For any other queue u_j stays 0, so its atoms
-    never change u, and a crossing of its visit multiplies every mass by the
-    visit's transform visit.lst(lambda . u) without branching. Points where
-    all but one coordinate equal 1, such as marginals and gradients at
-    z = 1, therefore keep each level narrow. A vector retires, adding
-    its mass to the value, once every coordinate of u is below 1e-15 (its
+    never change u, and a crossing of it changes no count: it multiplies
+    every mass by its switch-over's and its visit's transforms at the
+    lambda . u carried from the last crossing that changed the counts, and
+    only the mass floor is tested after it. u, lambda . u and the u floor
+    are formed again only after a tracked crossing, and lambda . u also
+    when rows retire, since a row of that matrix-vector product can round
+    differently among other rows. Points where all but one coordinate
+    equal 1, such as marginals and gradients at z = 1, therefore keep each
+    level narrow and most levels cheap. A vector retires, adding its mass
+    to the value, once every coordinate of u is below 1e-15 (its
     remaining factor is then one) or once its mass is below 1e-20. The
     remaining factor of a vector lies in [0, 1] for z in [0, 1], so the
     value is off by at most the total mass retired under that floor. The
     floor is what settles a visit atom in which service never completes:
     it leaves u as it is, but the weight of a history that keeps drawing
     it shrinks geometrically.
+
+    What does not depend on z is built on the first call and kept on the
+    system: the arrival rates and, per queue, the visit atoms with their
+    `left` and `survive` factors and the count step of each atom. That
+    build makes the model checks, after the checks on z; a failed check
+    keeps nothing, so every later call raises again.
 
     Parameters
     ----------
@@ -460,27 +521,14 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     if not np.all((z >= 0.0) & (z <= 1.02)):
         raise DomainError("z components must lie in [0, 1] "
                           "(small overshoot above 1 is allowed)")
-    for idx, q in enumerate(queues):
-        if q.visit.atoms is None:
-            raise UnsupportedModelError(
-                f"queue {idx}: generating-function evaluation needs an "
-                "atomic visit law")
-    for j in range(n):
-        _completion_prob(system, j)
+    rates, atoms, left, survive, steps = system._pgf_constants
 
-    rates = np.array([q.arrival_rate for q in queues])
     u0 = 1.0 - z
     # only the queues with u_j != 0 carry count columns: for any other queue
     # u_j stays 0 at every level, so its atom counts never change the future
     tracked = u0 != 0.0
-    # per queue: visit atom values and weights, and per atom the expected
-    # number of its own arrivals still present when the visit ends
-    atoms = [np.array(q.visit.atoms).T for q in queues]
-    left = [rate * q.service.integrated_survival(v)
-            for rate, q, (v, _) in zip(rates, queues, atoms)]
     survive = np.concatenate([np.zeros(0)] + [  # empty at z = 1
-        q.service.survival(v)
-        for q, (v, _), t in zip(queues, atoms, tracked) if t])
+        a for a, t in zip(survive, tracked) if t])
     # a count vector holds tracked queue j's atoms in columns
     # starts[j]:starts[j + 1]; the other queues' ranges are empty
     starts = np.cumsum([0] + [len(v) * t for (v, _), t in zip(atoms, tracked)])
@@ -489,25 +537,31 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     counts = np.zeros((1, starts[-1]), dtype=np.int32)
     mass = np.ones(1)
     value = 0.0
+    u = None  # u of the counts; None once a tracked crossing changes them
     for level in range(horizon + 1):
-        u = np.zeros((len(counts), n))
-        u[:, tracked] = u0[tracked] * np.multiply.reduceat(
-            survive**counts, starts[:-1][tracked], axis=1)
-        retire = ((np.max(np.abs(u), axis=1) < _PGF_U_FLOOR)
-                  | (mass < _PGF_MASS_FLOOR))
-        value += mass[retire].sum()
-        live = ~retire
-        if not live.any():
-            return float(value)
+        retire = mass < _PGF_MASS_FLOOR
+        fresh = u is None
+        if fresh:
+            u = np.zeros((len(counts), n))
+            u[:, tracked] = u0[tracked] * np.multiply.reduceat(
+                survive**counts, starts[:-1][tracked], axis=1)
+            retire |= np.max(np.abs(u), axis=1) < _PGF_U_FLOOR
+        if fresh or retire.any():
+            value += mass[retire].sum()
+            live = ~retire
+            if not live.any():
+                return float(value)
+            counts, mass, u = counts[live], mass[live], u[live]
+            # formed again whenever rows retire: the bits of a row of this
+            # matrix-vector product can depend on the other rows
+            lam_dot = u @ rates
         if level == horizon:
             raise NumericsError(
                 "generating-function value did not settle within "
                 f"{_PGF_MAX_CYCLES} cycles of history")
-        counts, mass, u = counts[live], mass[live], u[live]
 
         # going back, the server crosses queue j's switch-over, then its visit
         j = (queue - 1 - level) % n
-        lam_dot = u @ rates
         mass = mass * queues[j].switch.lst(lam_dot)
         if not tracked[j]:
             # its atoms only weigh the other queues' arrivals during it
@@ -519,7 +573,7 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
             -np.outer(other, v) - np.outer(u[:, j], left[j]))
         children = np.repeat(counts, len(v), axis=0)
         children[:, starts[j]:starts[j + 1]] += np.tile(
-            np.eye(len(v), dtype=counts.dtype), (len(counts), 1))
+            steps[j], (len(counts), 1))
         # merge equal vectors: sort the rows, then sum each run of equal ones
         order = np.lexsort(children.T)
         children = children[order]
@@ -528,6 +582,7 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
         counts = children[first]
         mass = np.bincount(np.cumsum(first) - 1,
                            weights=child_mass.ravel()[order])
+        u = None
         if len(counts) > _PGF_MAX_VECTORS:
             raise NumericsError(
                 "generating-function evaluation exceeded "

@@ -6,6 +6,7 @@ deterministic quarter-unit switch-over after each visit. All closed-form
 targets below (13/6, 7/6, 65/36, 8/3, 11/6, 31/12, 35/12, 141/52) were
 derived by hand from that parameterization before the code existed.
 """
+import collections
 import dataclasses
 import itertools
 import math
@@ -38,6 +39,7 @@ from mginfpolling.distributions import (
     Exponential,
     HyperExponential,
     MixedErlang,
+    _ErlangMixture,
     attempt_lst,
     completion_probability,
     expected_min,
@@ -123,27 +125,36 @@ def atomic_pgf_system() -> SystemSpec:
     ))
 
 
-def full_walk_pgf(system: SystemSpec, queue: int, z) -> float:
-    """`pgf_eval`'s level recursion with every queue's atom counts tracked.
+def full_walk_pgf(system: SystemSpec, queue: int, z,
+                  every_queue: bool = True) -> float:
+    """`pgf_eval`'s level recursion, forming u and lambda . u on every level.
 
-    The reference for `pgf_eval`, which tracks only the queues with
-    z_j != 1. Takes valid inputs only.
+    With `every_queue`, every queue's atom counts are tracked: the reference
+    for `pgf_eval`, which tracks only the queues with z_j != 1. Without it,
+    only those queues are tracked, and a crossing of any other queue
+    multiplies the masses by its visit transform, as `pgf_eval` does; that
+    is the reference for `pgf_eval`'s carrying of u and lambda . u across
+    such crossings. Takes valid inputs only.
     """
     queues = system.queues
     n = len(queues)
     rates = np.array([q.arrival_rate for q in queues])
+    u0 = 1.0 - np.asarray(z, dtype=float)
+    tracked = np.full(n, True) if every_queue else u0 != 0.0
     atoms = [np.array(q.visit.atoms).T for q in queues]
     left = [rate * q.service.integrated_survival(v)
             for rate, q, (v, _) in zip(rates, queues, atoms)]
-    survive = np.concatenate(
-        [q.service.survival(v) for q, (v, _) in zip(queues, atoms)])
-    starts = np.cumsum([0] + [len(v) for v, _ in atoms])
-    u0 = 1.0 - np.asarray(z, dtype=float)
+    survive = np.concatenate([np.zeros(0)] + [
+        q.service.survival(v) for q, (v, _), t in zip(queues, atoms, tracked)
+        if t])
+    starts = np.cumsum([0] + [len(v) * t for (v, _), t in zip(atoms, tracked)])
     counts = np.zeros((1, starts[-1]), dtype=np.int32)
     mass = np.ones(1)
     value = 0.0
     for level in range(analytic._PGF_MAX_CYCLES * n + 1):
-        u = u0 * np.multiply.reduceat(survive**counts, starts[:-1], axis=1)
+        u = np.zeros((len(counts), n))
+        u[:, tracked] = u0[tracked] * np.multiply.reduceat(
+            survive**counts, starts[:-1][tracked], axis=1)
         retire = ((np.max(np.abs(u), axis=1) < analytic._PGF_U_FLOOR)
                   | (mass < analytic._PGF_MASS_FLOOR))
         value += mass[retire].sum()
@@ -156,6 +167,9 @@ def full_walk_pgf(system: SystemSpec, queue: int, z) -> float:
         lam_dot = u @ rates
         other = lam_dot - rates[j] * u[:, j]
         mass = mass * queues[j].switch.lst(lam_dot)
+        if not tracked[j]:
+            mass = mass * queues[j].visit.lst(lam_dot)
+            continue
         child_mass = mass[:, None] * w * np.exp(
             -np.outer(other, v) - np.outer(u[:, j], left[j]))
         children = np.repeat(counts, len(v), axis=0)
@@ -574,6 +588,177 @@ class TestPgfTrackedQueues:
         with pytest.raises(DomainError, match="must lie in"):
             pgf_eval(atomic_pgf_system(), 0, z)
         assert time.perf_counter() - start < 1.0
+
+
+#: (queue, z, float.hex of `pgf_eval` on `atomic_pgf_system()`): the twelve
+#: points of `validate` (z = 1, and one coordinate at 1 - 1e-6, at every
+#: queue), then `at_one_points(3)` at every queue. Recorded before the pgf
+#: constants were kept per system, and never re-taken.
+ATOMIC_PGF_PINS = [
+    (0, (1.0, 1.0, 1.0), "0x1.0000000000000p+0"),
+    (0, (0.999999, 1.0, 1.0), "0x1.ffffce73ab6adp-1"),
+    (0, (1.0, 0.999999, 1.0), "0x1.ffffe85334294p-1"),
+    (0, (1.0, 1.0, 0.999999), "0x1.fffff8d07eab6p-1"),
+    (1, (1.0, 1.0, 1.0), "0x1.0000000000000p+0"),
+    (1, (0.999999, 1.0, 1.0), "0x1.fffff785bd7f0p-1"),
+    (1, (1.0, 0.999999, 1.0), "0x1.ffffd588d8611p-1"),
+    (1, (1.0, 1.0, 0.999999), "0x1.ffffe1538b4d8p-1"),
+    (2, (1.0, 1.0, 1.0), "0x1.0000000000000p+0"),
+    (2, (0.999999, 1.0, 1.0), "0x1.ffffe2959fcc0p-1"),
+    (2, (1.0, 0.999999, 1.0), "0x1.fffff5bf2d029p-1"),
+    (2, (1.0, 1.0, 0.999999), "0x1.ffffcfe0c893ep-1"),
+    (0, (1.0, 0.5, 0.7), "0x1.51dd10d389a24p-1"),
+    (1, (1.0, 0.5, 0.7), "0x1.a208218376aedp-2"),
+    (2, (1.0, 0.5, 0.7), "0x1.1ea3b9c31cdcap-1"),
+    (0, (0.0, 1.0, 0.999999), "0x1.e077f551f2f91p-3"),
+    (1, (0.0, 1.0, 0.999999), "0x1.8db89a42fbda3p-1"),
+    (2, (0.0, 1.0, 0.999999), "0x1.b176884686b42p-2"),
+    (0, (1.00001, 0.4, 1.0), "0x1.5037c09670308p-1"),
+    (1, (1.00001, 0.4, 1.0), "0x1.e2bf84962a12ep-2"),
+    (2, (1.00001, 0.4, 1.0), "0x1.aac2172129e65p-1"),
+    (0, (1.0, 0.5, 1.0), "0x1.687c8d0e20513p-1"),
+    (1, (1.0, 0.5, 1.0), "0x1.115279248a6d1p-1"),
+    (2, (1.0, 0.5, 1.0), "0x1.b7d4c3e7590e9p-1"),
+    (0, (0.999999, 1.0, 1.0), "0x1.ffffce73ab6adp-1"),
+    (1, (0.999999, 1.0, 1.0), "0x1.fffff785bd7f0p-1"),
+    (2, (0.999999, 1.0, 1.0), "0x1.ffffe2959fcc0p-1"),
+    (0, (1.0, 1.0, 1.00001), "0x1.000023ed898efp+0"),
+    (1, (1.0, 1.0, 1.00001), "0x1.0000995e7c926p+0"),
+    (2, (1.0, 1.0, 1.00001), "0x1.0000f09c957e5p+0"),
+]
+
+
+def even_two_atom_system(rows) -> SystemSpec:
+    """Exponential service, two equally likely visit atoms and a fixed
+    switch-over per queue, from rows (arrival rate, service rate, atoms,
+    switch-over)."""
+    return SystemSpec(tuple(
+        QueueSpec(rate, Exponential(mu), Discrete(((a, 0.5), (b, 0.5))),
+                  Deterministic(switch))
+        for rate, mu, (a, b), switch in rows))
+
+
+#: (mass floor, `even_two_atom_system` rows, z, queue) at which rows retire
+#: after an untracked crossing and the lambda . u of the rows left, cut out
+#: of the one formed before, differs in its last bits from the one formed
+#: on them alone, and so does the value
+CARRY_CASES = [
+    (1e-7, ((4.5, 0.6, (0.4, 2.7), 0.09), (3.5, 4.1, (0.9, 3.1), 0.17),
+            (4.6, 3.0, (0.6, 3.6), 0.1), (1.2, 1.0, (1.6, 2.4), 0.01)),
+     (1.0, 0.6, 0.2, 1.0), 2),
+    (1e-4, ((5.1, 3.4, (0.2, 3.7), 0.22), (1.2, 1.8, (1.9, 2.7), 0.15),
+            (1.2, 2.0, (1.3, 2.4), 0.06), (2.7, 2.9, (1.0, 3.7), 0.08)),
+     (0.0, 0.6, 1.0, 1.0), 1),
+]
+
+
+class TestPgfConstants:
+    """`pgf_eval` builds its per-queue constants once per system."""
+
+    def test_values_keep_their_bits(self):
+        validate = []
+        for i in range(3):
+            validate.append((i, (1.0, 1.0, 1.0)))
+            for j in range(3):
+                validate.append((i, tuple(1.0 - 1e-6 if k == j else 1.0
+                                          for k in range(3))))
+        points = validate + [(i, z) for z in at_one_points(3)
+                             for i in range(3)]
+        assert points == [(i, z) for i, z, _ in ATOMIC_PGF_PINS]
+        system = atomic_pgf_system()
+        for i, z, pinned in ATOMIC_PGF_PINS:
+            assert pgf_eval(system, i, z).hex() == pinned, (i, z)
+            # a second spec built from the same queues agrees bit for bit
+            assert pgf_eval(atomic_pgf_system(), i, z).hex() == pinned, (i, z)
+
+    def test_twelve_calls_read_each_service_law_once(self, monkeypatch):
+        # top-level calls only: an Erlang mixture's integrated_survival
+        # calls its own survival
+        calls = collections.Counter()
+        depth = [0]
+
+        def counting(name):
+            method = getattr(_ErlangMixture, name)
+
+            def counted(law, x):
+                calls[id(law), name] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return method(law, x)
+                finally:
+                    depth[0] -= 1
+            return counted
+
+        for name in ("survival", "integrated_survival"):
+            monkeypatch.setattr(_ErlangMixture, name, counting(name))
+        system = atomic_pgf_system()
+        once = {(id(q.service), name): 1 for q in system.queues
+                for name in ("survival", "integrated_survival")}
+        for i, z, pinned in ATOMIC_PGF_PINS[:12]:
+            assert pgf_eval(system, i, z).hex() == pinned
+        assert calls == once
+        # a replaced spec keeps no constants: it builds its own, once
+        twin = dataclasses.replace(system)
+        for i, z, pinned in ATOMIC_PGF_PINS[:12]:
+            assert pgf_eval(twin, i, z).hex() == pinned
+        assert calls == {key: 2 for key in once}
+
+    def test_replaced_queue_gives_its_own_values(self):
+        system = atomic_pgf_system()
+        z = (1.0, 0.5, 0.7)
+        pgf_eval(system, 0, z)
+        queues = list(system.queues)
+        queues[1] = dataclasses.replace(queues[1], service=Exponential(1.0))
+        new = dataclasses.replace(system, queues=tuple(queues))
+        assert pgf_eval(new, 0, z) == pgf_eval(SystemSpec(tuple(queues)), 0, z)
+        assert pgf_eval(new, 0, z) != pgf_eval(system, 0, z)
+
+    def test_z_is_checked_before_the_laws(self):
+        system = reference_system()  # exponential visit laws
+        for z in ((1.5, 0.5), (0.5, 0.5, 0.5), (math.nan, 1.0)):
+            with pytest.raises(DomainError):
+                pgf_eval(system, 0, z)
+        with pytest.raises(DomainError, match="queue index"):
+            pgf_eval(system, 2, (0.5, 0.5))
+
+    def test_model_errors_are_raised_on_every_call(self):
+        never = SystemSpec((
+            QueueSpec(0.5, Deterministic(1.0), Deterministic(0.5),
+                      Deterministic(0.2)),
+            QueueSpec(0.5, Exponential(2.0), Deterministic(1.0),
+                      Deterministic(0.2)),
+        ))
+        # a continuous visit law is reported before a zero completion chance
+        both = SystemSpec((never.queues[0], reference_system().queues[1]))
+        for system, error in ((reference_system(), UnsupportedModelError),
+                              (never, ModelError),
+                              (both, UnsupportedModelError)):
+            for _ in range(3):
+                with pytest.raises(error):
+                    pgf_eval(system, 0, (0.5, 1.0))
+
+    @pytest.mark.parametrize("floor", [1e-20, 1e-7, 1e-4, 1e-2])
+    @pytest.mark.parametrize("name", PGF_SYSTEMS)
+    def test_untracked_crossings_keep_the_bits(self, name, floor,
+                                               monkeypatch):
+        # a raised mass floor retires rows after untracked crossings, where
+        # u and lambda . u are carried
+        monkeypatch.setattr(analytic, "_PGF_MASS_FLOOR", floor)
+        system = PGF_SYSTEMS[name]()
+        n = len(system)
+        for z in at_one_points(n):
+            for i in range(n):
+                assert pgf_eval(system, i, z) == full_walk_pgf(
+                    system, i, z, every_queue=False), (i, z)
+
+    @pytest.mark.parametrize("case", range(len(CARRY_CASES)))
+    def test_rows_left_after_a_retirement_keep_the_bits(self, case,
+                                                        monkeypatch):
+        floor, rows, z, queue = CARRY_CASES[case]
+        monkeypatch.setattr(analytic, "_PGF_MASS_FLOOR", floor)
+        system = even_two_atom_system(rows)
+        assert pgf_eval(system, queue, z) == full_walk_pgf(
+            system, queue, z, every_queue=False)
 
 
 class TestSojournMean:

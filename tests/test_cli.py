@@ -461,7 +461,6 @@ class TestSweep:
         def counted(system, queue):
             calls.append(queue)
             return sojourn_mean(system, queue)
-        monkeypatch.setattr(cli, "sojourn_mean", counted)
         monkeypatch.setattr(analytic, "sojourn_mean", counted)
         cfg = write_config(tmp_path,
                            sweep={"queue": 1, "target": "visit_scv",
@@ -659,6 +658,32 @@ class TestValidate:
         main(["validate", "--config", cfg])
         out = capsys.readouterr().out
         assert "pgf_" not in out and "sojourn_lst_at_zero[2]" in out
+
+    def test_atomic_bytes_are_pinned(self, tmp_path, capsys):
+        # the seeded CSV on three queues with two-atom visit laws, so it has
+        # the sojourn transform rows, all twelve pgf rows and the simulation
+        # rows. Recorded before the pgf constants were kept per system and
+        # the transform rows came from one grid pass, and never re-taken
+        # (numpy 2.4 on x86-64).
+        queues = [
+            {"arrival_rate": 0.6, "service": {"type": "exponential", "rate": 5.0},
+             "visit": {"type": "discrete", "atoms": [[0.8, 0.5], [1.6, 0.5]]},
+             "switch": {"type": "deterministic", "value": 0.2}},
+            {"arrival_rate": 0.4,
+             "service": {"type": "erlang", "phases": 2, "rate": 6.0},
+             "visit": {"type": "discrete", "atoms": [[0.6, 0.6], [1.2, 0.4]]},
+             "switch": {"type": "discrete", "atoms": [[0.1, 0.5], [0.3, 0.5]]}},
+            {"arrival_rate": 0.5, "service": {"type": "exponential", "rate": 5.0},
+             "visit": {"type": "discrete", "atoms": [[0.5, 0.3], [1.0, 0.7]]},
+             "switch": {"type": "deterministic", "value": 0.15}},
+        ]
+        sim = {"warmup_cycles": 50, "measured_cycles": 600,
+               "replications": 4, "master_seed": 1818}
+        cfg = write_config(tmp_path, queues=queues, sim=sim)
+        out_path = tmp_path / "checks.csv"
+        assert main(["validate", "--config", cfg, "--out", str(out_path)]) == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == \
+            "4683b6612e79ca3216a76e25745bc328ea140d0624f6e4f64eead193669b8486"
 
     def test_pgf_rows_for_never_serving_visit_atom(self, tmp_path, capsys):
         # queue 1's short visit atom never completes its service
