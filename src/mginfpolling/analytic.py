@@ -182,15 +182,13 @@ class _PgfConstants(NamedTuple):
     `atoms` holds the visit atom values and weights; per atom, `left` holds
     the expected number of the queue's own arrivals during the visit still
     present when it ends, and `survive` the chance that a present customer's
-    service does not fit in it; `steps` is the identity block that adds one
-    crossing of each atom to a count vector.
+    service does not fit in it.
     """
 
     rates: np.ndarray
     atoms: list
     left: list
     survive: list
-    steps: list
 
 
 @dataclass(frozen=True)
@@ -198,11 +196,11 @@ class SystemSpec:
     """An ordered set of queues; the order is the server's cyclic route.
 
     The spec computes its `CycleMoments` and, for `pgf_eval`, its
-    `_PgfConstants` (arrival rates and per-queue visit atoms, `left`,
-    `survive` and count steps) on first use and keeps them; it is frozen, so
-    they cannot go stale, and `dataclasses.replace` returns a new spec that
-    computes its own. A build whose checks fail keeps nothing and raises
-    again on the next use.
+    `_PgfConstants` (arrival rates and per-queue visit atoms, `left` and
+    `survive`) on first use and keeps them; it is frozen, so they cannot go
+    stale, and `dataclasses.replace` returns a new spec that computes its
+    own. A build whose checks fail keeps nothing and raises again on the
+    next use.
     """
 
     queues: tuple[QueueSpec, ...]
@@ -258,8 +256,7 @@ class SystemSpec:
             left=[rate * q.service.integrated_survival(v)
                   for rate, q, (v, _) in zip(rates, queues, atoms)],
             survive=[q.service.survival(v)
-                     for q, (v, _) in zip(queues, atoms)],
-            steps=[np.eye(len(v), dtype=np.int32) for v, _ in atoms])
+                     for q, (v, _) in zip(queues, atoms)])
 
 
 @dataclass(frozen=True)
@@ -429,14 +426,17 @@ def polling_means(system: SystemSpec) -> PollingMeans:
                             + leftover + rates[j] * switch_total) / p
         at_end[j, j] = (1.0 - p) * at_polling[j, j] + leftover
     for j in range(n):
+        # from the end of queue j's visit the server crosses switch-overs
+        # j .. i-1 and visits j+1 .. i-1 before polling queue i; each sum
+        # takes one term per step, in crossing order, and the two are added
+        # only at the end
+        switched = visited = 0.0
         for m in range(1, n):
             i = (j + m) % n
-            # from the end of queue j's visit the server crosses switch-overs
-            # j .. i-1 and visits j+1 .. i-1 before polling queue i
-            elapsed = sum(switch_means[(j + r) % n] for r in range(m))
-            elapsed += sum(visit_means[(j + r) % n] for r in range(1, m))
-            at_polling[i, j] = at_end[j, j] + rates[j] * elapsed
+            switched += switch_means[(i - 1) % n]
+            at_polling[i, j] = at_end[j, j] + rates[j] * (switched + visited)
             at_end[i, j] = at_polling[i, j] + rates[j] * visit_means[i]
+            visited += visit_means[i]
     return PollingMeans(at_polling=at_polling, at_visit_end=at_end)
 
 
@@ -488,9 +488,9 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
 
     What does not depend on z is built on the first call and kept on the
     system: the arrival rates and, per queue, the visit atoms with their
-    `left` and `survive` factors and the count step of each atom. That
-    build makes the model checks, after the checks on z; a failed check
-    keeps nothing, so every later call raises again.
+    `left` and `survive` factors. That build makes the model checks, after
+    the checks on z; a failed check keeps nothing, so every later call
+    raises again.
 
     Parameters
     ----------
@@ -521,7 +521,7 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     if not np.all((z >= 0.0) & (z <= 1.02)):
         raise DomainError("z components must lie in [0, 1] "
                           "(small overshoot above 1 is allowed)")
-    rates, atoms, left, survive, steps = system._pgf_constants
+    rates, atoms, left, survive = system._pgf_constants
 
     u0 = 1.0 - z
     # only the queues with u_j != 0 carry count columns: for any other queue
@@ -571,9 +571,10 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
         other = lam_dot - rates[j] * u[:, j]
         child_mass = mass[:, None] * w * np.exp(
             -np.outer(other, v) - np.outer(u[:, j], left[j]))
+        # child r * len(v) + k of row r crosses atom k once more
         children = np.repeat(counts, len(v), axis=0)
-        children[:, starts[j]:starts[j + 1]] += np.tile(
-            steps[j], (len(counts), 1))
+        rows = np.arange(len(children))
+        children[rows, starts[j] + rows % len(v)] += 1
         # merge equal vectors: sort the rows, then sum each run of equal ones
         order = np.lexsort(children.T)
         children = children[order]

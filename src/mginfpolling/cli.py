@@ -488,7 +488,9 @@ def cmd_optimize(args) -> int:
     except UnsupportedModelError as exc:
         raise ConfigError(f"optimize: {exc}") from exc
 
-    display = tuple(q + 1 for q in report.order)
+    def label(order):
+        return " -> ".join(str(q + 1) for q in order) or "(empty)"
+
     print(f"mode: {spec.mode}   objective: {objective}")
     print(f"initial counts: {list(spec.counts)}")
     print()
@@ -499,7 +501,7 @@ def cmd_optimize(args) -> int:
     tied = len({round(v, 12) for v in report.index_values[list(report.order)]}) \
         < len(report.order) if report.order else False
     print()
-    print(f"optimal order: {' -> '.join(str(q) for q in display) or '(empty)'}"
+    print(f"optimal order: {label(report.order)}"
           + ("   (ties present: tied queues may be permuted freely)"
              if tied else ""))
     print(f"expected services in the tour: {report.total:.10g}")
@@ -516,20 +518,17 @@ def cmd_optimize(args) -> int:
         ranking = result.ranking
         shown = ranking if len(ranking) <= 24 else ranking[:10]
         for order, value in shown:
-            label = " -> ".join(str(q + 1) for q in order) or "(empty)"
-            print(f"  {value:>14.10g}  {label}")
+            print(f"  {value:>14.10g}  {label(order)}")
         if len(ranking) > 24:
             print(f"  ... {len(ranking) - 20} more ...")
             for order, value in ranking[-10:]:
-                label = " -> ".join(str(q + 1) for q in order)
-                print(f"  {value:>14.10g}  {label}")
+                print(f"  {value:>14.10g}  {label(order)}")
         if args.out:
-            rows = [(" -> ".join(str(q + 1) for q in order) or "(empty)", value)
-                    for order, value in ranking]
+            rows = [(label(order), value) for order, value in ranking]
             _write_csv(args.out, ("order", "expected_services"), rows)
     elif args.out:
         rows = [(f"index[{i + 1}]", report.index_values[i]) for i in range(n)]
-        rows.append(("order", " -> ".join(str(q) for q in display)))
+        rows.append(("order", label(report.order)))
         rows.append(("expected_services", report.total))
         _write_csv(args.out, ("metric", "value"), rows)
     return 0
@@ -540,9 +539,13 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
     """Yield (check name, tolerance, measured value) triples."""
     n = len(system.queues)
     h = 1e-6
-    # one grid pass gives every queue's transform at 0 and h, each entry
-    # equal to the one-point `sojourn_lst`
-    metrics = sojourn_metrics(system, (0.0, h))
+    memoryless = all(isinstance(q.service, Exponential)
+                     and isinstance(q.visit, Exponential) for q in system.queues)
+    # one grid pass gives every queue's transform at 0 and h and, for a
+    # memoryless system, on the default grid, each entry equal to the
+    # one-point `sojourn_lst`
+    metrics = sojourn_metrics(
+        system, (0.0, h) + (DEFAULT_S_GRID if memoryless else ()))
     means = metrics.means
     lsts = metrics.lst_table.tolist()
     pm = polling_means(system)
@@ -555,13 +558,11 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
         yield (f"sojourn_lst_slope_vs_mean[{i + 1}]", 1e-4 * scale,
                abs(slope - means[i]) / means[i])
 
-    if all(isinstance(q.service, Exponential) and isinstance(q.visit, Exponential)
-           for q in system.queues):
-        table = sojourn_metrics(system, DEFAULT_S_GRID).lst_table
+    if memoryless:
         for i in range(n):
             closed = sojourn_mean_exponential(system, i)
             dev = abs(means[i] - closed) / closed
-            for a, s in zip(table[i].tolist(), DEFAULT_S_GRID):
+            for a, s in zip(lsts[i][2:], DEFAULT_S_GRID):
                 b = sojourn_lst_exponential(system, i, s)
                 dev = max(dev, abs(a - b) / b)
             yield (f"memoryless_closed_form[{i + 1}]", 1e-8 * scale, dev)

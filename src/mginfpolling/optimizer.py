@@ -98,8 +98,8 @@ class BruteForceResult:
 class _TourParams:
     """Per-queue numbers shared by every order of one (system, state) pair."""
 
-    __slots__ = ("n", "mode", "counts", "rate_prob", "delay", "base",
-                 "index", "visited")
+    __slots__ = ("n", "mode", "rate_prob", "delay", "base", "index",
+                 "visited")
 
     def __init__(self, system: SystemSpec, state: TourState):
         queues = system.queues
@@ -111,7 +111,6 @@ class _TourParams:
             raise UnsupportedModelError(
                 "central_point mode needs approach and return laws on every queue")
         self.mode = state.mode
-        self.counts = state.counts
         self.visited = state.visited
 
         lam = np.array([q.arrival_rate for q in queues])

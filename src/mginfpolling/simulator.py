@@ -282,7 +282,14 @@ def _retry_rounds(attempt, arrival, offset, tag, visit, polled_at, service,
 
 def _simulate_replication(system: SystemSpec, config: SimConfig,
                           rep: int) -> dict:
-    """One independent replication; returns raw per-replication accumulators."""
+    """One independent replication; returns its raw sums over the measured cycles.
+
+    x_sum[i, j] and y_sum[i, j] add up queue j's count at queue i's polling
+    and visit-end instants, phase_sum[j, tag] and phase_count[j, tag] the
+    sojourns and completions of queue j per arrival phase, and pgf_sum[k]
+    the terms of pgf point k. Each is kept once, undivided: `run` derives
+    every per-replication metric from them.
+    """
     queues = system.queues
     n = len(queues)
     # the count and position streams always draw; a visit, switch-over or
@@ -299,8 +306,6 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
     y_sum = np.zeros((n, n))
     phase_sum = np.zeros((n, 3))
     phase_count = np.zeros((n, 3))
-    present_done = np.zeros(n)
-    served = np.zeros(n)
     pgf_sum = np.zeros(len(config.pgf_points))
     # customers waiting at a block start, per queue: arrival time relative
     # to that start and arrival-phase tag; their next attempt is the block's
@@ -349,12 +354,9 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
                 starts[2 * j::2 * n], queue.service, s[_SERVICE])
             # completions before cycle lo go to bins 3-5, which are dropped;
             # each bin sums its sojourns in round order
-            bins = done_tag + 3 * (done < lo) if lo else done_tag
-            counts = np.bincount(bins, minlength=6)[:3]
-            served[j] += counts.sum()
-            present_done[j] += counts[1:].sum()
+            bins = done_tag + 3 * (done < lo)
             phase_sum[j] += np.bincount(bins, weights=sojourn, minlength=6)[:3]
-            phase_count[j] += counts
+            phase_count[j] += np.bincount(bins, minlength=6)[:3]
 
             # a customer is present at the boundaries after its arrival
             # interval up to and including its completing visit's start; one
@@ -378,17 +380,8 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
 
         pgf_sum += pgf_terms.sum(axis=0)
 
-    m = float(config.measured_cycles)
-    return {
-        "polling": x_sum / m,
-        "visit_end": y_sum / m,
-        "phase_sum": phase_sum,
-        "phase_count": phase_count,
-        "present_seen": np.diag(x_sum).copy(),
-        "present_done": present_done,
-        "served_per_cycle": served / m,
-        "pgf": pgf_sum / m,
-    }
+    return {"x_sum": x_sum, "y_sum": y_sum, "phase_sum": phase_sum,
+            "phase_count": phase_count, "pgf_sum": pgf_sum}
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -452,28 +445,33 @@ def run(system: SystemSpec, config: SimConfig, threads: int = 1) -> SimulationRe
     def stack(key):
         return np.stack([res[key] for res in results])
 
-    polling_reps = stack("polling")
-    visit_end_reps = stack("visit_end")
+    # every per-replication metric, from the kernel's raw sums
+    m = float(config.measured_cycles)
+    x_sum = stack("x_sum")
+    polling_reps = x_sum / m
+    visit_end_reps = stack("y_sum") / m
     polling, polling_se = _mean_and_stderr(polling_reps)
     visit_end, visit_end_se = _mean_and_stderr(visit_end_reps)
 
     phase_sum = stack("phase_sum")
     phase_count = stack("phase_count")
-    per_rep_sojourn = _ratio(phase_sum.sum(axis=2), phase_count.sum(axis=2))
+    served = phase_count.sum(axis=2)
+    per_rep_sojourn = _ratio(phase_sum.sum(axis=2), served)
     sojourn, sojourn_se = _mean_and_stderr(per_rep_sojourn)
     phase_counts = phase_count.sum(axis=0)
     phase_means = _ratio(phase_sum.sum(axis=0), phase_counts)
     per_rep_phase = _ratio(phase_sum, phase_count)
 
-    per_rep_phat = _ratio(stack("present_done"), stack("present_seen"))
+    per_rep_phat = _ratio(phase_count[..., 1:].sum(axis=2),
+                          x_sum.diagonal(axis1=1, axis2=2))
     phat, phat_se = _mean_and_stderr(per_rep_phat)
 
-    per_rep_theta_queue = stack("served_per_cycle")
+    per_rep_theta_queue = served / m
     per_queue_theta, _ = _mean_and_stderr(per_rep_theta_queue)
     per_rep_total = per_rep_theta_queue.sum(axis=1)
     t_mean, t_se = _mean_and_stderr(per_rep_total)
 
-    pgf_reps = stack("pgf")
+    pgf_reps = stack("pgf_sum") / m
     pgf_est = pgf_se = None
     if config.pgf_points:
         pgf_est, pgf_se = _mean_and_stderr(pgf_reps)
@@ -548,6 +546,11 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
     subset and each visit is wrapped in its approach and return travel
     times. Customers present at the start and all customers arriving during
     the tour behave exactly as in `run`; completions of both kinds count.
+
+    No step needs a guard for a zero arrival rate or an empty draw: a
+    Poisson mean of 0 and a sample of size 0 read nothing from their
+    Generator, so every later draw on its stream is the same as if the
+    step had been skipped.
     """
     queues = system.queues
     n = len(queues)
@@ -566,7 +569,6 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
 
     reps = replications
     rep_ids = np.arange(reps)
-    served = np.zeros(reps)
     per_queue = np.zeros((n, reps))
     elapsed = np.zeros(reps)
 
@@ -579,26 +581,14 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
         v = spec.visit.sample(gen[_VISIT], reps)
         rate = spec.arrival_rate
 
-        pre_arrivals = gen[_COUNT].poisson(rate * elapsed) if rate > 0 \
-            else np.zeros(reps, dtype=int)
-        present = counts[q] + pre_arrivals
-        total = int(present.sum())
-        if total:
-            owner = np.repeat(rep_ids, present)
-            b = spec.service.sample(gen[_SERVICE], total)
-            done = owner[b <= v[owner]]
-            add = np.bincount(done, minlength=reps)
-            served += add
-            per_queue[q] += add
-
-        if rate > 0:
-            owner, t_a = _arrivals(rate, v, gen[_COUNT], gen[_POSITION])
-            if owner.size:
-                b = spec.service.sample(gen[_SERVICE], owner.size)
-                done = owner[t_a + b <= v[owner]]
-                add = np.bincount(done, minlength=reps)
-                served += add
-                per_queue[q] += add
+        # the customers present at the polling instant attempt with the
+        # whole visit, then the visit's arrivals with the rest of it
+        owner = np.repeat(rep_ids, counts[q] + gen[_COUNT].poisson(rate * elapsed))
+        b = spec.service.sample(gen[_SERVICE], owner.size)
+        per_queue[q] += np.bincount(owner[b <= v[owner]], minlength=reps)
+        owner, t_a = _arrivals(rate, v, gen[_COUNT], gen[_POSITION])
+        b = spec.service.sample(gen[_SERVICE], owner.size)
+        per_queue[q] += np.bincount(owner[t_a + b <= v[owner]], minlength=reps)
 
         elapsed = elapsed + v
         if central:
@@ -607,6 +597,7 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
         else:
             elapsed = elapsed + spec.switch.sample(gen[_SWITCH], reps)
 
+    served = per_queue.sum(axis=0)
     mean = float(served.mean())
     stderr = float(served.std(ddof=1) / math.sqrt(reps)) if reps > 1 else float("nan")
     return SingleCycleEstimate(mean=mean, stderr=stderr,

@@ -365,6 +365,65 @@ class TestPollingMeans:
         assert np.all(pm.at_visit_end >= 0.0)
 
 
+def reference_polling_means(system: SystemSpec):
+    """`polling_means` as an O(N^3) loop that sums each crossed span anew."""
+    queues = system.queues
+    n = len(queues)
+    rates = [q.arrival_rate for q in queues]
+    visit_means = [q.visit.mean() for q in queues]
+    switch_means = [q.switch.mean() for q in queues]
+    derived = [derived_quantities(system, j) for j in range(n)]
+    switch_total = sum(switch_means)
+    visit_total = sum(visit_means)
+    at_polling = np.zeros((n, n))
+    at_end = np.zeros((n, n))
+    for j in range(n):
+        p = derived[j].completion_prob
+        leftover = derived[j].leftover_arrival_mean
+        at_polling[j, j] = (rates[j] * (visit_total - visit_means[j])
+                            + leftover + rates[j] * switch_total) / p
+        at_end[j, j] = (1.0 - p) * at_polling[j, j] + leftover
+    for j in range(n):
+        for m in range(1, n):
+            i = (j + m) % n
+            elapsed = sum(switch_means[(j + r) % n] for r in range(m))
+            elapsed += sum(visit_means[(j + r) % n] for r in range(1, m))
+            at_polling[i, j] = at_end[j, j] + rates[j] * elapsed
+            at_end[i, j] = at_polling[i, j] + rates[j] * visit_means[i]
+    return at_polling, at_end
+
+
+def random_polling_system(rng, n: int) -> SystemSpec:
+    # an atomic service law could exceed every visit atom and never complete
+    def law(kinds=4):
+        kind = rng.integers(kinds)
+        if kind == 0:
+            return Exponential(float(rng.uniform(0.3, 3.0)))
+        if kind == 1:
+            return Erlang(int(rng.integers(1, 5)), float(rng.uniform(0.5, 4.0)))
+        if kind == 2:
+            return Deterministic(float(rng.uniform(0.05, 2.0)))
+        return Discrete(((float(rng.uniform(0.05, 0.5)), 0.3),
+                         (float(rng.uniform(0.6, 2.0)), 0.7)))
+
+    return SystemSpec(tuple(
+        QueueSpec(0.0 if rng.random() < 0.2 else float(rng.uniform(0.01, 2.0)),
+                  law(kinds=2), law(),
+                  Deterministic(0.0) if rng.random() < 0.3 else law())
+        for _ in range(n)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_polling_means_keeps_the_bits_of_the_cubic_loop(seed):
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 5, 8, 13, 19):
+        system = random_polling_system(rng, n)
+        pm = polling_means(system)
+        want_polling, want_end = reference_polling_means(system)
+        assert pm.at_polling.tobytes() == want_polling.tobytes()
+        assert pm.at_visit_end.tobytes() == want_end.tobytes()
+
+
 class TestPgf:
     def test_normalization(self):
         assert pgf_eval(atomic_system(), 0, (1.0, 1.0)) == 1.0

@@ -553,6 +553,54 @@ class TestOptimize:
         assert lines[0] == "order,expected_services"
         assert lines[1].startswith("2 -> 1,")
 
+    def test_index_csv_without_brute_force(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, optimize={"counts": [3, 2]})
+        out_path = tmp_path / "index.csv"
+        assert main(["optimize", "--config", cfg, "--out", str(out_path)]) == 0
+        rows = list(csv.reader(out_path.open()))
+        assert rows[0] == ["metric", "value"]
+        assert [r[0] for r in rows[1:]] == ["index[1]", "index[2]", "order",
+                                            "expected_services"]
+        assert rows[3][1] == "2 -> 1"
+        assert float(rows[4][1]) == pytest.approx(3.433333333, rel=1e-9)
+
+    def test_empty_tour_csv_names_the_empty_order(self, tmp_path, capsys):
+        queues = json.loads(json.dumps(BASE_QUEUES))
+        for q in queues:
+            q.update(switch={"type": "deterministic", "value": 0.0},
+                     approach={"type": "deterministic", "value": 0.2},
+                     **{"return": {"type": "deterministic", "value": 0.3}})
+        cfg = write_config(tmp_path, queues=queues,
+                           optimize={"counts": [0, 0], "mode": "central_point"})
+        out_path = tmp_path / "tour.csv"
+        assert main(["optimize", "--config", cfg, "--out", str(out_path)]) == 0
+        assert "optimal order: (empty)" in capsys.readouterr().out
+        rows = list(csv.reader(out_path.open()))
+        assert rows[3:] == [["order", "(empty)"], ["expected_services", "0.0"]]
+        # the brute-force CSV names the empty tour the same way
+        assert main(["optimize", "--config", cfg, "--brute-force",
+                     "--out", str(out_path)]) == 0
+        rows = list(csv.reader(out_path.open()))
+        assert rows == [["order", "expected_services"], ["(empty)", "0.0"]]
+
+    def test_long_ranking_is_elided(self, tmp_path, capsys):
+        queues = [json.loads(json.dumps(BASE_QUEUES[i % 2])) for i in range(5)]
+        for i, q in enumerate(queues):
+            q["arrival_rate"] = 0.2 + 0.1 * i
+        cfg = write_config(tmp_path, queues=queues,
+                           optimize={"counts": [1, 2, 3, 4, 5]})
+        out_path = tmp_path / "rank.csv"
+        assert main(["optimize", "--config", cfg, "--brute-force",
+                     "--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        ranking = out.split("exhaustive ranking (120 orders):\n")[1].splitlines()
+        assert len(ranking) == 21 and ranking[10] == "  ... 100 more ..."
+        rows = list(csv.reader(out_path.open()))[1:]
+        assert len(rows) == 120
+        shown = rows[:10] + rows[-10:]
+        for line, (order, value) in zip(ranking[:10] + ranking[11:], shown):
+            assert line == f"  {float(value):>14.10g}  {order}"
+
     def test_counts_invariance_note(self, tmp_path, capsys):
         for counts in ([0, 0], [9, 1]):
             cfg = write_config(tmp_path, optimize={"counts": counts})
@@ -639,6 +687,31 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "pgf_normalization[1]" in out
         assert "pgf_gradient_vs_means[2]" in out
+
+    def test_pgf_gradient_skips_a_zero_rate_queue(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # queue 2 has no arrivals, so every mean of its count is 0: the
+        # gradient row never differentiates along it, and still passes
+        seen = []
+
+        def recorded(system, queue, z):
+            seen.append(tuple(z))
+            return analytic.pgf_eval(system, queue, z)
+        monkeypatch.setattr(cli, "pgf_eval", recorded)
+        queues = json.loads(json.dumps(BASE_QUEUES))
+        for q in queues:
+            q["visit"] = {"type": "deterministic", "value": 1.0}
+        queues[1]["arrival_rate"] = 0.0
+        cfg = write_config(tmp_path, queues=queues,
+                           sim=base_sim_block(measured_cycles=500))
+        main(["validate", "--config", cfg])
+        lines = capsys.readouterr().out.splitlines()
+        for i in (1, 2):
+            row = [line for line in lines
+                   if line.startswith(f"pgf_gradient_vs_means[{i}]")]
+            assert len(row) == 1 and row[0].endswith("PASS")
+        # two normalizations, then one gradient point per polled queue
+        assert len(seen) == 4 and all(z[1] == 1.0 for z in seen)
 
     def test_pgf_rows_follow_pgf_eval(self, tmp_path, capsys, monkeypatch):
         # continuous visit laws: pgf_eval declines, and the rows are left out

@@ -538,6 +538,16 @@ class TestFits:
         assert d.phases == 3
         assert d.scv() == pytest.approx(1.0 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_stage_count_just_below_a_reciprocal_integer(self, n):
+        # one ulp below 1/n, ceil(1/scv - 1e-12) gives n, and the loop moves
+        # on to n + 1 stages, where 1/(n + 1) <= scv
+        scv = math.nextafter(1.0 / n, 0.0)
+        d = fit_mixed_erlang(1.0, scv)
+        assert d.phases == n + 1
+        assert d.mean() == pytest.approx(1.0, rel=1e-15)
+        assert d.scv() == pytest.approx(scv, rel=1e-15)
+
     def test_boundary_routes_to_exponential(self):
         d = fit_two_moments(2.0, 1.0)
         assert isinstance(d, Exponential)

@@ -21,6 +21,7 @@ from mginfpolling.distributions import (
     Erlang,
     Exponential,
     HyperExponential,
+    MixedErlang,
     expected_min,
 )
 from mginfpolling.errors import DomainError
@@ -656,6 +657,51 @@ class TestSingleCycleThroughput:
         est = single_cycle_throughput(sys, (), (4, 2), replications=100,
                                       master_seed=1)
         assert est.mean == 0.0
+
+
+# float.hex of (mean, stderr, per-queue means) of `single_cycle_throughput`,
+# 3000 replications; recorded before the tour's tally lost its guards and
+# its separate served total, and never re-taken (numpy 2.4 on x86-64)
+SINGLE_CYCLE_PINS = {
+    "serial": ("0x1.747ae147ae148p+2", "0x1.48a14fabb780dp-5",
+               ("0x1.62e6bdc805762p+1", "0x0.0p+0", "0x1.860f04c756b2ep+1")),
+    "central": ("0x1.a16872b020c4ap+1", "0x1.786d04d3b64c0p-5",
+                ("0x1.5194237fa89e6p+0", "0x0.0p+0", "0x1.f13cc1e098eadp+0")),
+}
+
+
+def single_cycle_pin_cases():
+    # a serial tour over a zero-rate queue that starts empty
+    serial = SystemSpec((
+        QueueSpec(0.7, Exponential(1.2), Erlang(2, 2.0), Deterministic(0.1)),
+        QueueSpec(0.0, Exponential(0.9), Exponential(1.5), Exponential(4.0)),
+        QueueSpec(1.3, Deterministic(0.4), Discrete(((0.5, 0.3), (1.5, 0.7))),
+                  Deterministic(0.2)),
+    ))
+    # a central-point tour over two of three queues, with services that
+    # draw a uniform before each gamma
+    central = SystemSpec((
+        QueueSpec(0.9, MixedErlang(0.3, 3, 2.5), Exponential(1.0),
+                  Deterministic(0.0), approach=Deterministic(0.2),
+                  return_=Exponential(5.0)),
+        QueueSpec(0.4, Exponential(2.0), Erlang(3, 4.0), Deterministic(0.0),
+                  approach=Exponential(3.0), return_=Deterministic(0.3)),
+        QueueSpec(1.1, HyperExponential(0.4, 0.8, 3.0), MixedErlang(0.6, 2, 1.5),
+                  Deterministic(0.0), approach=Deterministic(0.1),
+                  return_=Deterministic(0.25)),
+    ))
+    return {"serial": (serial, (2, 0, 1), (3, 0, 2), 41),
+            "central": (central, (2, 0), (1, 4, 2), 42)}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_CYCLE_PINS))
+def test_single_cycle_throughput_pins(name):
+    system, order, counts, seed = single_cycle_pin_cases()[name]
+    est = single_cycle_throughput(system, order, counts, replications=3_000,
+                                  master_seed=seed)
+    got = (est.mean.hex(), est.stderr.hex(),
+           tuple(float(x).hex() for x in est.per_queue_mean))
+    assert got == SINGLE_CYCLE_PINS[name]
 
 
 class TestDeterminism:
