@@ -62,6 +62,7 @@ from .optimizer import (
     CENTRAL_POINT,
     SERIAL,
     TourState,
+    _BRUTE_FORCE_LIMIT,
     brute_force_order,
     optimal_order,
 )
@@ -488,8 +489,10 @@ def cmd_optimize(args) -> int:
     except UnsupportedModelError as exc:
         raise ConfigError(f"optimize: {exc}") from exc
 
+    names = [str(q + 1) for q in range(n)]
+
     def label(order):
-        return " -> ".join(str(q + 1) for q in order) or "(empty)"
+        return " -> ".join([names[q] for q in order]) or "(empty)"
 
     print(f"mode: {spec.mode}   objective: {objective}")
     print(f"initial counts: {list(spec.counts)}")
@@ -512,6 +515,11 @@ def cmd_optimize(args) -> int:
         print(f"{i + 1:>5}  {report.per_queue[i]:>17.10g}")
 
     if args.brute_force:
+        if len(report.order) > _BRUTE_FORCE_LIMIT:
+            raise DomainError(
+                f"--brute-force scans at most {_BRUTE_FORCE_LIMIT} visited "
+                f"queues and this tour visits {len(report.order)}; the "
+                f"index-rule report above needs no scan")
         result = brute_force_order(system, state, objective)
         print()
         print(f"exhaustive ranking ({len(result.ranking)} orders):")
@@ -524,7 +532,8 @@ def cmd_optimize(args) -> int:
             for order, value in ranking[-10:]:
                 print(f"  {value:>14.10g}  {label(order)}")
         if args.out:
-            rows = [(label(order), value) for order, value in ranking]
+            # a generator, so each label lives only while its row is written
+            rows = ((label(order), value) for order, value in ranking)
             _write_csv(args.out, ("order", "expected_services"), rows)
     elif args.out:
         rows = [(f"index[{i + 1}]", report.index_values[i]) for i in range(n)]

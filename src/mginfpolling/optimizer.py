@@ -10,8 +10,9 @@ never depends on the backlog itself. Both tour styles are covered: the
 serial style visits every queue and pays its switch-over, the central-point
 style leaves from and returns to a hub and visits only non-empty queues.
 
-`brute_force_order` evaluates every permutation and exists to keep the
-index rule honest in tests; `optimal_order` is the production path.
+`brute_force_order` evaluates every permutation, all of them in one array
+pass, and exists to keep the index rule honest in tests; `optimal_order` is
+the production path.
 """
 from __future__ import annotations
 
@@ -52,10 +53,15 @@ class TourState:
     mode: str = SERIAL
 
     def __post_init__(self):
-        for c in self.counts:
-            if float(c) != int(c):
-                raise DomainError("initial counts must be integers")
-        counts = tuple(int(c) for c in self.counts)
+        # integral values of any numeric type pass; nan, inf, fractions and
+        # non-numbers do not
+        try:
+            values = tuple(self.counts)
+            counts = tuple(int(c) for c in values)
+        except (TypeError, ValueError, OverflowError):
+            counts = None
+        if counts is None or counts != values:
+            raise DomainError("initial counts must be integers")
         if any(c < 0 for c in counts):
             raise DomainError("initial counts must be nonnegative")
         object.__setattr__(self, "counts", counts)
@@ -89,7 +95,12 @@ class ThroughputReport:
 
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Exhaustive scan outcome: best report plus the full ranked permutation list."""
+    """Exhaustive scan outcome: best report plus the full ranked permutation list.
+
+    ranking pairs every order of the visited queues with its expected
+    services, best first, equal values in ascending order. Every value is a
+    Python float, the empty tour's 0.0 included.
+    """
 
     best: ThroughputReport
     ranking: tuple[tuple[tuple[int, ...], float], ...]
@@ -147,14 +158,6 @@ class _TourParams:
     def constant(self) -> float:
         return float(sum(self.base[q] for q in self.visited))
 
-    def order_penalty(self, order) -> float:
-        total = 0.0
-        elapsed = 0.0
-        for q in order:
-            total += self.rate_prob[q] * elapsed
-            elapsed += self.delay[q]
-        return total
-
     def report(self, order) -> ThroughputReport:
         per_queue = np.zeros(self.n)
         elapsed = 0.0
@@ -205,6 +208,13 @@ def brute_force_order(system: SystemSpec, state: TourState,
                       objective: str = "max") -> BruteForceResult:
     """Exhaustive permutation scan; the test oracle for `optimal_order`.
 
+    Every order is scored in one array pass: one row per order, in the
+    lexicographic order `permutations` yields them in, and one column step
+    per tour position, adding rate_prob * elapsed and then the position's
+    delay, in the order a scalar loop over one order would. Each value
+    therefore has the bits of that loop. One stable sort ranks the values,
+    so orders with equal values stay in lexicographic order, as a sort on
+    (-value, order) for "max" or (value, order) for "min" leaves them.
     Refuses more than 9 visited queues (the scan is factorial); use
     `optimal_order`, which needs no scan, beyond that.
     """
@@ -216,12 +226,15 @@ def brute_force_order(system: SystemSpec, state: TourState,
         raise DomainError(
             f"brute force over {len(visited)} queues needs "
             f"{len(visited)}! evaluations; use optimal_order instead")
-    constant = params.constant()
-    scored = [(order, constant + params.order_penalty(order))
-              for order in permutations(visited)]
-    if objective == "max":
-        best_first = sorted(scored, key=lambda item: (-item[1], item[0]))
-    else:
-        best_first = sorted(scored, key=lambda item: (item[1], item[0]))
-    return BruteForceResult(best=params.report(best_first[0][0]),
-                            ranking=tuple(best_first))
+    orders = list(permutations(visited))
+    index = np.array(orders, dtype=np.intp)
+    penalty = np.zeros(len(orders))
+    elapsed = np.zeros(len(orders))
+    for col in index.T:
+        penalty += params.rate_prob[col] * elapsed
+        elapsed += params.delay[col]
+    values = params.constant() + penalty
+    best = np.argsort(-values if objective == "max" else values, kind="stable")
+    ranking = tuple(zip(map(orders.__getitem__, best.tolist()),
+                        values[best].tolist()))
+    return BruteForceResult(best=params.report(ranking[0][0]), ranking=ranking)

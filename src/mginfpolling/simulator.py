@@ -63,6 +63,7 @@ import numpy as np
 from .analytic import SystemSpec
 from .distributions import Distribution
 from .errors import DomainError
+from .optimizer import TourState
 
 __all__ = [
     "SERVED_SAME_VISIT",
@@ -90,6 +91,24 @@ _CYCLE_SALT = 0x74686574
 _BLOCK_CYCLES = 4096
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise DomainError unless `value` is an integer; numpy ints pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_seeding(replications, master_seed) -> None:
+    """The checks every entry point makes on its replication count and seed."""
+    _check_integer("replications", replications)
+    _check_integer("master_seed", master_seed)
+    if replications < 1:
+        raise DomainError("replications must be >= 1")
+    if not 0 <= master_seed < 2**64:
+        raise DomainError("master_seed must fit in 64 bits")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run lengths and seeding for `run`.
@@ -105,14 +124,13 @@ class SimConfig:
     pgf_points: tuple[tuple[int, tuple[float, ...]], ...] = ()
 
     def __post_init__(self):
+        _check_integer("warmup_cycles", self.warmup_cycles)
+        _check_integer("measured_cycles", self.measured_cycles)
         if self.warmup_cycles < 0:
             raise DomainError("warmup_cycles must be >= 0")
         if self.measured_cycles < 1:
             raise DomainError("measured_cycles must be >= 1")
-        if self.replications < 1:
-            raise DomainError("replications must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise DomainError("master_seed must fit in 64 bits")
+        _check_seeding(self.replications, self.master_seed)
         points = tuple((int(q), tuple(float(z) for z in zs))
                        for q, zs in self.pgf_points)
         if not all(math.isfinite(z) for _, zs in points for z in zs):
@@ -555,8 +573,9 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
     queues = system.queues
     n = len(queues)
     order = tuple(int(q) for q in order)
-    counts = np.asarray(initial_counts, dtype=int)
-    if counts.shape != (n,) or np.any(counts < 0):
+    # TourState's rule: integral values only, each nonnegative
+    counts = np.array(TourState(initial_counts).counts, dtype=int)
+    if counts.shape != (n,):
         raise DomainError(f"initial_counts must be {n} nonnegative integers")
     central = system.has_central_point
     if any(not 0 <= q < n for q in order) or len(set(order)) != len(order):
@@ -564,8 +583,7 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
     if not central and sorted(order) != list(range(n)):
         raise DomainError("order must visit every queue when the system has "
                           "no central-point travel laws")
-    if replications < 1:
-        raise DomainError("replications must be >= 1")
+    _check_seeding(replications, master_seed)
 
     reps = replications
     rep_ids = np.arange(reps)
@@ -616,10 +634,10 @@ def leftover_after_visit(arrival_rate: float, service: Distribution,
     holds the number still present at the visit end, one entry per
     replication (the raw material for distributional checks).
     """
-    if arrival_rate < 0.0:
-        raise DomainError("arrival_rate must be >= 0")
-    if replications < 1:
-        raise DomainError("replications must be >= 1")
+    if not math.isfinite(arrival_rate) or arrival_rate < 0.0:
+        raise DomainError(f"arrival_rate must be finite and >= 0, "
+                          f"got {arrival_rate!r}")
+    _check_seeding(replications, master_seed)
     gen = {p: _generator(master_seed, _CYCLE_SALT, 3, 0, p) for p in range(5)}
     v = visit.sample(gen[_VISIT], replications)
     owner, t_a = _arrivals(arrival_rate, v, gen[_COUNT], gen[_POSITION])

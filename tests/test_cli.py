@@ -27,6 +27,7 @@ from mginfpolling.errors import ConfigError, UnsupportedModelError
 from mginfpolling.simulator import _BLOCK_CYCLES, _mean_and_stderr
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "bench" / "workloads"
 
 BASE_QUEUES = [
     {
@@ -601,6 +602,20 @@ class TestOptimize:
         for line, (order, value) in zip(ranking[:10] + ranking[11:], shown):
             assert line == f"  {float(value):>14.10g}  {order}"
 
+    def test_brute_force_past_the_scan_limit(self, tmp_path, capsys):
+        queues = [json.loads(json.dumps(BASE_QUEUES[i % 2])) for i in range(10)]
+        cfg = write_config(tmp_path, queues=queues,
+                           optimize={"counts": [1] * 10})
+        out_path = tmp_path / "rank.csv"
+        assert main(["optimize", "--config", cfg, "--brute-force",
+                     "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert "optimal order: " in captured.out
+        assert captured.err == (
+            "error: --brute-force scans at most 9 visited queues and this "
+            "tour visits 10; the index-rule report above needs no scan\n")
+        assert not out_path.exists()
+
     def test_counts_invariance_note(self, tmp_path, capsys):
         for counts in ([0, 0], [9, 1]):
             cfg = write_config(tmp_path, optimize={"counts": counts})
@@ -622,6 +637,33 @@ class TestOptimize:
         out = capsys.readouterr().out
         assert "optimal order: 1 -> 2" in out
         assert "ties present" in out
+
+
+@pytest.mark.parametrize("name, objective, digest", [
+    ("demo", "max",
+     "35fcf0419678dfe6ca65c9675536c4ba02d00c0aa4437da6d02f3779add1647e"),
+    ("demo", "min",
+     "fed1ce4911f1b67b720e3b7100b9494041a0dd556d366fc9229227bed444c325"),
+    ("general-wide", "max",
+     "b461fbbe1ac9b0df3ea3919768302fe7dfd26b418ebc3fcf799a3f1579f30565"),
+    ("general-wide", "min",
+     "f81ef5aebb8778bf321f277bb790713ce814d0b4f3b155fd206dd482a263dd85"),
+    ("atomic-pgf", "max",
+     "82566a6dcbff18cc3bd1abcf3704dfd8006de928041d1cd907c83c1537d9775e"),
+    ("atomic-pgf", "min",
+     "0e8b8643573c8312d5742a6f0a0150538011e795bf0fa702f9274d02857b7a66"),
+])
+def test_brute_force_bytes_are_pinned(tmp_path, capsys, name, objective,
+                                      digest):
+    # stdout then CSV of the exhaustive scan; recorded while every order was
+    # still scored by a scalar loop, so a scan that moves any bit of a value
+    # or the order of a tie changes these bytes
+    out_path = tmp_path / "rank.csv"
+    assert main(["optimize", "--config", str(WORKLOADS / f"{name}.json"),
+                 "--brute-force", "--objective", objective,
+                 "--out", str(out_path)]) == 0
+    data = capsys.readouterr().out.encode() + out_path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestValidate:

@@ -5,18 +5,25 @@ Hand oracles use memoryless service and visit laws with equal rates, where
 the completion probability is exactly 1/2 and the expected leftover arrival
 count is half the arrival volume of a visit.
 """
+import math
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from mginfpolling.analytic import QueueSpec, SystemSpec
-from mginfpolling.distributions import Deterministic, Erlang, Exponential
+from mginfpolling.distributions import (
+    Deterministic,
+    Erlang,
+    Exponential,
+    HyperExponential,
+)
 from mginfpolling.errors import DomainError, UnsupportedModelError
 from mginfpolling.optimizer import (
     CENTRAL_POINT,
     SERIAL,
     TourState,
+    _TourParams,
     brute_force_order,
     expected_throughput,
     optimal_order,
@@ -37,6 +44,50 @@ def central_system(rows):
         for lam, e, r in rows))
 
 
+def reference_brute_force(system, state, objective):
+    """The scan `brute_force_order` ran when it scored one order at a time:
+    a Python loop per order over the shared per-queue numbers, ranked by a
+    sort on (-value, order) for "max" and (value, order) for "min"."""
+    params = _TourParams(system, state)
+    constant = params.constant()
+
+    def order_penalty(order):
+        total = 0.0
+        elapsed = 0.0
+        for q in order:
+            total += params.rate_prob[q] * elapsed
+            elapsed += params.delay[q]
+        return total
+
+    scored = [(order, constant + order_penalty(order))
+              for order in permutations(params.visited)]
+    if objective == "max":
+        return tuple(sorted(scored, key=lambda item: (-item[1], item[0])))
+    return tuple(sorted(scored, key=lambda item: (item[1], item[0])))
+
+
+def random_tour_system(rng, n):
+    """n queues with mixed laws and central-point travel; queue 0 has no
+    arrivals and the last queue is a copy of queue 1, so some orders tie."""
+    queues = []
+    for i in range(n - 1 if n > 2 else n):
+        lam = 0.0 if i == 0 else float(rng.uniform(0.05, 1.5))
+        rate = float(rng.uniform(0.5, 3.0))
+        service = (Exponential(rate), Erlang(2, 2 * rate),
+                   Deterministic(0.3 / rate))[i % 3]
+        visit = (Exponential(rate), HyperExponential(0.6, 2 * rate, rate / 2),
+                 Erlang(3, 3 * rate))[(i + 1) % 3]
+        switch = Deterministic(float(rng.uniform(0.0, 0.5))) if i % 2 \
+            else Exponential(float(rng.uniform(2.0, 9.0)))
+        queues.append(QueueSpec(
+            lam, service, visit, switch,
+            approach=Deterministic(float(rng.uniform(0.05, 0.4))),
+            return_=Exponential(float(rng.uniform(2.0, 9.0)))))
+    if n > 2:
+        queues.append(queues[1])
+    return SystemSpec(tuple(queues))
+
+
 class TestTourState:
     def test_rejects_bad_counts_and_mode(self):
         with pytest.raises(DomainError):
@@ -45,6 +96,13 @@ class TestTourState:
             TourState((1.5, 2))
         with pytest.raises(DomainError):
             TourState((1, 2), mode="roundtrip")
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf, 1.5,
+                                       "2", None])
+    def test_non_integral_counts_are_domain_errors(self, count):
+        # nan and inf must not escape as ValueError or OverflowError
+        with pytest.raises(DomainError, match="must be integers"):
+            TourState((1, count))
 
     def test_integral_floats_become_ints(self):
         st = TourState((2.0, 0.0))
@@ -229,6 +287,47 @@ class TestBruteForce:
                           if abs(value - best_value) < 1e-9}
                 assert rule.order in optima, (trial, objective)
                 assert abs(rule.total - best_value) < 1e-9
+
+    def test_ranking_keeps_the_bits_of_the_scalar_scan(self):
+        rng = np.random.default_rng(2020)
+        tied = 0
+        for visited in range(1, 8):
+            # a system has at least two queues, and a serial tour visits all
+            for mode in (SERIAL, CENTRAL_POINT)[visited < 2:]:
+                n = visited if mode == SERIAL else visited + 2
+                sys = random_tour_system(rng, n)
+                counts = [int(c) for c in rng.integers(1, 9, size=n)]
+                if mode == CENTRAL_POINT:
+                    # two empty queues: queue 2 and the zero-rate queue 0,
+                    # except that the short tours keep queue 0 in
+                    for q in ((1, 2) if visited < 3 else (0, 2)):
+                        counts[q] = 0
+                st = TourState(tuple(counts), mode=mode)
+                assert len(st.visited) == visited
+                for objective in ("max", "min"):
+                    res = brute_force_order(sys, st, objective)
+                    ref = reference_brute_force(sys, st, objective)
+                    assert [o for o, _ in res.ranking] == [o for o, _ in ref]
+                    assert [v.hex() for _, v in res.ranking] == \
+                        [float(v).hex() for _, v in ref], (visited, mode)
+                    assert res.best.order == ref[0][0]
+                    values = [v for _, v in ref]
+                    tied += len(set(values)) < len(values)
+        assert tied >= 10
+        empty = TourState((0,) * 4, mode=CENTRAL_POINT)
+        sys = random_tour_system(rng, 4)
+        for objective in ("max", "min"):
+            assert brute_force_order(sys, empty, objective).ranking == \
+                reference_brute_force(sys, empty, objective)
+
+    def test_ranking_values_are_python_floats(self):
+        rng = np.random.default_rng(7)
+        for counts, mode in (((2, 0, 1, 3), SERIAL),
+                             ((2, 0, 1, 3), CENTRAL_POINT),
+                             ((0, 0, 0, 0), CENTRAL_POINT)):
+            res = brute_force_order(random_tour_system(rng, 4),
+                                    TourState(counts, mode=mode), "max")
+            assert all(type(v) is float for _, v in res.ranking)
 
     def test_empty_central_tour(self):
         sys = central_system([(0.5, 0.1, 0.2), (0.8, 0.2, 0.1)])

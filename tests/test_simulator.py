@@ -74,6 +74,19 @@ class TestValidation:
         with pytest.raises(DomainError):
             SimConfig(master_seed=2**64)
 
+    @pytest.mark.parametrize("field, value", [
+        ("warmup_cycles", 2.5), ("measured_cycles", 2.5),
+        ("measured_cycles", math.nan), ("replications", 1.5),
+        ("master_seed", 1.5), ("master_seed", math.inf)])
+    def test_config_rejects_non_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            SimConfig(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        cfg = SimConfig(warmup_cycles=np.int64(0), measured_cycles=np.int32(3),
+                        replications=np.int64(2), master_seed=np.uint64(5))
+        assert run(base_system(), cfg).replications == 2
+
     def test_pgf_point_checks(self):
         sys = base_system()
         cfg = SimConfig(warmup_cycles=0, measured_cycles=1,
@@ -109,6 +122,38 @@ class TestValidation:
         with pytest.raises(DomainError):
             leftover_after_visit(0.5, Exponential(1.0), Exponential(1.0),
                                  replications=0)
+
+    @pytest.mark.parametrize("counts", [(1.5, 1), (math.nan, 1),
+                                        (math.inf, 1), ("1", 1), 3])
+    def test_single_cycle_rejects_non_integral_counts(self, counts):
+        # 1.5 must not be cut to 1, nor nan or inf reach numpy
+        with pytest.raises(DomainError, match="must be integers"):
+            single_cycle_throughput(base_system(), (0, 1), counts,
+                                    replications=10)
+
+    def test_single_cycle_takes_integral_floats(self):
+        sys = base_system()
+        a = single_cycle_throughput(sys, (1, 0), (2.0, np.int64(1)),
+                                    replications=50, master_seed=3)
+        b = single_cycle_throughput(sys, (1, 0), (2, 1), replications=50,
+                                    master_seed=3)
+        assert a.mean == b.mean and a.stderr == b.stderr
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"replications": 2.5}, "replications must be an integer"),
+        ({"master_seed": 1.5}, "master_seed must be an integer"),
+        ({"master_seed": -1}, "master_seed must fit in 64 bits")])
+    def test_single_visit_entry_points_reject_bad_seeding(self, kwargs, match):
+        with pytest.raises(DomainError, match=match):
+            single_cycle_throughput(base_system(), (0, 1), (1, 1), **kwargs)
+        with pytest.raises(DomainError, match=match):
+            leftover_after_visit(0.5, Exponential(1.0), Exponential(1.0),
+                                 **kwargs)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_leftover_rejects_non_finite_rates(self, rate):
+        with pytest.raises(DomainError, match="arrival_rate must be finite"):
+            leftover_after_visit(rate, Exponential(1.0), Exponential(1.0))
 
 
 class TestDegenerateSystems:
