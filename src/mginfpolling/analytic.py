@@ -195,12 +195,13 @@ class _PgfConstants(NamedTuple):
 class SystemSpec:
     """An ordered set of queues; the order is the server's cyclic route.
 
-    The spec computes its `CycleMoments` and, for `pgf_eval`, its
+    The spec computes its `CycleMoments`, for `pgf_eval` its
     `_PgfConstants` (arrival rates and per-queue visit atoms, `left` and
-    `survive`) on first use and keeps them; it is frozen, so they cannot go
-    stale, and `dataclasses.replace` returns a new spec that computes its
-    own. A build whose checks fail keeps nothing and raises again on the
-    next use.
+    `survive`), and for the tour optimizer every queue's
+    `derived_quantities`, on first use and keeps them; it is frozen, so
+    they cannot go stale, and `dataclasses.replace` returns a new spec that
+    computes its own. A build whose checks fail keeps nothing and raises
+    again on the next use.
     """
 
     queues: tuple[QueueSpec, ...]
@@ -231,6 +232,12 @@ class SystemSpec:
                                    [q.visit.variance() for q in queues],
                                    sum(q.switch.mean() for q in queues),
                                    sum(q.switch.variance() for q in queues))
+
+    @functools.cached_property
+    def _derived_quantities(self) -> tuple[DerivedQueueQuantities, ...]:
+        """`derived_quantities` of every queue, in queue order."""
+        return tuple(derived_quantities(self, i)
+                     for i in range(len(self.queues)))
 
     @functools.cached_property
     def _pgf_constants(self) -> _PgfConstants:

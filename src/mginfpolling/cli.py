@@ -12,20 +12,22 @@ Configs are UTF-8 JSON. Distribution records are tagged objects such as
 {"type": "exponential", "rate": 1.0}; unknown keys anywhere in the file
 are rejected with the offending path spelled out. Queue numbering in
 configs and all output is 1-based. Exit codes: 0 success, 1 validation
-failure, 2 config or model error.
+failure, 2 config, model or output error (an `--out` file that cannot be
+written).
 """
 from __future__ import annotations
 
 import argparse
-import csv
+import contextlib
 import dataclasses
 import functools
-import io
+import itertools
 import json
 import math
 import os
 import re
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -326,24 +328,85 @@ def _thread_count(replications: int) -> int:
     return threads
 
 
+#: rows formatted per write, so no more than this many are held as text
+_CSV_CHUNK_ROWS = 4096
+
+
+class _OutputError(Exception):
+    """An `--out` file could not be opened or written."""
+
+    def __init__(self, path: str, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _needs_quotes(text: str) -> bool:
+    """Whether csv's minimal quoting wraps a cell holding `text`."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_text(cell: str) -> str:
+    """A text cell as csv's minimal quoting writes it."""
+    if _needs_quotes(cell):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv_column(cells: tuple) -> Sequence[str]:
+    """One column of a chunk of rows, each cell formatted for the file.
+
+    A column of Python floats is one `float.__repr__` pass, and a column
+    of text is written as it is unless some cell needs quotes; a column
+    with other numbers, or with text and numbers, goes cell by cell.
+    """
+    kinds = set(map(type, cells))
+    if kinds == {float}:
+        return list(map(float.__repr__, cells))
+    if kinds == {str}:
+        return list(map(_csv_text, cells)) \
+            if _needs_quotes("".join(cells)) else cells
+    return [_csv_text(c) if isinstance(c, str) else repr(float(c))
+            for c in cells]
+
+
+def _write_table(fh, header, rows) -> None:
+    fh.write(",".join(map(_csv_text, header)) + "\n")
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+        columns = [_csv_column(cells) for cells in zip(*chunk, strict=True)]
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
 def _write_csv(out_path: str | None, header, rows) -> None:
     """Write `header` and `rows` as CSV to `out_path`, or to stdout for None.
 
-    A cell that is not a string is written as repr(float(cell)): it goes to
-    the writer as a Python float, which the writer formats with str, and
-    str and repr agree on floats (nan, inf and -0.0 included).
+    The dialect is csv's default with "\\n" line ends. A text cell is
+    wrapped in double quotes, with every inner quote doubled, when it holds
+    a comma, a double quote, CR or LF; any other cell is written as
+    repr(float(cell)), so nan, inf and -0.0 keep their Python spellings.
+    The rows go out in chunks of `_CSV_CHUNK_ROWS`, each formatted column
+    by column and written as one string, so a generator of rows is never
+    held whole. A file that cannot be opened or written raises
+    `_OutputError`, and a regular file left holding part of the table is
+    removed.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([c if isinstance(c, str) else float(c) for c in row]
-                     for row in rows)
-    text = buffer.getvalue()
     if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_table(sys.stdout, header, rows)
+        return
+    try:
+        fh = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _OutputError(out_path, exc) from exc
+    try:
+        with fh:
+            _write_table(fh, header, rows)
+    except BaseException as exc:
+        # a device or pipe given as the path is left alone
+        if os.path.isfile(out_path):
+            with contextlib.suppress(OSError):
+                os.remove(out_path)
+        if isinstance(exc, OSError):
+            raise _OutputError(out_path, exc) from exc
+        raise
 
 
 def _parse_s_grid(text: str) -> tuple[float, ...]:
@@ -720,6 +783,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ModelError, DomainError, NumericsError) as exc:
         # library internals number queues from 0; everything user-facing is

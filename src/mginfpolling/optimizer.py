@@ -21,7 +21,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .analytic import SystemSpec, derived_quantities
+from .analytic import SystemSpec
 from .errors import DomainError, UnsupportedModelError
 
 __all__ = [
@@ -125,12 +125,11 @@ class _TourParams:
         self.visited = state.visited
 
         lam = np.array([q.arrival_rate for q in queues])
-        p = np.empty(self.n)
-        leftover = np.empty(self.n)
-        for i in range(self.n):
-            d = derived_quantities(system, i)
-            p[i] = d.completion_prob
-            leftover[i] = d.leftover_arrival_mean
+        # kept on the system, so the index rule and the scan of one system
+        # share them
+        derived = system._derived_quantities
+        p = np.array([d.completion_prob for d in derived])
+        leftover = np.array([d.leftover_arrival_mean for d in derived])
         ev = np.array([q.visit.mean() for q in queues])
         served_within = lam * ev - leftover
 

@@ -1,7 +1,9 @@
 """Command-line front end: config parsing and diagnostics, subcommand
 output, CSV schemas, exit codes, and byte-level determinism."""
 import csv
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -435,6 +437,148 @@ def test_csv_cells_are_float_reprs(tmp_path, value):
         "name,value", f"x,{float(value)!r}"]
 
 
+TEXT_CELLS = ["a,b", 'say "hi"', '"', "cr\rin", "lf\nin", "crlf\r\nin",
+              "ünïcødé → 1", "", "plain", "polling_mean[1,2]"]
+NUMBER_CELLS = [float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 1e-5,
+                0.1, 3, np.float64(2.0 / 3.0), np.float32(0.1), np.int64(7),
+                np.uint8(255)]
+
+
+def csv_writer_text(header, rows):
+    """What csv.writer with "\n" line ends writes for `header` and `rows`,
+    with float(cell) for every cell that is not text.
+
+    csv.writer quotes a cell that holds a character of its line terminator,
+    so with "\n" alone Python 3.11 leaves a bare CR unquoted, and csv.reader
+    then refuses the file. A terminator of "\n\r", cut back to "\n" after
+    each row, quotes the CR too and changes nothing else.
+    """
+    lines = []
+    for row in [header, *rows]:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n\r").writerow(
+            [c if isinstance(c, str) else float(c) for c in row])
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
+def written(tmp_path, header, rows):
+    out_path = tmp_path / "table.csv"
+    cli._write_csv(str(out_path), header, rows)
+    return out_path.read_bytes().decode("utf-8")
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("cell", TEXT_CELLS + NUMBER_CELLS, ids=repr)
+    def test_cell_matches_csv_writer(self, tmp_path, cell):
+        # the cell alone in a column, beside text and a float, in every place
+        header = ("a", "b", "c")
+        rows = [(cell, "x", 1.5), ("y", cell, 2.5), ("z", 0.25, cell)]
+        text = written(tmp_path, header, rows)
+        assert text == csv_writer_text(header, rows)
+        if not (isinstance(cell, str) and "\r" in cell):
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(
+                [header] + [[c if isinstance(c, str) else float(c) for c in row]
+                            for row in rows])
+            assert text == buffer.getvalue()
+        if isinstance(cell, str):
+            back = list(csv.reader(io.StringIO(text, newline="")))
+            assert [back[1][0], back[2][1], back[3][2]] == [cell] * 3
+
+    def test_mixed_columns_and_chunk_edges(self, tmp_path, monkeypatch):
+        # each chunk decides its own column formats: a comma, a quote or a
+        # non-float number in one chunk leaves the others as they were
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 3)
+        rows = [(f"r{k}", float(k) / 7, "" if k % 4 else 0.5 * k)
+                for k in range(11)]
+        rows[4] = ("r,4", np.float64(4 / 7), "")
+        rows[7] = ('r"7', 7 / 7, np.float32(0.3))
+        rows[9] = ("r9", 9, -0.0)
+        header = ("name", "value, of it", 'say "x"')
+        assert written(tmp_path, header, rows) == csv_writer_text(header, rows)
+        assert written(tmp_path, header, []) == csv_writer_text(header, [])
+        assert written(tmp_path, header, iter(rows)) == \
+            csv_writer_text(header, rows)
+
+    def test_ragged_rows_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            written(tmp_path, ("a", "b"), [("x", 1.0), ("y",)])
+        assert not (tmp_path / "table.csv").exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 2)
+        out_path = tmp_path / "table.csv"
+        out_path.write_text("an older table\n")
+
+        def rows():
+            yield from (("x", float(k)) for k in range(5))
+            raise OSError(errno.ENOSPC, "No space left on device")
+        with pytest.raises(cli._OutputError) as info:
+            cli._write_csv(str(out_path), ("a", "b"), rows())
+        assert str(info.value) == \
+            f"cannot write {out_path}: No space left on device"
+        assert not out_path.exists()
+
+    def test_stdout_gets_the_file_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 2)
+        rows = [("a,b", 1.0), ("c", 2), ("d", float("nan"))]
+        cli._write_csv(None, ("k", "v"), rows)
+        assert capsys.readouterr().out == written(tmp_path, ("k", "v"), rows)
+
+
+WRITING_COMMANDS = {
+    "analyze": ["analyze"],
+    "sweep": ["sweep"],
+    "optimize": ["optimize"],
+    "optimize --brute-force": ["optimize", "--brute-force"],
+    "simulate": ["simulate", "--seed", "3", "--cycles", "60"],
+    "validate": ["validate", "--seed", "3", "--cycles", "60"],
+}
+
+
+@pytest.mark.parametrize("workload", ["demo", "general-wide", "atomic-pgf"])
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_csv_reads_back(tmp_path, capsys, workload, command):
+    # csv.reader parses every table into rows as wide as the header, and
+    # csv.writer writes the parsed cells back to the same bytes
+    out_path = tmp_path / "table.csv"
+    assert main(WRITING_COMMANDS[command] + [
+        "--config", str(WORKLOADS / f"{workload}.json"),
+        "--out", str(out_path)]) in (0, 1)
+    data = out_path.read_bytes().decode("utf-8")
+    rows = list(csv.reader(io.StringIO(data, newline="")))
+    assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    assert buffer.getvalue() == data
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_unwritable_out_is_an_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, sim=base_sim_block(measured_cycles=200),
+                       sweep={"queue": 1, "target": "visit_scv",
+                              "grid": [0.5, 2.0]},
+                       optimize={"counts": [3, 2]})
+    out_path = tmp_path / "missing" / "table.csv"
+    assert main(WRITING_COMMANDS[command] + [
+        "--config", cfg, "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out_path}: No such file or directory\n")
+    assert not out_path.parent.exists()
+
+
+def test_directory_as_out_is_left_alone(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "kept" / "inside.txt").write_text("x")
+    assert main(["analyze", "--config", cfg,
+                 "--out", str(tmp_path / "kept")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'kept'}: Is a directory\n")
+    assert (tmp_path / "kept" / "inside.txt").read_text() == "x"
+
+
 class TestSweep:
     def test_service_mean_sweep_is_increasing(self, tmp_path, capsys):
         cfg = write_config(tmp_path,
@@ -455,6 +599,10 @@ class TestSweep:
         out = capsys.readouterr().out
         assert out.startswith("grid_value,ES_weighted")
         assert len(out.splitlines()) == 4
+        out_path = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out_path.read_bytes() == out.encode()
 
     def test_each_mean_computed_once(self, tmp_path, capsys, monkeypatch):
         calls, sojourn_mean = [], analytic.sojourn_mean
@@ -663,6 +811,27 @@ def test_brute_force_bytes_are_pinned(tmp_path, capsys, name, objective,
                  "--brute-force", "--objective", objective,
                  "--out", str(out_path)]) == 0
     data = capsys.readouterr().out.encode() + out_path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("objective, digest", [
+    ("max", "2d9480799399592ac522c48851dc62a3f3862730dc503d15e80bd2e30a34dac7"),
+    ("min", "acb1c701c4f8286dd73ff7069ac6029c941e87f918c02f16d79250b079ac04bb"),
+])
+def test_seven_queue_ranking_csv_is_pinned(tmp_path, capsys, objective,
+                                            digest):
+    # general-wide's central-point tour with 7 of its 8 queues visited: 5040
+    # rows, more than one chunk of the writer; recorded while the rows still
+    # went through csv.writer
+    raw = json.loads((WORKLOADS / "general-wide.json").read_text())
+    raw["optimize"]["counts"] = [3, 1, 2, 4, 2, 0, 5, 2]
+    cfg = tmp_path / "seven.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    out_path = tmp_path / "rank.csv"
+    assert main(["optimize", "--config", str(cfg), "--brute-force",
+                 "--objective", objective, "--out", str(out_path)]) == 0
+    data = out_path.read_bytes()
+    assert data.count(b"\n") == 5041
     assert hashlib.sha256(data).hexdigest() == digest
 
 

@@ -11,6 +11,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from mginfpolling import analytic
 from mginfpolling.analytic import QueueSpec, SystemSpec
 from mginfpolling.distributions import (
     Deterministic,
@@ -336,3 +337,25 @@ class TestBruteForce:
         assert res.best.order == ()
         assert res.best.total == 0.0
         assert res.ranking == (((), 0.0),)
+
+    def test_index_rule_and_scan_share_the_derived_quantities(
+            self, monkeypatch):
+        # `optimize --brute-force` asks for both on one system: each queue's
+        # derived quantities are computed once, and a new system computes
+        # its own
+        calls = []
+        derived_quantities = analytic.derived_quantities
+
+        def counted(system, queue):
+            calls.append(queue)
+            return derived_quantities(system, queue)
+        monkeypatch.setattr(analytic, "derived_quantities", counted)
+        rng = np.random.default_rng(11)
+        sys = random_tour_system(rng, 5)
+        st = TourState((2, 0, 1, 3, 1), mode=CENTRAL_POINT)
+        report = optimal_order(sys, st, "max")
+        brute_force_order(sys, st, "max")
+        expected_throughput(sys, st, report.order)
+        assert sorted(calls) == [0, 1, 2, 3, 4]
+        optimal_order(SystemSpec(sys.queues), st, "max")
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
