@@ -54,6 +54,7 @@ import numpy as np
 
 from .distributions import (
     Distribution,
+    _dot,
     _phase_groups,
     _Stack,
     attempt_lst,
@@ -197,11 +198,11 @@ class SystemSpec:
 
     The spec computes its `CycleMoments`, for `pgf_eval` its
     `_PgfConstants` (arrival rates and per-queue visit atoms, `left` and
-    `survive`), and for the tour optimizer every queue's
-    `derived_quantities`, on first use and keeps them; it is frozen, so
-    they cannot go stale, and `dataclasses.replace` returns a new spec that
-    computes its own. A build whose checks fail keeps nothing and raises
-    again on the next use.
+    `survive`), and every queue's `derived_quantities` (read by
+    `polling_means`, the CLI and the tour optimizer), on first use and
+    keeps them; it is frozen, so they cannot go stale, and
+    `dataclasses.replace` returns a new spec that computes its own. A build
+    whose checks fail keeps nothing and raises again on the next use.
     """
 
     queues: tuple[QueueSpec, ...]
@@ -420,7 +421,7 @@ def polling_means(system: SystemSpec) -> PollingMeans:
     rates = [q.arrival_rate for q in queues]
     visit_means = [q.visit.mean() for q in queues]
     switch_means = [q.switch.mean() for q in queues]
-    derived = [derived_quantities(system, j) for j in range(n)]
+    derived = system._derived_quantities
     switch_total = sum(switch_means)
     visit_total = sum(visit_means)
 
@@ -480,18 +481,17 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     every mass by its switch-over's and its visit's transforms at the
     lambda . u carried from the last crossing that changed the counts, and
     only the mass floor is tested after it. u, lambda . u and the u floor
-    are formed again only after a tracked crossing, and lambda . u also
-    when rows retire, since a row of that matrix-vector product can round
-    differently among other rows. Points where all but one coordinate
-    equal 1, such as marginals and gradients at z = 1, therefore keep each
-    level narrow and most levels cheap. A vector retires, adding its mass
-    to the value, once every coordinate of u is below 1e-15 (its
-    remaining factor is then one) or once its mass is below 1e-20. The
-    remaining factor of a vector lies in [0, 1] for z in [0, 1], so the
-    value is off by at most the total mass retired under that floor. The
-    floor is what settles a visit atom in which service never completes:
-    it leaves u as it is, but the weight of a history that keeps drawing
-    it shrinks geometrically.
+    are formed only after a tracked crossing. Each row of lambda . u is
+    summed on its own, so the rows left after a retirement keep their bits.
+    Points where all but one coordinate equal 1, such as marginals and
+    gradients at z = 1, therefore keep each level narrow and most levels
+    cheap. A vector retires, adding its mass to the value, once every
+    coordinate of u is below 1e-15 (its remaining factor is then one) or
+    once its mass is below 1e-20. The remaining factor of a vector lies in
+    [0, 1] for z in [0, 1], so the value is off by at most the total mass
+    retired under that floor. The floor is what settles a visit atom in
+    which service never completes: it leaves u as it is, but the weight of
+    a history that keeps drawing it shrinks geometrically.
 
     What does not depend on z is built on the first call and kept on the
     system: the arrival rates and, per queue, the visit atoms with their
@@ -552,16 +552,15 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
             u = np.zeros((len(counts), n))
             u[:, tracked] = u0[tracked] * np.multiply.reduceat(
                 survive**counts, starts[:-1][tracked], axis=1)
+            lam_dot = _dot(u, rates)
             retire |= np.max(np.abs(u), axis=1) < _PGF_U_FLOOR
         if fresh or retire.any():
             value += mass[retire].sum()
             live = ~retire
             if not live.any():
                 return float(value)
-            counts, mass, u = counts[live], mass[live], u[live]
-            # formed again whenever rows retire: the bits of a row of this
-            # matrix-vector product can depend on the other rows
-            lam_dot = u @ rates
+            counts, mass = counts[live], mass[live]
+            u, lam_dot = u[live], lam_dot[live]
         if level == horizon:
             raise NumericsError(
                 "generating-function value did not settle within "

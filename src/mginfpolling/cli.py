@@ -36,7 +36,6 @@ from .analytic import (
     QueueSpec,
     SystemSpec,
     cycle_moments,
-    derived_quantities,
     pgf_eval,
     polling_means,
     sojourn_lst_exponential,
@@ -426,7 +425,7 @@ def cmd_analyze(args) -> int:
     n = len(system.queues)
     s_grid = _parse_s_grid(args.s_grid) if args.s_grid else DEFAULT_S_GRID
 
-    derived = [derived_quantities(system, i) for i in range(n)]
+    derived = system._derived_quantities
     pm = polling_means(system)
     cm = cycle_moments(system)
     metrics = sojourn_metrics(system, s_grid)
@@ -674,7 +673,7 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
                 z = abs(report.sojourn_means[i] - means[i]) \
                     / report.sojourn_stderr[i]
                 yield (f"sim_sojourn_mean_z[{i + 1}]", 3.0 * scale, z)
-            p = derived_quantities(system, i).completion_prob
+            p = system._derived_quantities[i].completion_prob
             if np.isfinite(report.completion_stderr[i]) \
                     and report.completion_stderr[i] > 0.0:
                 z = abs(report.completion_fraction[i] - p) \

@@ -30,9 +30,10 @@ transform argument s (`survival_product_integral`, `attempt_lst` and
 rates as a leading axis. A `_Stack` of Erlang mixtures with the same phases
 stands in for one law of a pair and puts one row per law on the
 coefficients and the rates. Weighted sums over atoms and components, and
-sums of integrated terms, go through `_dot`, which reduces every row with
-the 1-D dot product that a lone row gets, so a grid entry has the bits of
-its one-point call.
+sums of integrated terms, go through `_dot`, which multiplies elementwise
+and lets numpy sum each row, with no BLAS product: a row is summed as a lone
+row is, so a grid entry has the bits of its one-point call, and no value
+depends on the BLAS kernel.
 
 Every incomplete gamma function met here has an integer shape a, so it is a
 Poisson tail: P(a, x) = P[Poisson(x) >= a]. `_gamma_pq` sums the side of
@@ -264,7 +265,7 @@ class _Atomic(Distribution):
     @functools.cached_property
     def _moments(self) -> tuple[float, float]:
         values, weights = self._arrays
-        return float(values @ weights), float((values**2) @ weights)
+        return _dot(values, weights), _dot(values**2, weights)
 
     def survival(self, x):
         values, weights = self._arrays
@@ -605,15 +606,14 @@ def _product(a: _Terms, b: _Terms) -> _Terms:
 
 
 def _dot(rows: np.ndarray, v: np.ndarray):
-    """rows @ v along the last axis: one value per row, a float for 1-D rows.
+    """Sum of rows * v along the last axis: per row, a float for 1-D rows.
 
-    One batched matrix product reduces every row as a (1 x n) @ (n x 1)
-    product, which runs the 1-D dot product of a lone `row @ v`. A 1-D
-    `rows` is the one-row case of this pass, so a value does not depend on
-    the rest of the grid. (A 2-D `rows @ v` is a matrix-vector product,
-    whose sums need not match the lone row's.)
+    numpy sums each row of a C-ordered array on its own, in the order it
+    sums a lone row, so a value does not depend on the rest of the grid.
+    The product is made C-ordered for that: a Fortran-ordered one is summed
+    in another order.
     """
-    out = (rows[..., None, :] @ v[:, None])[..., 0, 0]
+    out = np.add.reduce(np.multiply(rows, v, order="C"), axis=-1)
     return float(out) if rows.ndim == 1 else out
 
 

@@ -164,7 +164,7 @@ def full_walk_pgf(system: SystemSpec, queue: int, z,
         counts, mass, u = counts[live], mass[live], u[live]
         j = (queue - 1 - level) % n
         v, w = atoms[j]
-        lam_dot = u @ rates
+        lam_dot = np.add.reduce(u * rates, axis=1)
         other = lam_dot - rates[j] * u[:, j]
         mass = mass * queues[j].switch.lst(lam_dot)
         if not tracked[j]:
@@ -651,39 +651,40 @@ class TestPgfTrackedQueues:
 
 #: (queue, z, float.hex of `pgf_eval` on `atomic_pgf_system()`): the twelve
 #: points of `validate` (z = 1, and one coordinate at 1 - 1e-6, at every
-#: queue), then `at_one_points(3)` at every queue. Recorded before the pgf
-#: constants were kept per system, and never re-taken.
+#: queue), then `at_one_points(3)` at every queue. Re-taken once when the
+#: exact paths stopped summing through BLAS: each value is the one the
+#: earlier code gave under OpenBLAS's Haswell kernel.
 ATOMIC_PGF_PINS = [
     (0, (1.0, 1.0, 1.0), "0x1.0000000000000p+0"),
-    (0, (0.999999, 1.0, 1.0), "0x1.ffffce73ab6adp-1"),
+    (0, (0.999999, 1.0, 1.0), "0x1.ffffce73ab6aep-1"),
     (0, (1.0, 0.999999, 1.0), "0x1.ffffe85334294p-1"),
-    (0, (1.0, 1.0, 0.999999), "0x1.fffff8d07eab6p-1"),
+    (0, (1.0, 1.0, 0.999999), "0x1.fffff8d07eab4p-1"),
     (1, (1.0, 1.0, 1.0), "0x1.0000000000000p+0"),
     (1, (0.999999, 1.0, 1.0), "0x1.fffff785bd7f0p-1"),
-    (1, (1.0, 0.999999, 1.0), "0x1.ffffd588d8611p-1"),
-    (1, (1.0, 1.0, 0.999999), "0x1.ffffe1538b4d8p-1"),
+    (1, (1.0, 0.999999, 1.0), "0x1.ffffd588d8612p-1"),
+    (1, (1.0, 1.0, 0.999999), "0x1.ffffe1538b4d5p-1"),
     (2, (1.0, 1.0, 1.0), "0x1.0000000000000p+0"),
-    (2, (0.999999, 1.0, 1.0), "0x1.ffffe2959fcc0p-1"),
-    (2, (1.0, 0.999999, 1.0), "0x1.fffff5bf2d029p-1"),
+    (2, (0.999999, 1.0, 1.0), "0x1.ffffe2959fcc2p-1"),
+    (2, (1.0, 0.999999, 1.0), "0x1.fffff5bf2d028p-1"),
     (2, (1.0, 1.0, 0.999999), "0x1.ffffcfe0c893ep-1"),
     (0, (1.0, 0.5, 0.7), "0x1.51dd10d389a24p-1"),
     (1, (1.0, 0.5, 0.7), "0x1.a208218376aedp-2"),
     (2, (1.0, 0.5, 0.7), "0x1.1ea3b9c31cdcap-1"),
-    (0, (0.0, 1.0, 0.999999), "0x1.e077f551f2f91p-3"),
+    (0, (0.0, 1.0, 0.999999), "0x1.e077f551f2f90p-3"),
     (1, (0.0, 1.0, 0.999999), "0x1.8db89a42fbda3p-1"),
     (2, (0.0, 1.0, 0.999999), "0x1.b176884686b42p-2"),
     (0, (1.00001, 0.4, 1.0), "0x1.5037c09670308p-1"),
-    (1, (1.00001, 0.4, 1.0), "0x1.e2bf84962a12ep-2"),
+    (1, (1.00001, 0.4, 1.0), "0x1.e2bf84962a12fp-2"),
     (2, (1.00001, 0.4, 1.0), "0x1.aac2172129e65p-1"),
     (0, (1.0, 0.5, 1.0), "0x1.687c8d0e20513p-1"),
-    (1, (1.0, 0.5, 1.0), "0x1.115279248a6d1p-1"),
-    (2, (1.0, 0.5, 1.0), "0x1.b7d4c3e7590e9p-1"),
-    (0, (0.999999, 1.0, 1.0), "0x1.ffffce73ab6adp-1"),
+    (1, (1.0, 0.5, 1.0), "0x1.115279248a6d3p-1"),
+    (2, (1.0, 0.5, 1.0), "0x1.b7d4c3e7590e8p-1"),
+    (0, (0.999999, 1.0, 1.0), "0x1.ffffce73ab6aep-1"),
     (1, (0.999999, 1.0, 1.0), "0x1.fffff785bd7f0p-1"),
-    (2, (0.999999, 1.0, 1.0), "0x1.ffffe2959fcc0p-1"),
-    (0, (1.0, 1.0, 1.00001), "0x1.000023ed898efp+0"),
-    (1, (1.0, 1.0, 1.00001), "0x1.0000995e7c926p+0"),
-    (2, (1.0, 1.0, 1.00001), "0x1.0000f09c957e5p+0"),
+    (2, (0.999999, 1.0, 1.0), "0x1.ffffe2959fcc2p-1"),
+    (0, (1.0, 1.0, 1.00001), "0x1.000023ed898f0p+0"),
+    (1, (1.0, 1.0, 1.00001), "0x1.0000995e7c927p+0"),
+    (2, (1.0, 1.0, 1.00001), "0x1.0000f09c957e4p+0"),
 ]
 
 
@@ -698,9 +699,9 @@ def even_two_atom_system(rows) -> SystemSpec:
 
 
 #: (mass floor, `even_two_atom_system` rows, z, queue) at which rows retire
-#: after an untracked crossing and the lambda . u of the rows left, cut out
-#: of the one formed before, differs in its last bits from the one formed
-#: on them alone, and so does the value
+#: after an untracked crossing. `pgf_eval` cuts the lambda . u of the rows
+#: left out of the one formed before, and the full walk forms it on them
+#: alone; a matrix-vector product would round the two differently here
 CARRY_CASES = [
     (1e-7, ((4.5, 0.6, (0.4, 2.7), 0.09), (3.5, 4.1, (0.9, 3.1), 0.17),
             (4.6, 3.0, (0.6, 3.6), 0.1), (1.2, 1.0, (1.6, 2.4), 0.01)),
@@ -1162,10 +1163,13 @@ class TestCachedConstants:
                      lambda: sojourn_mean(never, 0),
                      lambda: sojourn_lst(never, 0, 0.5),
                      lambda: sojourn_metrics(never, (0.5,)),
-                     lambda: pgf_eval(never, 1, np.ones(2))):
-            with pytest.raises(ModelError) as info:
-                call()
-            assert str(info.value) == message
+                     lambda: pgf_eval(never, 1, np.ones(2)),
+                     lambda: polling_means(never)):
+            # a failed build keeps nothing: the next call raises again
+            for _ in range(2):
+                with pytest.raises(ModelError) as info:
+                    call()
+                assert str(info.value) == message
 
 
 # every public function of a transform argument s >= 0; Distribution.lst

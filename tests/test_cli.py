@@ -1,5 +1,6 @@
 """Command-line front end: config parsing and diagnostics, subcommand
 output, CSV schemas, exit codes, and byte-level determinism."""
+import collections
 import csv
 import errno
 import hashlib
@@ -255,6 +256,25 @@ class TestAnalyze:
         cfg = write_config(tmp_path)
         assert main(["analyze", "--config", cfg, "--s-grid", "0.1,zebra"]) == 2
         assert "--s-grid" in capsys.readouterr().err
+
+    def test_each_queue_is_derived_once_per_command(self, capsys,
+                                                    monkeypatch):
+        # `analyze` and `validate` read the system's kept derived quantities,
+        # as `polling_means` does
+        calls = collections.Counter()
+        derive = analytic.derived_quantities
+
+        def counted(system, queue):
+            calls[queue] += 1
+            return derive(system, queue)
+        for module in (analytic, cli):
+            monkeypatch.setattr(module, "derived_quantities", counted,
+                                raising=False)
+        cfg = str(WORKLOADS / "general-wide.json")
+        for argv in (["analyze"], ["validate", "--cycles", "100"]):
+            calls.clear()
+            assert main([*argv, "--config", cfg]) in (0, 1)
+            assert calls == dict.fromkeys(range(8), 1)
 
 
 class TestSimulate:
@@ -946,9 +966,9 @@ class TestValidate:
     def test_atomic_bytes_are_pinned(self, tmp_path, capsys):
         # the seeded CSV on three queues with two-atom visit laws, so it has
         # the sojourn transform rows, all twelve pgf rows and the simulation
-        # rows. Recorded before the pgf constants were kept per system and
-        # the transform rows came from one grid pass, and never re-taken
-        # (numpy 2.4 on x86-64).
+        # rows. Re-taken once when the exact paths stopped summing through
+        # BLAS: the bytes the earlier code wrote under OpenBLAS's Haswell
+        # kernel (numpy 2.4 on x86-64).
         queues = [
             {"arrival_rate": 0.6, "service": {"type": "exponential", "rate": 5.0},
              "visit": {"type": "discrete", "atoms": [[0.8, 0.5], [1.6, 0.5]]},
@@ -967,7 +987,7 @@ class TestValidate:
         out_path = tmp_path / "checks.csv"
         assert main(["validate", "--config", cfg, "--out", str(out_path)]) == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == \
-            "4683b6612e79ca3216a76e25745bc328ea140d0624f6e4f64eead193669b8486"
+            "486e889e3cbad2eae2c1593930473bc9d1f24075fed43caf8634d62dff3b4fdc"
 
     def test_pgf_rows_for_never_serving_visit_atom(self, tmp_path, capsys):
         # queue 1's short visit atom never completes its service

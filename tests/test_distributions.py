@@ -203,7 +203,7 @@ class TestSurvivalAndTransforms:
 
 
 class TestDot:
-    """`_dot` gives every row the bits of the lone product `row @ v`."""
+    """`_dot` gives every row the bits of the 1-D call on that row alone."""
 
     @staticmethod
     def check(rows, v):
@@ -211,7 +211,12 @@ class TestDot:
         assert np.shape(got) == rows.shape[:-1]
         for row, value in zip(rows.reshape(-1, rows.shape[-1]),
                               np.ravel(got).tolist()):
-            assert value == float(row @ v)
+            lone = _dot(row.copy(), v)
+            assert value == lone == float(np.add.reduce(row * v))
+            # and it is the dot product, to the rounding of a sum
+            terms = row * v
+            assert abs(lone - math.fsum(terms)) <= \
+                len(terms) * 2.3e-16 * math.fsum(np.abs(terms))
 
     def test_random_shapes(self):
         rng = np.random.default_rng(1616)
@@ -226,17 +231,24 @@ class TestDot:
             self.check(wide[:, ::2], v)
             # and every other row
             self.check(rows[::2], v)
+            # a Fortran-ordered array, whose plain sum runs down the columns
+            self.check(np.asfortranarray(rows), v)
 
     def test_one_row_and_a_lone_row(self):
         rng = np.random.default_rng(16)
         rows, v = rng.standard_normal((1, 57)), rng.standard_normal(57)
         self.check(rows, v)
         lone = _dot(rows[0], v)
-        assert type(lone) is float and lone == float(rows[0] @ v)
+        assert type(lone) is float
+        assert lone == float(np.add.reduce(rows[0] * v))
 
     def test_grid_axes_beyond_one(self):
         rng = np.random.default_rng(61)
-        self.check(rng.standard_normal((3, 5, 29)), rng.standard_normal(29))
+        grid = rng.standard_normal((3, 5, 29))
+        v = rng.standard_normal(29)
+        self.check(grid, v)
+        self.check(grid.transpose(1, 0, 2), v)
+        self.check(np.asfortranarray(grid), v)
 
 
 def point_masses(v):
