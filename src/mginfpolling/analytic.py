@@ -481,17 +481,18 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     every mass by its switch-over's and its visit's transforms at the
     lambda . u carried from the last crossing that changed the counts, and
     only the mass floor is tested after it. u, lambda . u and the u floor
-    are formed only after a tracked crossing. Each row of lambda . u is
-    summed on its own, so the rows left after a retirement keep their bits.
-    Points where all but one coordinate equal 1, such as marginals and
-    gradients at z = 1, therefore keep each level narrow and most levels
-    cheap. A vector retires, adding its mass to the value, once every
-    coordinate of u is below 1e-15 (its remaining factor is then one) or
-    once its mass is below 1e-20. The remaining factor of a vector lies in
-    [0, 1] for z in [0, 1], so the value is off by at most the total mass
-    retired under that floor. The floor is what settles a visit atom in
-    which service never completes: it leaves u as it is, but the weight of
-    a history that keeps drawing it shrinks geometrically.
+    are formed only after a tracked crossing; when rows retire, lambda . u
+    is sliced, since each of its rows is summed on its own and keeps its
+    bits among any other rows. Points where all but one coordinate
+    equal 1, such as marginals and gradients at z = 1, therefore keep each
+    level narrow and most levels cheap. A vector retires, adding its mass
+    to the value, once every coordinate of u is below 1e-15 (its
+    remaining factor is then one) or once its mass is below 1e-20. The
+    remaining factor of a vector lies in [0, 1] for z in [0, 1], so the
+    value is off by at most the total mass retired under that floor. The
+    floor is what settles a visit atom in which service never completes:
+    it leaves u as it is, but the weight of a history that keeps drawing
+    it shrinks geometrically.
 
     What does not depend on z is built on the first call and kept on the
     system: the arrival rates and, per queue, the visit atoms with their

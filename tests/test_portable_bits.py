@@ -46,7 +46,8 @@ def exact_digest(tmp) -> str:
         digest.update(pgf_eval(system, i, z).hex().encode())
     out = Path(tmp) / "out.csv"
     for name in ("atomic-pgf", "general-wide"):
-        for argv in (["analyze"], ["validate", "--seed", "7", "--cycles", "200"]):
+        for argv in (["analyze"],
+                     ["validate", "--seed", "7", "--cycles", "200"]):
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 rc = main([*argv, "--config", str(WORKLOADS / f"{name}.json"),
