@@ -7,12 +7,13 @@ the travel and visit times of the queues before it, and a fraction of those
 extra arrivals completes. An adjacent-swap argument shows the penalty sum
 is minimized by sorting queues on a one-number index, so the best order
 never depends on the backlog itself. Both tour styles are covered: the
-serial style visits every queue and pays its switch-over, the central-point
-style leaves from and returns to a hub and visits only non-empty queues.
+central-point style leaves from and returns to a hub and visits only
+non-empty queues, and a serial tour, which visits every queue, is one with
+no approach whose return is the switch-over.
 
-`brute_force_order` evaluates every permutation, all of them in one array
-pass, and exists to keep the index rule honest in tests; `optimal_order` is
-the production path.
+`optimal_order` needs no scan; `brute_force_order` ranks every permutation
+in one array pass, for `optimize --brute-force` and the index rule's tests.
+Both give each order the constant plus its penalties summed in tour order.
 """
 from __future__ import annotations
 
@@ -109,8 +110,8 @@ class BruteForceResult:
 class _TourParams:
     """Per-queue numbers shared by every order of one (system, state) pair."""
 
-    __slots__ = ("n", "mode", "rate_prob", "delay", "base", "index",
-                 "visited")
+    __slots__ = ("n", "mode", "rate_prob", "delay", "base", "constant",
+                 "index", "visited")
 
     def __init__(self, system: SystemSpec, state: TourState):
         queues = system.queues
@@ -133,16 +134,14 @@ class _TourParams:
         ev = np.array([q.visit.mean() for q in queues])
         served_within = lam * ev - leftover
 
+        # a serial tour: no approach, and the switch-over as its return
+        serial = state.mode == SERIAL
+        ee = np.array([0.0 if serial else q.approach.mean() for q in queues])
+        er = np.array([(q.switch if serial else q.return_).mean() for q in queues])
         self.rate_prob = lam * p
-        if state.mode == SERIAL:
-            ed = np.array([q.switch.mean() for q in queues])
-            self.delay = ev + ed
-            self.base = np.asarray(state.counts) * p + served_within
-        else:
-            ee = np.array([q.approach.mean() for q in queues])
-            er = np.array([q.return_.mean() for q in queues])
-            self.delay = ee + ev + er
-            self.base = (np.asarray(state.counts) + lam * ee) * p + served_within
+        self.delay = ee + ev + er
+        self.base = (np.asarray(state.counts) + lam * ee) * p + served_within
+        self.constant = float(sum(self.base[q] for q in self.visited))
         # visit laws have no mass at zero, so every delay is positive
         self.index = self.rate_prob / self.delay
 
@@ -154,19 +153,18 @@ class _TourParams:
                               f"{self.visited}")
         return order
 
-    def constant(self) -> float:
-        return float(sum(self.base[q] for q in self.visited))
-
     def report(self, order) -> ThroughputReport:
         per_queue = np.zeros(self.n)
-        elapsed = 0.0
+        penalty = elapsed = 0.0
         for q in order:
-            per_queue[q] = self.base[q] + self.rate_prob[q] * elapsed
+            step = self.rate_prob[q] * elapsed
+            per_queue[q] = self.base[q] + step
+            penalty += step
             elapsed += self.delay[q]
-        return ThroughputReport(order=order, total=float(per_queue.sum()),
+        return ThroughputReport(order=order, total=float(self.constant + penalty),
                                 per_queue=per_queue,
                                 index_values=self.index.copy(),
-                                constant=self.constant())
+                                constant=self.constant)
 
 
 def expected_throughput(system: SystemSpec, state: TourState,
@@ -205,13 +203,13 @@ def optimal_order(system: SystemSpec, state: TourState,
 
 def brute_force_order(system: SystemSpec, state: TourState,
                       objective: str = "max") -> BruteForceResult:
-    """Exhaustive permutation scan; the test oracle for `optimal_order`.
+    """Exhaustive permutation scan, for `optimize --brute-force` and tests.
 
     Every order is scored in one array pass: one row per order, in the
     lexicographic order `permutations` yields them in, and one column step
     per tour position, adding rate_prob * elapsed and then the position's
-    delay, in the order a scalar loop over one order would. Each value
-    therefore has the bits of that loop. One stable sort ranks the values,
+    delay, as `_TourParams.report`'s loop does for one order, so each value
+    has the bits of that order's report. One stable sort ranks the values,
     so orders with equal values stay in lexicographic order, as a sort on
     (-value, order) for "max" or (value, order) for "min" leaves them.
     Refuses more than 9 visited queues (the scan is factorial); use
@@ -232,7 +230,7 @@ def brute_force_order(system: SystemSpec, state: TourState,
     for col in index.T:
         penalty += params.rate_prob[col] * elapsed
         elapsed += params.delay[col]
-    values = params.constant() + penalty
+    values = params.constant + penalty
     best = np.argsort(-values if objective == "max" else values, kind="stable")
     ranking = tuple(zip(map(orders.__getitem__, best.tolist()),
                         values[best].tolist()))

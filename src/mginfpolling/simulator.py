@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import SystemSpec
-from .distributions import Distribution
+from .distributions import Deterministic, Distribution
 from .errors import DomainError
 from .optimizer import TourState
 
@@ -558,12 +558,13 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
                             master_seed: int = 0) -> SingleCycleEstimate:
     """Estimate the expected number of services in one tour from state `initial_counts`.
 
-    The tour follows `order`. For a system without central-point travel laws
-    the order must cover all queues and each visit is followed by that
-    queue's switch-over; with central-point laws the order may cover any
-    subset and each visit is wrapped in its approach and return travel
-    times. Customers present at the start and all customers arriving during
-    the tour behave exactly as in `run`; completions of both kinds count.
+    The tour follows `order`. With central-point travel laws the order may
+    cover any subset and each visit is wrapped in its approach and return
+    travel times; without them the order must cover all queues and the tour
+    is read as a central-point tour with no approach whose return is the
+    queue's switch-over. Customers present at the start and all customers
+    arriving during the tour behave exactly as in `run`; completions of
+    both kinds count.
 
     No step needs a guard for a zero arrival rate or an empty draw: a
     Poisson mean of 0 and a sample of size 0 read nothing from their
@@ -594,8 +595,13 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
         spec = queues[q]
         gen = {p: _generator(master_seed, _CYCLE_SALT, 0, q, p) for p in range(5)}
         if central:
-            out_rng = _generator(master_seed, _CYCLE_SALT, 1, q, _SWITCH)
-            elapsed = elapsed + spec.approach.sample(out_rng, reps)
+            approach, after = spec.approach, spec.return_
+            out_rng, after_rng = (_generator(master_seed, _CYCLE_SALT, r, q, _SWITCH)
+                                  for r in (1, 2))
+        else:
+            approach, after, out_rng, after_rng = (Deterministic(0.0), spec.switch,
+                                                   None, gen[_SWITCH])
+        elapsed = elapsed + approach.sample(out_rng, reps)
         v = spec.visit.sample(gen[_VISIT], reps)
         rate = spec.arrival_rate
 
@@ -608,12 +614,7 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
         b = spec.service.sample(gen[_SERVICE], owner.size)
         per_queue[q] += np.bincount(owner[t_a + b <= v[owner]], minlength=reps)
 
-        elapsed = elapsed + v
-        if central:
-            elapsed = elapsed + spec.return_.sample(
-                _generator(master_seed, _CYCLE_SALT, 2, q, _SWITCH), reps)
-        else:
-            elapsed = elapsed + spec.switch.sample(gen[_SWITCH], reps)
+        elapsed = elapsed + v + after.sample(after_rng, reps)
 
     served = per_queue.sum(axis=0)
     mean = float(served.mean())

@@ -536,6 +536,13 @@ class TestPgf:
         with pytest.raises(NumericsError, match="did not settle"):
             pgf_eval(slow, 0, (0.2, 0.2))
 
+    def test_too_many_atom_counts_raises(self, monkeypatch):
+        # queue 1's two visit atoms give each level more count vectors
+        monkeypatch.setattr(analytic, "_PGF_MAX_VECTORS", 2)
+        with pytest.raises(NumericsError,
+                           match="exceeded 2 distinct visit-atom counts"):
+            pgf_eval(continuous_switch_system(), 0, (0.5, 0.5))
+
     @pytest.mark.parametrize("system", [
         atomic_system(),
         SystemSpec((

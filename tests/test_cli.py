@@ -27,7 +27,7 @@ from mginfpolling.distributions import (
     MixedErlang,
 )
 from mginfpolling.errors import ConfigError, UnsupportedModelError
-from mginfpolling.simulator import _BLOCK_CYCLES, _mean_and_stderr
+from mginfpolling.simulator import _BLOCK_CYCLES, SimConfig, _mean_and_stderr
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ROOT / "bench" / "workloads"
@@ -224,6 +224,76 @@ class TestConfigParsing:
                            sim=base_sim_block(collect_sojourn=False))
         assert main(["simulate", "--config", cfg]) == 2
         assert "sim: unknown key 'collect_sojourn'" in capsys.readouterr().err
+
+
+def with_queue(k, **fields):
+    queues = json.loads(json.dumps(BASE_QUEUES))
+    queues[k].update(fields)
+    return queues
+
+
+SWEEP_BLOCK = {"queue": 1, "target": "service_mean", "grid": [0.5, 1.0]}
+
+# (argv, config blocks, the JSON path stderr names); a str in place of the
+# blocks is the whole config file's text
+CONFIG_ERRORS = [
+    (["analyze"], {"queues": with_queue(0, service=3)},
+     "system.queues[1].service: expected a distribution object"),
+    (["analyze"], {"queues": with_queue(1, visit={"rate": 1.0})},
+     "system.queues[2].visit: missing required key 'type'"),
+    (["analyze"], '{"system": []}', "system: expected an object"),
+    (["analyze"], '{"system": {"queues": {}}}', "system.queues: expected a list"),
+    (["analyze"], {"queues": [BASE_QUEUES[0], 5]},
+     "system.queues[2]: expected a queue object"),
+    (["simulate"], {"sim": []}, "sim: expected an object"),
+    (["simulate"], {"sim": base_sim_block(pgf_points={})},
+     "sim.pgf_points: expected a list"),
+    (["simulate"], {"sim": base_sim_block(pgf_points=[[1, 0.5]])},
+     "sim.pgf_points[0]: expected [queue, [z, ...]]"),
+    (["simulate"], {"sim": base_sim_block(pgf_points=[[1, [0.5]]])},
+     "sim.pgf_points[0][1]: expected 2 z values"),
+    (["simulate"], {"sim": base_sim_block(replications=0)},
+     "sim: replications must be >= 1"),
+    (["sweep"], {"sweep": {**SWEEP_BLOCK, "queue": 3}},
+     "sweep.queue: queue 3 out of range 1..2"),
+    (["sweep"], {"sweep": {**SWEEP_BLOCK,
+                           "grid": {"start": 0.5, "stop": 1.0, "points": 1}}},
+     "sweep.grid.points: need at least 2 points"),
+    (["sweep"], {"sweep": {**SWEEP_BLOCK, "grid": "0.5,1.0"}},
+     "sweep.grid: expected a list of values or a start/stop/points object"),
+    (["sweep"], {"sweep": {**SWEEP_BLOCK, "grid": []}},
+     "sweep.grid: grid must not be empty"),
+    (["optimize"], {}, "optimize: expected an object"),
+    (["optimize"], {"optimize": {"counts": [1]}},
+     "optimize.counts: expected a list of 2 nonnegative integers"),
+    (["optimize"], {"optimize": {"counts": [1, 1], "mode": "ring"}},
+     "optimize.mode: expected 'serial' or 'central_point', got 'ring'"),
+    (["optimize"], {"optimize": {"counts": [1, 1], "objective": "most"}},
+     "optimize.objective: expected 'max' or 'min', got 'most'"),
+    (["optimize"], {"optimize": {"counts": [1, -1]}},
+     "optimize.counts: initial counts must be nonnegative"),
+    (["analyze"], "[1]", "config.json: top level must be an object"),
+    (["analyze", "--s-grid", "0.5,-1"], {},
+     "--s-grid values must be finite and >= 0"),
+    (["analyze", "--s-grid", "0.5,inf"], {},
+     "--s-grid values must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv, blocks, message", CONFIG_ERRORS)
+def test_config_errors_name_their_path(tmp_path, capsys, argv, blocks,
+                                       message):
+    if isinstance(blocks, str):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(blocks, encoding="utf-8")
+    else:
+        cfg = write_config(tmp_path, **blocks)
+    assert main([argv[0], "--config", str(cfg), *argv[1:]]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_without_sim_block_gets_the_defaults():
+    assert cli._build_sim(None, "sim", 2) == SimConfig()
 
 
 class TestAnalyze:
@@ -1113,13 +1183,20 @@ class TestConsoleEntryPoints:
         assert proc.returncode == 0
         assert "sojourn_mean" in proc.stdout
 
-    def test_module_execution(self, tmp_path):
-        cfg = write_config(tmp_path)
+    def test_module_execution(self, tmp_path, capsys):
         # the package the suite imports, also from a checkout
         src = str(Path(mginfpolling.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-m", "mginfpolling",
-                               "analyze", "--config", cfg],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src})
-        assert proc.returncode == 0
-        assert "sojourn_mean" in proc.stdout
+
+        def run_module(cfg):
+            return subprocess.run([sys.executable, "-m", "mginfpolling",
+                                   "analyze", "--config", cfg],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": src})
+        cfg = str(ROOT / "demos" / "base_config.json")
+        proc = run_module(cfg)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["analyze", "--config", cfg]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        proc = run_module(write_config(tmp_path, surprise=1))
+        assert proc.returncode == 2
+        assert "unknown key 'surprise'" in proc.stderr

@@ -335,6 +335,14 @@ class TestValidation:
             Discrete(((1.0, 0.5), (1.0, 0.5)))
         with pytest.raises(DomainError):
             Discrete(((-1.0, 1.0),))
+        with pytest.raises(DomainError, match="atom probability must be positive"):
+            Discrete(((1.0, 0.0), (2.0, 1.0)))
+        with pytest.raises(DomainError, match="value must be finite and >= 0"):
+            Deterministic(-1.0)
+
+    def test_zero_mean_law_has_no_scv(self):
+        with pytest.raises(DomainError, match="scv undefined"):
+            Deterministic(0.0).scv()
 
     def test_discrete_renormalizes_tiny_drift(self):
         w = 1.0 / 3.0
@@ -594,6 +602,8 @@ class TestFits:
             fit_hyperexponential(1.0, 0.8)
         with pytest.raises(DomainError):
             fit_two_moments(-1.0, 0.5)
+        with pytest.raises(DomainError, match="mean must be positive"):
+            fit_hyperexponential(0.0, 2.0)
 
 
 # every family, plus a 500-phase fit whose coefficients overflow outside log space

@@ -5,13 +5,16 @@ Hand oracles use memoryless service and visit laws with equal rates, where
 the completion probability is exactly 1/2 and the expected leftover arrival
 count is half the arrival volume of a visit.
 """
+import dataclasses
+import json
 import math
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mginfpolling import analytic
+from mginfpolling import analytic, cli
 from mginfpolling.analytic import QueueSpec, SystemSpec
 from mginfpolling.distributions import (
     Deterministic,
@@ -30,6 +33,8 @@ from mginfpolling.optimizer import (
     optimal_order,
 )
 from mginfpolling.simulator import single_cycle_throughput
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def serial_system(lams, switch=0.25):
@@ -50,7 +55,7 @@ def reference_brute_force(system, state, objective):
     a Python loop per order over the shared per-queue numbers, ranked by a
     sort on (-value, order) for "max" and (value, order) for "min"."""
     params = _TourParams(system, state)
-    constant = params.constant()
+    constant = params.constant
 
     def order_penalty(order):
         total = 0.0
@@ -359,3 +364,74 @@ class TestBruteForce:
         assert sorted(calls) == [0, 1, 2, 3, 4]
         optimal_order(SystemSpec(sys.queues), st, "max")
         assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+
+
+def bench_tour(name):
+    """The system and tour state of a bench workload's `optimize` block."""
+    raw = json.loads((WORKLOADS / f"{name}.json").read_text(encoding="utf-8"))
+    spec = raw["optimize"]
+    return (cli._build_system(raw["system"]),
+            TourState(tuple(spec["counts"]), mode=spec["mode"]))
+
+
+def random_tours():
+    """Two random_tour_system tours per queue count and style, some tied."""
+    rng = np.random.default_rng(2023)
+    for n in range(2, 8):
+        for mode in (SERIAL, CENTRAL_POINT):
+            for k in range(2):
+                counts = rng.integers(0 if mode == CENTRAL_POINT else 1, 6,
+                                      size=n)
+                yield pytest.param(
+                    (random_tour_system(rng, n),
+                     TourState(tuple(int(c) for c in counts), mode=mode)),
+                    id=f"{mode}-{n}-{k}")
+
+
+class TestOneValuePerTour:
+    """Every tour value is the scan's: the order-invariant constant plus the
+    penalty summed in tour order, whichever entry point reports it."""
+
+    @pytest.mark.parametrize("tour", [
+        *random_tours(),
+        *(pytest.param(bench_tour(name), id=name)
+          for name in ("demo", "general-wide", "atomic-pgf"))])
+    def test_every_report_equals_the_ranked_value(self, tour):
+        system, state = tour
+        for objective in ("max", "min"):
+            scan = brute_force_order(system, state, objective)
+            ranked = {order: value.hex() for order, value in scan.ranking}
+            assert scan.best.total.hex() == scan.ranking[0][1].hex()
+            rule = optimal_order(system, state, objective)
+            assert rule.total.hex() == ranked[rule.order]
+        # an order's value does not depend on the objective
+        for order, value in ranked.items():
+            assert expected_throughput(system, state, order).total.hex() == value
+
+    def test_a_serial_tour_is_a_central_tour_with_no_approach(self):
+        # both readings give the same bits: the optimizer from the leg
+        # means, the simulator from one-atom switch-overs that read no stream
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 5):
+            serial = SystemSpec(tuple(
+                dataclasses.replace(q, approach=None, return_=None,
+                                    switch=Deterministic(rng.uniform(0.0, 0.5)))
+                for q in random_tour_system(rng, n).queues))
+            central = SystemSpec(tuple(
+                dataclasses.replace(q, approach=Deterministic(0.0),
+                                    return_=q.switch)
+                for q in serial.queues))
+            counts = tuple(int(c) for c in rng.integers(1, 6, size=n))
+            for objective in ("max", "min"):
+                a = brute_force_order(serial, TourState(counts), objective)
+                b = brute_force_order(central, TourState(counts, CENTRAL_POINT),
+                                      objective)
+                assert [(o, v.hex()) for o, v in a.ranking] == \
+                    [(o, v.hex()) for o, v in b.ranking]
+            order = tuple(rng.permutation(n).tolist())
+            a, b = (single_cycle_throughput(sys, order, counts,
+                                            replications=500, master_seed=n)
+                    for sys in (serial, central))
+            assert (a.mean.hex(), a.stderr.hex()) == \
+                (b.mean.hex(), b.stderr.hex())
+            assert a.per_queue_mean.tobytes() == b.per_queue_mean.tobytes()

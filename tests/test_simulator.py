@@ -115,6 +115,8 @@ class TestValidation:
             single_cycle_throughput(sys, (0, 1), (1, -1), replications=10)
         with pytest.raises(DomainError):
             single_cycle_throughput(sys, (0, 1), (1, 1), replications=0)
+        with pytest.raises(DomainError, match="must be 2 nonnegative integers"):
+            single_cycle_throughput(sys, (0, 1), (1, 1, 1), replications=10)
 
     def test_leftover_rejects_bad_values(self):
         with pytest.raises(DomainError):
