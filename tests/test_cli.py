@@ -925,6 +925,22 @@ def test_seven_queue_ranking_csv_is_pinned(tmp_path, capsys, objective,
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("demo", "2aa6bf1228211537dcc7d6145138c7f3bb0fdd8f10758c8b1320e9213071c311"),
+    ("general-wide",
+     "d0744ab00c90fad49be775945cfad2fa7859c8c69d26f0799b87ed401409ff69"),
+    ("atomic-pgf",
+     "009eb6f0c86914901aafa93e575add5984dc1ff3943034bb19582922fd0e769d"),
+])
+def test_analyze_bytes_are_pinned(tmp_path, name, digest):
+    # recorded before the term-sum kernel's one-pass rewrite: a change that
+    # moves any bit of an exact value changes these bytes
+    out_path = tmp_path / "analyze.csv"
+    assert main(["analyze", "--config", str(WORKLOADS / f"{name}.json"),
+                 "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 class TestValidate:
     def test_base_config_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sim=base_sim_block(

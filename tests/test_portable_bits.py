@@ -37,16 +37,16 @@ with tempfile.TemporaryDirectory() as tmp:
 
 
 def exact_digest(tmp) -> str:
-    """One sha256 over the 30 pinned pgf points, then `analyze` and a
-    short seeded `validate` (stdout, CSV and return code) on the atomic-pgf
-    and general-wide workloads."""
+    """One sha256 over the 30 pinned pgf points, then `analyze`, `sweep`
+    and a short seeded `validate` (stdout, CSV and return code) on the
+    atomic-pgf and general-wide workloads."""
     digest = hashlib.sha256()
     system = atomic_pgf_system()
     for i, z, _ in ATOMIC_PGF_PINS:
         digest.update(pgf_eval(system, i, z).hex().encode())
     out = Path(tmp) / "out.csv"
     for name in ("atomic-pgf", "general-wide"):
-        for argv in (["analyze"],
+        for argv in (["analyze"], ["sweep"],
                      ["validate", "--seed", "7", "--cycles", "200"]):
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
