@@ -212,19 +212,33 @@ class _ErlangMixture(Distribution):
     # The law as sums of terms c x^p exp(-r x) 1{x < u}, each built once.
 
     @functools.cached_property
+    def _erlang_parts(self) -> tuple[tuple, tuple]:
+        """The parts all three term sums read, built once: `_erlang_terms`."""
+        w, k, r = self._arrays
+        logw = np.fromiter(map(math.log, w.ravel().tolist()), float,
+                           w.size).reshape(w.shape)
+        component = (logw, np.log(r), r, k)
+        phases = k.astype(int).tolist()
+        comp = [c for c, n in enumerate(phases) for _ in range(n)]
+        j = np.array([float(i) for n in phases for i in range(n)])
+        return ((*component, np.array([math.lgamma(x) for x in k.tolist()])),
+                (*(a.take(comp, axis=-1) for a in component), j,
+                 np.array([math.lgamma(x + 1) for x in j.tolist()])))
+
+    @functools.cached_property
     def _survival_terms(self) -> _Terms:
         """P[Y > x]: the tail sum (r x)^j / j! e^{-r x}, j < k, of each component."""
-        return _erlang_terms("survival", *self._arrays)
+        return _erlang_terms("survival", self._erlang_parts)
 
     @functools.cached_property
     def _density_terms(self) -> _Terms:
         """The density: r^k x^(k-1) e^{-r x} / (k-1)! per component."""
-        return _erlang_terms("density", *self._arrays)
+        return _erlang_terms("density", self._erlang_parts)
 
     @functools.cached_property
     def _tail_terms(self) -> _Terms:
         """E[(Y - x)^+], the integral of the survival function beyond x."""
-        return _erlang_terms("tail", *self._arrays)
+        return _erlang_terms("tail", self._erlang_parts)
 
     def _expect(self, g: _Terms, moment: int = 0, s=0.0, left: bool = False):
         """E[Y^moment exp(-s Y) g(Y)] by the density, which ignores `left`.
@@ -310,8 +324,8 @@ class _Atomic(Distribution):
         values, weights = self._arrays
         t = _weighted(g, moment, s)
         # each grid row of coefficients and rates meets every atom
-        return _dot(_evaluate(t._replace(logc=t.logc[..., None, :],
-                                         r=t.r[..., None, :]), values, left),
+        return _dot(_evaluate(_Terms(t.logc[..., None, :], t.sign, t.p,
+                                     t.r[..., None, :], t.u), values, left),
                     weights)
 
     @functools.cached_property
@@ -468,6 +482,7 @@ class _Stack:
         w, k, r = zip(*(law._arrays for law in self._laws))
         return np.stack(w), k[0], np.stack(r)
 
+    _erlang_parts = _ErlangMixture._erlang_parts
     _survival_terms = _ErlangMixture._survival_terms
     _density_terms = _ErlangMixture._density_terms
     _tail_terms = _ErlangMixture._tail_terms
@@ -548,35 +563,29 @@ def _terms(logc, sign, p, r, u) -> _Terms:
     return terms
 
 
-def _erlang_terms(kind: str, w, k, r) -> _Terms:
+def _erlang_terms(kind: str, parts) -> _Terms:
     """One term sum of an Erlang mixture: "survival", "density" or "tail".
 
-    `k` holds the phases of the components; `w` and `r` hold their weights
-    and rates on the last axis. A leading axis on `w` and `r`, one row per
+    `parts` is the mixture's `_erlang_parts`: per component (log w, log r,
+    r, k, log (k-1)!), each log w taken alone with `math.log`, and per
+    phase j < k of each component, its component's log w, log r, r and k,
+    then j and log j!. A leading axis on the weights and rates, one row per
     law, gives the sums of a `_Stack`: their coefficients and rates carry
-    it. Each weight's log is taken alone with `math.log`, and every other
-    step acts on one element at a time, so a row equals the sum of its law
-    built alone.
+    it. Every step acts on one element at a time, so a row equals the sum
+    of its law built alone.
     """
-    logw = np.fromiter(map(math.log, w.ravel().tolist()), float,
-                       w.size).reshape(w.shape)
-    log_r = np.log(r)
+    (logw, log_r, r, k, log_fact), phase = parts
     if kind == "density":
         # r^k x^(k-1) e^{-r x} / (k-1)! per component
-        log_fact = [math.lgamma(x) for x in k.tolist()]
         return _terms(logw + k * log_r - log_fact, 1.0, k - 1, r, np.inf)
     # one term per phase j < k of each component
-    phases = k.astype(int).tolist()
-    comp = np.array([c for c, n in enumerate(phases) for _ in range(n)])
-    j = np.array([float(i) for n in phases for i in range(n)])
-    log_fact = [math.lgamma(x + 1) for x in j.tolist()]
-    logw, log_r, r = (a.take(comp, axis=-1) for a in (logw, log_r, r))
+    logw, log_r, r, k, j, log_fact = phase
     if kind == "survival":
         # the tail sum (r x)^j / j! e^{-r x}, j < k, of each component
         logc = logw + j * log_r - log_fact
     else:
         # E[(Y - x)^+]: (k - j) / r * (r x)^j / j! e^{-r x} per phase j < k
-        logc = logw + np.log(k[comp] - j) + (j - 1) * log_r - log_fact
+        logc = logw + np.log(k - j) + (j - 1) * log_r - log_fact
     return _terms(logc, 1.0, j, r, np.inf)
 
 
@@ -585,24 +594,26 @@ def _weighted(t: _Terms, moment: int, s) -> _Terms:
 
     A 1-D array s adds a leading grid axis to the rates, and to the rates
     only: row k of `r` holds the rates of the sum multiplied by
-    exp(-s[k] x). A scalar s adds no axis.
+    exp(-s[k] x). A scalar s adds no axis. The other fields are `t`'s own.
     """
-    return t._replace(p=t.p + moment,
-                      r=t.r + np.asarray(s, dtype=float)[..., None])
+    return _Terms(t.logc, t.sign, t.p + moment,
+                  t.r + np.asarray(s, dtype=float)[..., None], t.u)
 
 
 def _product(a: _Terms, b: _Terms) -> _Terms:
     """The pointwise product of two term sums, one term per pair.
 
-    The pair (i, j) sits at i * len(b) + j; a field with a leading grid axis
-    keeps it, so the term product is built once for the whole grid.
+    The pair (i, j) sits at i * len(b) + j. Signs, powers and cutoffs stay
+    on the term axis, one outer operation each; coefficients and rates keep
+    a leading grid axis, so the product is built once for the whole grid.
     """
-    def pairs(combine, x, y):
-        z = combine(x[..., :, None], y[..., None, :])
-        return z.reshape(z.shape[:-2] + (-1,))
-
-    return _Terms(*(pairs(combine, x, y) for combine, x, y in zip(
-        (np.add, np.multiply, np.add, np.add, np.minimum), a, b)))
+    logc = a.logc[..., :, None] + b.logc[..., None, :]
+    r = a.r[..., :, None] + b.r[..., None, :]
+    return _Terms(logc.reshape(*logc.shape[:-2], -1),
+                  np.multiply.outer(a.sign, b.sign).ravel(),
+                  np.add.outer(a.p, b.p).ravel(),
+                  r.reshape(*r.shape[:-2], -1),
+                  np.minimum.outer(a.u, b.u).ravel())
 
 
 def _dot(rows: np.ndarray, v: np.ndarray):
@@ -695,8 +706,11 @@ def _integral(t: _Terms):
     With a = p + 1, the integral of x^p e^{-r x} over [0, u] is
     Gamma(a) / r^a * P(a, r u) for r > 0, with P the regularized lower
     incomplete gamma function, and u^a / a for r = 0 (u is then finite).
-    A term whose factor P(a, r u) underflows is below 1e-300 of its full
-    integral and drops out.
+    The first form is taken for every term, with P on the cut columns only,
+    those of finite u. A continuous law or s > 0 makes every rate positive;
+    a zero rate (two atomic laws at s = 0) then takes the second form in one
+    `np.where`. A term whose factor P(a, r u) underflows is below 1e-300 of
+    its full integral and drops out.
 
     Rates with a leading grid axis (from `_weighted` at a 1-D array s), or
     coefficients and rates with one (from a `_Stack`), give one integral
@@ -705,15 +719,16 @@ def _integral(t: _Terms):
     that depend on the coefficient or the rate are evaluated per row.
     """
     a = t.p + 1.0
-    cut = np.isfinite(t.u) & (t.r > 0.0)
-    p = np.ones(t.r.shape)
-    if cut.any():
-        p[cut] = _gamma_p(np.broadcast_to(a, cut.shape)[cut].astype(int),
-                          t.r[cut] * np.broadcast_to(t.u, cut.shape)[cut])
+    finite = np.isfinite(t.u)
+    positive = np.count_nonzero(t.r > 0.0)
     log_gamma = np.array([math.lgamma(v) for v in a.tolist()])
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_i = np.where(t.r > 0.0, log_gamma - a * np.log(t.r) + np.log(p),
-                         a * np.log(t.u) - np.log(a))
+        log_i = log_gamma - a * np.log(t.r)
+        if positive and np.count_nonzero(finite):
+            log_i[..., finite] += np.log(_gamma_p(
+                a[finite].astype(int), t.r[..., finite] * t.u[finite]))
+        if positive < t.r.size:
+            log_i = np.where(t.r > 0.0, log_i, a * np.log(t.u) - np.log(a))
         return _dot(np.exp(t.logc + log_i), t.sign)
 
 
@@ -733,7 +748,7 @@ def _check_s(s, name: str):
     if s.ndim > 1:
         raise DomainError(f"{name} takes a scalar or 1-D array s, "
                           f"got shape {s.shape}")
-    if not (s >= 0.0).all():
+    if not s.min(initial=np.inf) >= 0.0:
         raise DomainError(f"{name} requires s >= 0")
 
 
