@@ -213,7 +213,7 @@ class _ErlangMixture(Distribution):
 
     @functools.cached_property
     def _erlang_parts(self) -> tuple[tuple, tuple]:
-        """The parts all three term sums read, built once: `_erlang_terms`."""
+        """What all three term sums read, built once (see `_erlang_terms`)."""
         w, k, r = self._arrays
         logw = np.fromiter(map(math.log, w.ravel().tolist()), float,
                            w.size).reshape(w.shape)
