@@ -609,10 +609,12 @@ def _product(a: _Terms, b: _Terms) -> _Terms:
     """
     logc = a.logc[..., :, None] + b.logc[..., None, :]
     r = a.r[..., :, None] + b.r[..., None, :]
-    return _Terms(logc.reshape(*logc.shape[:-2], -1),
+    # the pair axis is given its length: -1 is ambiguous on an empty grid
+    pairs = a.sign.size * b.sign.size
+    return _Terms(logc.reshape(*logc.shape[:-2], pairs),
                   np.multiply.outer(a.sign, b.sign).ravel(),
                   np.add.outer(a.p, b.p).ravel(),
-                  r.reshape(*r.shape[:-2], -1),
+                  r.reshape(*r.shape[:-2], pairs),
                   np.minimum.outer(a.u, b.u).ravel())
 
 

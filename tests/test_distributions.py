@@ -518,6 +518,18 @@ class TestTwoLawFunctionals:
         assert got == pytest.approx(1.0 / 9.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("visit", ALL_LAWS, ids=repr)
+@pytest.mark.parametrize("service", ALL_LAWS, ids=repr)
+def test_empty_grid_gives_empty_arrays(service, visit):
+    # an empty 1-D s gives one value per entry, none, for every pair
+    values = (*attempt_lst(service, visit, []),
+              served_in_visit(service, visit, []),
+              survival_product_integral(service, visit, []))
+    for value in values:
+        assert isinstance(value, np.ndarray)
+        assert value.shape == (0,) and value.dtype == float
+
+
 class TestCompletionProbability:
     def test_exponential_pair(self):
         # P[B <= V] for B ~ exp(mu), V ~ exp(gamma) is mu / (mu + gamma)
