@@ -38,17 +38,25 @@ Ties follow the model: an arrival at a visit's exact end waits for the next
 visit, and a requirement equal to the remaining visit time completes.
 
 Randomness comes from counter-based Philox streams keyed by (master seed,
-replication, queue, purpose), so every replication is an independent,
-reproducible stream bundle regardless of how replications are scheduled
-across processes. Each stream's seed sequence gets the key as one array
-of 32-bit words, the same entropy as the key tuple and so the same draws.
-Per block, a queue's count stream gives one Poisson count, its position
-stream that many uniforms, and its service stream one requirement per
-customer in each retry round; `single_cycle_throughput` and
-`leftover_after_visit` instead draw one count per interval. A one-atom
-law (`Deterministic`, a one-atom `Discrete`) never reads its stream, so
-`run` builds no visit, switch-over or service stream for one and hands
-its sampler None; every other stream keeps its key. Reports
+salt, replication, queue, purpose), so every replication is an
+independent, reproducible stream bundle regardless of how replications
+are scheduled across processes. Each call derives the keys of all the
+streams it reads in one table: `_stream_keys` runs numpy's SeedSequence
+hash (its pool-of-four mixing of the key's 32-bit words, then its output
+hash) on every row at once as uint32 arithmetic, and `_Key`, a seed
+sequence in numpy's `ISeedSequence` sense, hands each key to its Philox.
+The hash takes the same steps with the same constants for every row,
+whatever its words, so all rows go at once, and each key is, bit for bit,
+the one SeedSequence derives from the row's tuple: every draw is that
+tuple stream's draw. `run` builds the table once for every replication and
+hands each replication, also in a worker process, the keys of its own
+streams. Per block, a queue's count stream gives one Poisson count, its
+position stream that many uniforms, and its service stream one
+requirement per customer in each retry round; `single_cycle_throughput`
+and `leftover_after_visit` instead draw one count per interval. A
+one-atom law (`Deterministic`, a one-atom `Discrete`) never reads its
+stream, so no call builds a visit, switch-over or service stream for one,
+and its sampler is handed None; every other stream keeps its key. Reports
 aggregate replication means in replication order, making results
 bit-identical for a fixed master seed and any thread count.
 """
@@ -172,20 +180,120 @@ class SimulationReport:
     per_replication: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
-def _generator(master_seed: int, salt: int, rep: int, queue: int,
-               purpose: int) -> np.random.Generator:
-    # SeedSequence splits each int of its entropy into little-endian 32-bit
-    # words; handing it those words as one uint32 array skips its per-int
-    # coercion and fills the same pool, so the key and every draw match the
-    # tuple (master_seed, salt, rep, queue, purpose). A Python int makes a
-    # negative seed raise, as the tuple does, where a numpy int would wrap.
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """init, init * mult, init * mult**2, ... modulo 2**32: n uint32s."""
+    out = [init]
+    while len(out) < n:
+        out.append(out[-1] * mult % 2**32)
+    return np.array(out, dtype=np.uint32)
+
+
+# the pool's 4 words, 12 cross mixes and 4 mixes for each of at most two
+# further words (a master seed below 2**64 takes at most 2 words) take 24
+# hashmix steps, step k reading constants k and k + 1
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 25)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 5)
+
+
+def _hashmix(value: np.ndarray, k: int, n: int) -> np.ndarray:
+    """numpy's `hashmix` as steps k to k + n - 1, one per column of value."""
+    value = (value ^ _HASH_A[k:k + n]) * _HASH_A[k + 1:k + n + 1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's `mix` of pool words x with hashed words y."""
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return out ^ (out >> 16)
+
+
+def _stream_keys(master_seed: int, salt: int, rows) -> np.ndarray:
+    """The Philox key of each (rep, queue, purpose) row, as (rows, 2) uint64s.
+
+    Row i holds np.random.SeedSequence((master_seed, salt, *rows[i]))
+    .generate_state(2, np.uint64), the key a Philox seeded with that tuple
+    takes, bit for bit. The seed sequence splits each int into
+    little-endian 32-bit words, hashes the first four into its pool of
+    four, mixes every pool word into every other one and each further word
+    into all four, and hashes the pool into the key, each step with the
+    next of a fixed run of constants; here every step acts on all rows at
+    once, in uint32 arithmetic, which wraps as numpy's C code does. A
+    Python int makes a negative seed raise, as the tuple does, where a
+    numpy int would wrap.
+    """
     words, high = [], operator.index(master_seed)
     while high >= 2**32:
         high, low = divmod(high, 2**32)
         words.append(low)
-    words += (high, salt, rep, queue, purpose)
-    seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.Philox(seq))
+    words += (high, salt)
+    rows = np.asarray(rows, dtype=np.uint32).reshape(-1, 3)
+    entropy = np.empty((len(rows), len(words) + 3), dtype=np.uint32)
+    entropy[:, :len(words)] = words
+    entropy[:, len(words):] = rows
+
+    pool = _hashmix(entropy[:, :4], 0, 4)
+    k = 4
+    # a source word is not changed while it is mixed into the other three
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src:src + 1], k, 3))
+        k += 3
+    for word in range(4, entropy.shape[1]):
+        pool = _mix(pool, _hashmix(entropy[:, word:word + 1], k, 4))
+        k += 4
+    state = (pool ^ _HASH_B[:4]) * _HASH_B[1:]
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Key:
+    """A seed sequence whose state is one row of `_stream_keys`.
+
+    Philox asks a seed sequence, an instance of numpy's `ISeedSequence`,
+    for generate_state(2, np.uint64) and takes that as its key, so a
+    Philox built on this one starts exactly where one built on the row's
+    tuple starts, without a SeedSequence. `_generators` registers the
+    class.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _generators(keys) -> list[np.random.Generator]:
+    """One Generator per Philox key of `keys`, in order."""
+    # registered here, where streams are built in any process, and not at
+    # import, which would load numpy.random with the package (about 17 ms);
+    # registering again returns at once
+    np.random.bit_generator.ISeedSequence.register(_Key)
+    return [np.random.Generator(np.random.Philox(_Key(key))) for key in keys]
+
+
+def _read_rows(laws: dict) -> list:
+    """The rows of `laws` whose stream is read.
+
+    `laws` maps a stream's row to the law that draws from it, or to None
+    for a count or position stream, which is always read.
+    """
+    return [row for row, law in laws.items() if law is None or _reads_stream(law)]
+
+
+def _streams(master_seed: int, salt: int, laws: dict) -> dict:
+    """A Generator for each (rep, queue, purpose) row of `laws` that is read.
+
+    A row left out is read by nobody: `.get` hands its law None.
+    """
+    rows = _read_rows(laws)
+    return dict(zip(rows, _generators(_stream_keys(master_seed, salt, rows))))
 
 
 def _reads_stream(law: Distribution) -> bool:
@@ -272,7 +380,7 @@ def _retry_rounds(attempt, arrival, offset, tag, visit, polled_at, service,
         b = service.sample(rng, cut)
         # only a first attempt, in round 0, can start inside its visit
         ok = (b if k else offset[:cut] + b) <= visit[k:][first[:cut]]
-        hit = np.flatnonzero(ok)
+        hit = ok.nonzero()[0]
         whos.append(who.take(hit))
         bs.append(b.take(hit))
         who = who[~ok]
@@ -299,26 +407,21 @@ def _retry_rounds(attempt, arrival, offset, tag, visit, polled_at, service,
 
 
 def _simulate_replication(system: SystemSpec, config: SimConfig,
-                          rep: int) -> dict:
+                          keys: dict) -> dict:
     """One independent replication; returns its raw sums over the measured cycles.
 
     x_sum[i, j] and y_sum[i, j] add up queue j's count at queue i's polling
     and visit-end instants, phase_sum[j, tag] and phase_count[j, tag] the
     sojourns and completions of queue j per arrival phase, and pgf_sum[k]
     the terms of pgf point k. Each is kept once, undivided: `run` derives
-    every per-replication metric from them.
+    every per-replication metric from them. `keys` maps the (queue,
+    purpose) pair of each stream the replication reads to its Philox key.
     """
     queues = system.queues
     n = len(queues)
-    # the count and position streams always draw; a visit, switch-over or
-    # service law gets its stream only when its `sample` reads one
-    streams = []
-    for j, q in enumerate(queues):
-        laws = {_VISIT: q.visit, _SWITCH: q.switch, _SERVICE: q.service}
-        streams.append([
-            _generator(config.master_seed, _RUN_SALT, rep, j, purpose)
-            if purpose not in laws or _reads_stream(laws[purpose]) else None
-            for purpose in range(5)])
+    streams = [[None] * 5 for _ in queues]
+    for (j, purpose), rng in zip(keys, _generators(keys.values())):
+        streams[j][purpose] = rng
 
     x_sum = np.zeros((n, n))
     y_sum = np.zeros((n, n))
@@ -359,13 +462,18 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
             # an arrival during the queue's own visit attempts at once, with
             # the rest of that visit; any other first attempts at the queue's
             # next visit, in this cycle when the arrival precedes it
-            attempt = np.concatenate((np.zeros(carried, dtype=np.intp),
-                                      cycle + (slot > 2 * j)))
-            arrival = np.concatenate((carry_time[j], at))
-            offset = np.concatenate((np.zeros(carried),
-                                     np.where(own, at - starts[owner], 0.0)))
-            tag = np.concatenate((carry_tag[j],
-                                  np.where(own, SERVED_SAME_VISIT, OUTSIDE_VISIT)))
+            attempt = cycle + (slot > 2 * j)
+            arrival = at
+            offset = np.where(own, at - starts[owner], 0.0)
+            tag = np.where(own, SERVED_SAME_VISIT, OUTSIDE_VISIT)
+            if carried:
+                # carried customers come first and attempt at the block's
+                # first visit to the queue, with the whole of it
+                attempt = np.concatenate((np.zeros(carried, dtype=np.intp),
+                                          attempt))
+                arrival = np.concatenate((carry_time[j], at))
+                offset = np.concatenate((np.zeros(carried), offset))
+                tag = np.concatenate((carry_tag[j], tag))
 
             done, sojourn, done_tag, kept_time, kept_tag = _retry_rounds(
                 attempt, arrival, offset, tag, visits[:, j],
@@ -448,17 +556,28 @@ def run(system: SystemSpec, config: SimConfig, threads: int = 1) -> SimulationRe
             raise DomainError("pgf point z-vector length must match queue count")
 
     reps = config.replications
+    # one key table for every replication: the count and position streams
+    # always draw, a visit, switch-over or service law only when its
+    # `sample` reads its stream
+    pairs = _read_rows({(j, purpose): law for j, q in enumerate(system.queues)
+                        for purpose, law in ((_VISIT, q.visit), (_SWITCH, q.switch),
+                                             (_COUNT, None), (_SERVICE, q.service),
+                                             (_POSITION, None))})
+    table = _stream_keys(config.master_seed, _RUN_SALT,
+                         [(r, *pair) for r in range(reps) for pair in pairs])
+    keys = [dict(zip(pairs, rep_keys))
+            for rep_keys in table.reshape(reps, len(pairs), 2)]
     if threads > 1 and reps > 1:
         # imported here, so that a single-worker caller never loads
         # multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(threads, reps)) as pool:
-            futures = [pool.submit(_simulate_replication, system, config, r)
-                       for r in range(reps)]
+            futures = [pool.submit(_simulate_replication, system, config, k)
+                       for k in keys]
             results = [f.result() for f in futures]
     else:
-        results = [_simulate_replication(system, config, r) for r in range(reps)]
+        results = [_simulate_replication(system, config, k) for k in keys]
 
     def stack(key):
         return np.stack([res[key] for res in results])
@@ -591,27 +710,41 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
     per_queue = np.zeros((n, reps))
     elapsed = np.zeros(reps)
 
+    # bundle 0 of a queue holds its visit, count, service and position
+    # streams and, in a serial tour, the switch-over's; bundles 1 and 2 the
+    # approach and return streams of a central-point tour
+    laws = {}
     for q in order:
         spec = queues[q]
-        gen = {p: _generator(master_seed, _CYCLE_SALT, 0, q, p) for p in range(5)}
+        laws.update({(0, q, _VISIT): spec.visit, (0, q, _COUNT): None,
+                     (0, q, _SERVICE): spec.service, (0, q, _POSITION): None})
+        if central:
+            laws.update({(1, q, _SWITCH): spec.approach,
+                         (2, q, _SWITCH): spec.return_})
+        else:
+            laws[0, q, _SWITCH] = spec.switch
+    gen = _streams(master_seed, _CYCLE_SALT, laws)
+
+    for q in order:
+        spec = queues[q]
         if central:
             approach, after = spec.approach, spec.return_
-            out_rng, after_rng = (_generator(master_seed, _CYCLE_SALT, r, q, _SWITCH)
-                                  for r in (1, 2))
+            out_rng, after_rng = gen.get((1, q, _SWITCH)), gen.get((2, q, _SWITCH))
         else:
             approach, after, out_rng, after_rng = (Deterministic(0.0), spec.switch,
-                                                   None, gen[_SWITCH])
+                                                   None, gen.get((0, q, _SWITCH)))
         elapsed = elapsed + approach.sample(out_rng, reps)
-        v = spec.visit.sample(gen[_VISIT], reps)
+        v = spec.visit.sample(gen.get((0, q, _VISIT)), reps)
         rate = spec.arrival_rate
+        count_rng, service_rng = gen[0, q, _COUNT], gen.get((0, q, _SERVICE))
 
         # the customers present at the polling instant attempt with the
         # whole visit, then the visit's arrivals with the rest of it
-        owner = np.repeat(rep_ids, counts[q] + gen[_COUNT].poisson(rate * elapsed))
-        b = spec.service.sample(gen[_SERVICE], owner.size)
+        owner = np.repeat(rep_ids, counts[q] + count_rng.poisson(rate * elapsed))
+        b = spec.service.sample(service_rng, owner.size)
         per_queue[q] += np.bincount(owner[b <= v[owner]], minlength=reps)
-        owner, t_a = _arrivals(rate, v, gen[_COUNT], gen[_POSITION])
-        b = spec.service.sample(gen[_SERVICE], owner.size)
+        owner, t_a = _arrivals(rate, v, count_rng, gen[0, q, _POSITION])
+        b = spec.service.sample(service_rng, owner.size)
         per_queue[q] += np.bincount(owner[t_a + b <= v[owner]], minlength=reps)
 
         elapsed = elapsed + v + after.sample(after_rng, reps)
@@ -639,9 +772,11 @@ def leftover_after_visit(arrival_rate: float, service: Distribution,
         raise DomainError(f"arrival_rate must be finite and >= 0, "
                           f"got {arrival_rate!r}")
     _check_seeding(replications, master_seed)
-    gen = {p: _generator(master_seed, _CYCLE_SALT, 3, 0, p) for p in range(5)}
-    v = visit.sample(gen[_VISIT], replications)
-    owner, t_a = _arrivals(arrival_rate, v, gen[_COUNT], gen[_POSITION])
-    b = service.sample(gen[_SERVICE], owner.size)
+    gen = _streams(master_seed, _CYCLE_SALT,
+                   {(3, 0, _VISIT): visit, (3, 0, _COUNT): None,
+                    (3, 0, _SERVICE): service, (3, 0, _POSITION): None})
+    v = visit.sample(gen.get((3, 0, _VISIT)), replications)
+    owner, t_a = _arrivals(arrival_rate, v, gen[3, 0, _COUNT], gen[3, 0, _POSITION])
+    b = service.sample(gen.get((3, 0, _SERVICE)), owner.size)
     stay = owner[t_a + b > v[owner]]
     return np.bincount(stay, minlength=replications)

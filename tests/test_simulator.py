@@ -33,8 +33,9 @@ from mginfpolling.simulator import (
     OUTSIDE_VISIT,
     SERVED_SAME_VISIT,
     SimConfig,
-    _generator,
     _retry_rounds,
+    _generators,
+    _stream_keys,
     _timeline_arrivals,
     leftover_after_visit,
     run,
@@ -782,11 +783,20 @@ class TestDeterminism:
     @pytest.mark.parametrize("salt", [_RUN_SALT, _CYCLE_SALT])
     @pytest.mark.parametrize("master_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_stream_keys_match_tuple_seeding(self, master_seed, salt):
-        for rep, queue, purpose in ((0, 0, 0), (3, 7, 4), (9, 1, 2)):
-            key = np.random.Philox(np.random.SeedSequence(
-                (master_seed, salt, rep, queue, purpose))).state["state"]["key"]
-            got = _generator(master_seed, salt, rep, queue, purpose)
-            assert np.array_equal(got.bit_generator.state["state"]["key"], key)
+        # one call with many rows and one with a single row give, row by
+        # row, the key and the draws of Philox seeded with the tuple
+        many = [(rep, queue, purpose) for rep in range(10) for queue in range(8)
+                for purpose in range(5)] + [(2**32 - 1, 2**31, 2**32 - 1)]
+        for rows in (many, [(3, 7, 4)]):
+            keys = _stream_keys(master_seed, salt, rows)
+            assert keys.shape == (len(rows), 2) and keys.dtype == np.uint64
+            for row, got in zip(rows, _generators(keys)):
+                want = np.random.Philox(np.random.SeedSequence(
+                    (master_seed, salt, *row)))
+                assert np.array_equal(got.bit_generator.state["state"]["key"],
+                                      want.state["state"]["key"])
+                assert np.array_equal(got.random(3),
+                                      np.random.Generator(want).random(3))
 
     def test_single_cycle_and_leftover_reproduce(self):
         sys = base_system()
