@@ -941,6 +941,55 @@ def test_analyze_bytes_are_pinned(tmp_path, name, digest):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
+PINNED_CONFIGS = {name: WORKLOADS / f"{name}.json"
+                  for name in ("demo", "general-wide", "atomic-pgf")}
+PINNED_CONFIGS["base_config"] = ROOT / "demos" / "base_config.json"
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("demo", "778c733fc0b529a9a852bc698a8b0d194fd3b98fb4bdfab6b1e1390085781c44"),
+    ("general-wide",
+     "493fb4b9274460d909d773c7dfa6ea1ac1896dc7cd4f6053a0daee02b97d4d10"),
+    ("atomic-pgf",
+     "d8e7c0c2f4416d18aaf4506f342366a7502de18f12c02704fc32ca08a76c1d73"),
+    ("base_config",
+     "778c733fc0b529a9a852bc698a8b0d194fd3b98fb4bdfab6b1e1390085781c44"),
+])
+def test_analyze_stdout_is_pinned(capsys, name, digest):
+    # the printed tables, which the CSV pin above does not cover
+    assert main(["analyze", "--config", str(PINNED_CONFIGS[name])]) == 0
+    data = capsys.readouterr().out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, objective, digest", [
+    ("demo", "max",
+     "15a03d400ffbf8effcaef23f089664e21c2ac210b3e439ec586bc9fe30cdbe06"),
+    ("demo", "min",
+     "098b8922b96e07b4f1d7050022929376781197be0546d5496668ff4e4bf2d83a"),
+    ("general-wide", "max",
+     "2c7f51ffc04959b275f92168d31b012cad5eca08b93eb8ccae6ec0fe757bdc8d"),
+    ("general-wide", "min",
+     "ce312076b3f7740a086b06404fb4e3439917e446cc9d23bd288f2d1333b69c10"),
+    ("atomic-pgf", "max",
+     "915d969e903c7dc879153852193313c595235c25d61af0de35bc5e19ccd6de95"),
+    ("atomic-pgf", "min",
+     "f465491adbe07f454cd3c44dfef53c3a2858b63e0da1c6fd8ded436793398dd8"),
+    ("base_config", "max",
+     "15a03d400ffbf8effcaef23f089664e21c2ac210b3e439ec586bc9fe30cdbe06"),
+    ("base_config", "min",
+     "098b8922b96e07b4f1d7050022929376781197be0546d5496668ff4e4bf2d83a"),
+])
+def test_index_rule_bytes_are_pinned(tmp_path, capsys, name, objective,
+                                     digest):
+    # stdout then CSV of `optimize` without the exhaustive scan
+    out_path = tmp_path / "index.csv"
+    assert main(["optimize", "--config", str(PINNED_CONFIGS[name]),
+                 "--objective", objective, "--out", str(out_path)]) == 0
+    data = capsys.readouterr().out.encode() + out_path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 class TestValidate:
     def test_base_config_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sim=base_sim_block(
