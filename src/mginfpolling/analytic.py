@@ -639,8 +639,8 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
     transform succ / (1 - fail A(s)), with succ = E[exp(-s B); B <= V] and
     fail = E[exp(-s V); V < B]. Exact for every service and visit law.
     """
-    if not s >= 0.0:
-        raise DomainError("transform argument s must be >= 0")
+    if not 0.0 <= s < math.inf:
+        raise DomainError("transform argument s must be finite and >= 0")
     if s == 0.0:
         return 1.0
     _completion_prob(system, queue)
@@ -736,8 +736,8 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
     and forms A from the laws' transforms without the general path's
     helpers.
     """
-    if not s >= 0.0:
-        raise DomainError("transform argument s must be >= 0")
+    if not 0.0 <= s < math.inf:
+        raise DomainError("transform argument s must be finite and >= 0")
     if s == 0.0:
         return 1.0
     gamma, mu = _exponential_rates(system, queue)
@@ -761,8 +761,8 @@ def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
     of the grid.
     """
     s_values = tuple(float(s) for s in s_grid)
-    if any(not s >= 0.0 for s in s_values):
-        raise DomainError("transform grid values must be >= 0")
+    if any(not 0.0 <= s < math.inf for s in s_values):
+        raise DomainError("transform grid values must be finite and >= 0")
     n = len(system.queues)
     # sojourn_mean rejects a queue whose completion probability is zero
     means = tuple(sojourn_mean(system, i) for i in range(n))

@@ -8,6 +8,10 @@ resulting sojourn means, `optimize` reports the throughput-optimal visit
 order, and `validate` cross-checks the analytic pipeline against closed
 forms and simulation on the given config.
 
+Each command prints a value and adds its `--out` row in the same pass
+over its results, so a new output is added in one place, and the CSV
+rows follow the printed order.
+
 Configs are UTF-8 JSON. Distribution records are tagged objects such as
 {"type": "exponential", "rate": 1.0}; unknown keys anywhere in the file
 are rejected with the offending path spelled out. Queue numbering in
@@ -419,9 +423,14 @@ def _parse_s_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def cmd_analyze(args) -> int:
+def _inputs(args) -> tuple[dict, SystemSpec]:
+    """The config's blocks and the system its "system" block describes."""
     raw = _load_config(args.config)
-    system = _build_system(raw["system"])
+    return raw, _build_system(raw["system"])
+
+
+def cmd_analyze(args) -> int:
+    _, system = _inputs(args)
     n = len(system.queues)
     s_grid = _parse_s_grid(args.s_grid) if args.s_grid else DEFAULT_S_GRID
 
@@ -429,65 +438,48 @@ def cmd_analyze(args) -> int:
     pm = polling_means(system)
     cm = cycle_moments(system)
     metrics = sojourn_metrics(system, s_grid)
-    means = metrics.means
+    rows = []
 
     print(f"system: {n} queues, mean cycle {cm.cycle_mean:.10g}")
     print()
     print("queue  arrival_rate  completion_prob  leftover_mean")
-    for i, (q, d) in enumerate(zip(system.queues, derived)):
-        print(f"{i + 1:>5}  {q.arrival_rate:>12.10g}  "
+    for i, (q, d) in enumerate(zip(system.queues, derived), 1):
+        print(f"{i:>5}  {q.arrival_rate:>12.10g}  "
               f"{d.completion_prob:>15.10g}  {d.leftover_arrival_mean:>13.10g}")
-    print()
-    print("queue-length means at polling instants (row: polled queue):")
-    for i in range(n):
-        print("  " + "  ".join(f"{pm.at_polling[i, j]:>12.10g}"
-                               for j in range(n)))
-    print()
-    print("queue-length means at visit ends (row: finished queue):")
-    for i in range(n):
-        print("  " + "  ".join(f"{pm.at_visit_end[i, j]:>12.10g}"
-                               for j in range(n)))
+        rows += [(f"completion_prob[{i}]", d.completion_prob),
+                 (f"leftover_mean[{i}]", d.leftover_arrival_mean)]
+    for metric, matrix, title in (
+            ("polling_mean", pm.at_polling,
+             "polling instants (row: polled queue)"),
+            ("visit_end_mean", pm.at_visit_end,
+             "visit ends (row: finished queue)")):
+        print()
+        print(f"queue-length means at {title}:")
+        for i, row in enumerate(matrix, 1):
+            print("  " + "  ".join(f"{v:>12.10g}" for v in row))
+            rows += [(f"{metric}[{i},{j}]", v) for j, v in enumerate(row, 1)]
     print()
     print("queue  sojourn_mean  mean_count_at_any_time")
-    for i in range(n):
-        print(f"{i + 1:>5}  {means[i]:>12.10g}  "
-              f"{system.queues[i].arrival_rate * means[i]:>22.10g}")
+    for i, (q, mean) in enumerate(zip(system.queues, metrics.means), 1):
+        count = q.arrival_rate * mean
+        print(f"{i:>5}  {mean:>12.10g}  {count:>22.10g}")
+        rows += [(f"sojourn_mean[{i}]", mean), (f"mean_count[{i}]", count)]
     print()
     print("sojourn transform samples (rows: s):")
     print("     s  " + "  ".join(f"{'queue ' + str(i + 1):>12}"
                                  for i in range(n)))
     for s, row in zip(s_grid, metrics.lst_table.T):
         print(f"{s:>6.4g}  " + "  ".join(f"{v:>12.10g}" for v in row))
+        rows += [(f"sojourn_lst[{i}]@s={s:g}", v) for i, v in enumerate(row, 1)]
 
     if args.out:
-        rows = []
-        for i in range(n):
-            rows.append((f"completion_prob[{i + 1}]", derived[i].completion_prob))
-            rows.append((f"leftover_mean[{i + 1}]",
-                         derived[i].leftover_arrival_mean))
-        for i in range(n):
-            for j in range(n):
-                rows.append((f"polling_mean[{i + 1},{j + 1}]",
-                             pm.at_polling[i, j]))
-        for i in range(n):
-            for j in range(n):
-                rows.append((f"visit_end_mean[{i + 1},{j + 1}]",
-                             pm.at_visit_end[i, j]))
-        for i in range(n):
-            rows.append((f"sojourn_mean[{i + 1}]", means[i]))
-            rows.append((f"mean_count[{i + 1}]",
-                         system.queues[i].arrival_rate * means[i]))
-        for s, row in zip(s_grid, metrics.lst_table.T):
-            for i in range(n):
-                rows.append((f"sojourn_lst[{i + 1}]@s={s:g}", row[i]))
         _write_csv(args.out, ("metric", "value"), rows)
     return 0
 
 
 def _simulation_inputs(args):
     """The system, its sim block with the command-line overrides, and workers."""
-    raw = _load_config(args.config)
-    system = _build_system(raw["system"])
+    raw, system = _inputs(args)
     sim = _build_sim(raw.get("sim"), "sim", len(system.queues))
     if args.seed is not None:
         sim = dataclasses.replace(sim, master_seed=args.seed)
@@ -506,24 +498,23 @@ def cmd_simulate(args) -> int:
     print()
     table = report.per_replication
     means, ses = _mean_and_stderr(np.stack(list(table.values()), axis=1))
+    rows = []
     print(f"{'metric':<34}  {'estimate':>14}  {'stderr':>12}")
-    for metric, mean, se in zip(table, means, ses):
+    for (metric, values), mean, se in zip(table.items(), means, ses):
         print(f"{metric:<34}  {float(mean):>14.8g}  {float(se):>12.4g}")
+        if args.out:
+            rows += [(str(r), metric, value, "")
+                     for r, value in enumerate(values.tolist(), 1)]
+            rows.append(("all", metric, float(mean), float(se)))
 
     if args.out:
-        rows = []
-        for (metric, values), mean, se in zip(table.items(), means, ses):
-            for r, value in enumerate(values.tolist()):
-                rows.append((str(r + 1), metric, value, ""))
-            rows.append(("all", metric, float(mean), float(se)))
         _write_csv(args.out, ("replication", "metric", "estimate", "stderr"),
                    rows)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    raw = _load_config(args.config)
-    system = _build_system(raw["system"])
+    raw, system = _inputs(args)
     n = len(system.queues)
     spec = _build_sweep(raw.get("sweep"), "sweep", n)
 
@@ -537,8 +528,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    raw = _load_config(args.config)
-    system = _build_system(raw["system"])
+    raw, system = _inputs(args)
     n = len(system.queues)
     spec = _build_optimize(raw.get("optimize"), "optimize", n)
     objective = args.objective or spec.objective
@@ -559,14 +549,19 @@ def cmd_optimize(args) -> int:
     print(f"mode: {spec.mode}   objective: {objective}")
     print(f"initial counts: {list(spec.counts)}")
     print()
+    rows = []
     print("queue  index_value")
-    for i in range(n):
+    for i, value in enumerate(report.index_values):
         marker = "" if i in report.order else "  (not visited)"
-        print(f"{i + 1:>5}  {report.index_values[i]:>11.10g}{marker}")
-    tied = len({round(v, 12) for v in report.index_values[list(report.order)]}) \
-        < len(report.order) if report.order else False
+        print(f"{i + 1:>5}  {value:>11.10g}{marker}")
+        rows.append((f"index[{i + 1}]", value))
+    # the order ranks its queues' index values, so a tie is between neighbours
+    tied = any(math.isclose(a, b, rel_tol=1e-12) for a, b in
+               itertools.pairwise(report.index_values[list(report.order)]))
+    order = label(report.order)
+    rows += [("order", order), ("expected_services", report.total)]
     print()
-    print(f"optimal order: {label(report.order)}"
+    print(f"optimal order: {order}"
           + ("   (ties present: tied queues may be permuted freely)"
              if tied else ""))
     print(f"expected services in the tour: {report.total:.10g}")
@@ -595,12 +590,9 @@ def cmd_optimize(args) -> int:
                 print(f"  {value:>14.10g}  {label(order)}")
         if args.out:
             # a generator, so each label lives only while its row is written
-            rows = ((label(order), value) for order, value in ranking)
-            _write_csv(args.out, ("order", "expected_services"), rows)
+            _write_csv(args.out, ("order", "expected_services"),
+                       ((label(order), value) for order, value in ranking))
     elif args.out:
-        rows = [(f"index[{i + 1}]", report.index_values[i]) for i in range(n)]
-        rows.append(("order", label(report.order)))
-        rows.append(("expected_services", report.total))
         _write_csv(args.out, ("metric", "value"), rows)
     return 0
 
@@ -642,20 +634,18 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
         at_one = [pgf_eval(system, i, np.ones(n)) for i in range(n)]
     except UnsupportedModelError:
         at_one = []  # pgf_eval decides which laws it covers
-    if at_one:
-        for i, value in enumerate(at_one):
-            yield (f"pgf_normalization[{i + 1}]", 1e-12 * scale,
-                   abs(value - 1.0))
-            worst = 0.0
-            for j in range(n):
-                target = pm.at_polling[i, j]
-                if target <= 0.0:
-                    continue
-                z = np.ones(n)
-                z[j] = 1.0 - h
-                grad = (1.0 - pgf_eval(system, i, z)) / h
-                worst = max(worst, abs(grad - target) / target)
-            yield (f"pgf_gradient_vs_means[{i + 1}]", 1e-4 * scale, worst)
+    for i, value in enumerate(at_one):
+        yield (f"pgf_normalization[{i + 1}]", 1e-12 * scale, abs(value - 1.0))
+        worst = 0.0
+        for j in range(n):
+            target = pm.at_polling[i, j]
+            if target <= 0.0:
+                continue
+            z = np.ones(n)
+            z[j] = 1.0 - h
+            grad = (1.0 - pgf_eval(system, i, z)) / h
+            worst = max(worst, abs(grad - target) / target)
+        yield (f"pgf_gradient_vs_means[{i + 1}]", 1e-4 * scale, worst)
 
     report = run(system, sim, threads=threads)
     if report.replications >= 2:
@@ -666,25 +656,23 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
                 / report.visit_end_stderr
         yield ("sim_polling_means_z", 3.0 * scale, float(np.nanmax(zx)))
         yield ("sim_visit_end_means_z", 3.0 * scale, float(np.nanmax(zy)))
-        for i in range(n):
-            if system.queues[i].arrival_rate > 0.0 \
-                    and np.isfinite(report.sojourn_stderr[i]) \
-                    and report.sojourn_stderr[i] > 0.0:
-                z = abs(report.sojourn_means[i] - means[i]) \
-                    / report.sojourn_stderr[i]
-                yield (f"sim_sojourn_mean_z[{i + 1}]", 3.0 * scale, z)
-            p = system._derived_quantities[i].completion_prob
-            if np.isfinite(report.completion_stderr[i]) \
-                    and report.completion_stderr[i] > 0.0:
-                z = abs(report.completion_fraction[i] - p) \
-                    / report.completion_stderr[i]
-                yield (f"sim_completion_fraction_z[{i + 1}]", 3.0 * scale, z)
+        # (name, estimate, exact value, stderr): a z row needs a finite,
+        # positive stderr, which a queue with no arrivals does not have
+        estimates = []
+        for i, d in enumerate(system._derived_quantities):
+            estimates += [
+                (f"sim_sojourn_mean_z[{i + 1}]", report.sojourn_means[i],
+                 means[i], report.sojourn_stderr[i]),
+                (f"sim_completion_fraction_z[{i + 1}]",
+                 report.completion_fraction[i], d.completion_prob,
+                 report.completion_stderr[i])]
         total_rate = sum(q.arrival_rate for q in system.queues)
-        if total_rate > 0.0 and report.throughput_stderr \
-                and report.throughput_stderr > 0.0:
-            target = total_rate * cycle_moments(system).cycle_mean
-            z = abs(report.throughput_mean - target) / report.throughput_stderr
-            yield ("sim_throughput_z", 3.0 * scale, z)
+        estimates.append(("sim_throughput_z", report.throughput_mean,
+                          total_rate * cycle_moments(system).cycle_mean,
+                          report.throughput_stderr))
+        for name, estimate, exact, se in estimates:
+            if np.isfinite(se) and se > 0.0:
+                yield (name, 3.0 * scale, abs(estimate - exact) / se)
 
 
 def cmd_validate(args) -> int:
@@ -721,10 +709,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "queues with random visit times.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, seeded=False):
         p.add_argument("--config", required=True,
                        help="path to the JSON config file")
         p.add_argument("--out", help="write CSV output to this path")
+        if seeded:
+            p.add_argument("--seed", type=int, help="override sim.master_seed")
+            p.add_argument("--cycles", type=int,
+                           help="override sim.measured_cycles")
 
     p = sub.add_parser("analyze",
                        help="print exact steady-state quantities")
@@ -735,9 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("simulate", help="run the discrete-event oracle")
-    add_common(p)
-    p.add_argument("--seed", type=int, help="override sim.master_seed")
-    p.add_argument("--cycles", type=int, help="override sim.measured_cycles")
+    add_common(p, seeded=True)
     p.set_defaults(handler=cmd_simulate)
 
     p = sub.add_parser("sweep",
@@ -756,9 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate",
                        help="cross-check analytics against closed forms "
                             "and simulation")
-    add_common(p)
-    p.add_argument("--seed", type=int, help="override sim.master_seed")
-    p.add_argument("--cycles", type=int, help="override sim.measured_cycles")
+    add_common(p, seeded=True)
     p.add_argument("--tolerance-scale", type=float, default=1.0,
                    help="multiply every tolerance by this finite factor "
                             "> 0 (< 1 tightens the checks)")

@@ -745,13 +745,13 @@ def _evaluate(t: _Terms, x, left: bool = False):
 
 
 def _check_s(s, name: str):
-    """Reject an s that is not a scalar or 1-D array of values >= 0."""
+    """Reject an s that is not a scalar or 1-D array of finite values >= 0."""
     s = np.asarray(s, dtype=float)
     if s.ndim > 1:
         raise DomainError(f"{name} takes a scalar or 1-D array s, "
                           f"got shape {s.shape}")
-    if not s.min(initial=np.inf) >= 0.0:
-        raise DomainError(f"{name} requires s >= 0")
+    if not 0.0 <= s.min(initial=0.0) <= s.max(initial=0.0) < np.inf:
+        raise DomainError(f"{name}: s must be finite and >= 0")
 
 
 def survival_product_integral(a: Distribution, b: Distribution, s=0.0,

@@ -1215,6 +1215,34 @@ def test_array_with_one_entry_below_zero_or_nan_is_rejected(name, bad):
         _ARRAY_S_FUNCTIONS[name](np.array([0.0, 0.5, bad, 2.0]))
 
 
+def zero_switch_system() -> SystemSpec:
+    """`reference_system` with switch-overs of length 0."""
+    return SystemSpec(tuple(dataclasses.replace(q, switch=Deterministic(0.0))
+                            for q in reference_system().queues))
+
+
+# each of these returned nan at s = inf: an atomic visit takes a gamma tail
+# at x = inf, and a zero switch-over's transform is exp(-inf * 0)
+_INFINITE_S_CALLS = {
+    "attempt_lst": lambda s: attempt_lst(Erlang(3, 2.0), Deterministic(1.0), s),
+    "served_in_visit":
+        lambda s: served_in_visit(Exponential(1.0), Deterministic(1.5), s),
+    "survival_product_integral":
+        lambda s: survival_product_integral(Deterministic(1.0), Exponential(1.0), s),
+    "sojourn_lst": lambda s: sojourn_lst(zero_switch_system(), 0, s),
+    "sojourn_lst_exponential":
+        lambda s: sojourn_lst_exponential(zero_switch_system(), 0, s),
+    "sojourn_metrics":
+        lambda s: sojourn_metrics(zero_switch_system(), (0.5, s)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INFINITE_S_CALLS))
+def test_infinite_transform_argument_is_rejected(name):
+    with pytest.raises(DomainError, match="must be finite and >= 0"):
+        _INFINITE_S_CALLS[name](math.inf)
+
+
 # each functional at moments 0 and 1 (attempt_lst: success and failure), one
 # row each
 _GRID_FUNCTIONS = {

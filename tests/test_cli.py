@@ -876,6 +876,19 @@ class TestOptimize:
         assert "optimal order: 1 -> 2" in out
         assert "ties present" in out
 
+    def test_tiny_distinct_index_values_are_no_tie(self, tmp_path, capsys):
+        # index values of 4e-15 and 1.636e-14: distinct relative to their
+        # size, though they agree to 12 decimal places
+        queues = json.loads(json.dumps(BASE_QUEUES))
+        queues[0]["arrival_rate"] = 1e-14
+        queues[1]["arrival_rate"] = 3e-14
+        cfg = write_config(tmp_path, queues=queues,
+                           optimize={"counts": [3, 2]})
+        assert main(["optimize", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "optimal order: 1 -> 2" in out
+        assert "ties present" not in out
+
 
 @pytest.mark.parametrize("name, objective, digest", [
     ("demo", "max",
