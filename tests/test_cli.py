@@ -1003,6 +1003,34 @@ def test_index_rule_bytes_are_pinned(tmp_path, capsys, name, objective,
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, stdout_digest, csv_digest", [
+    ("demo",
+     "8721c5a751a75931feb53b80bb47d9085ee43065d722148245c672197526d687",
+     "785fba4bd7fd834d00cbdcaeba741bd21c5a4e4e6c50270c00071bb4cae7cc92"),
+    ("general-wide",
+     "a87a43a4aaaf8ecced563e13a8ac43285cce525ff9f9759d4af9d6a75fdcfdf4",
+     "164ffe9712572332ccf9813edd538bcb7025eaa604690339e2189e08838b2af7"),
+    ("atomic-pgf",
+     "7879f8cf0237e52d5ca92554306263d5a129b664fdb1985fd751195056006085",
+     "dfb5e2202f1e406fbe963517f884dfb3b52a45c1c7778f41ba8b1e33e1adfe12"),
+    ("base_config",
+     "8721c5a751a75931feb53b80bb47d9085ee43065d722148245c672197526d687",
+     "785fba4bd7fd834d00cbdcaeba741bd21c5a4e4e6c50270c00071bb4cae7cc92"),
+])
+def test_validate_bytes_are_pinned(tmp_path, capsys, monkeypatch, name,
+                                   stdout_digest, csv_digest):
+    # every check row, exact and simulated; the bytes do not depend on the
+    # worker count, so one worker keeps the run short
+    monkeypatch.setenv("POLLING_NUM_THREADS", "1")
+    out_path = tmp_path / "checks.csv"
+    assert main(["validate", "--config", str(PINNED_CONFIGS[name]),
+                 "--seed", "7", "--cycles", "300",
+                 "--out", str(out_path)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == stdout_digest
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest
+
+
 class TestValidate:
     def test_base_config_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, sim=base_sim_block(
