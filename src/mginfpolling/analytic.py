@@ -433,7 +433,6 @@ def polling_means(system: SystemSpec) -> PollingMeans:
         at_polling[j, j] = (rates[j] * (visit_total - visit_means[j])
                             + leftover + rates[j] * switch_total) / p
         at_end[j, j] = (1.0 - p) * at_polling[j, j] + leftover
-    for j in range(n):
         # from the end of queue j's visit the server crosses switch-overs
         # j .. i-1 and visits j+1 .. i-1 before polling queue i; each sum
         # takes one term per step, in crossing order, and the two are added

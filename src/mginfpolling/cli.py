@@ -597,9 +597,25 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _worst_row(name: str, tol: float, measured, exact, scales):
+    """Yield the row (name, tol, worst) by the rule of `_validate_checks`,
+    or nothing; `measured(k)` is called only for an entry k that counts."""
+    worst = [abs(measured(k) - exact[k]) / s for k, s in enumerate(scales)
+             if math.isfinite(s) and s > 0.0]
+    if worst:
+        yield name, tol, float(max(worst))
+
+
 def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
                      threads: int):
-    """Yield (check name, tolerance, measured value) triples."""
+    """Yield (check name, tolerance, measured value) triples.
+
+    A row over entries is the largest |measured - exact| / scale over those
+    whose scale (a z row's stderr, a relative error's exact value) is finite
+    and > 0, and is left out when none is: no `sim_` row for one replication
+    or for queues without arrivals, no `pgf_gradient_vs_means` row when all
+    its means are 0.
+    """
     n = len(system.queues)
     h = 1e-6
     memoryless = all(isinstance(q.service, Exponential)
@@ -623,56 +639,44 @@ def _validate_checks(system: SystemSpec, sim: SimConfig, scale: float,
 
     if memoryless:
         for i in range(n):
-            closed = sojourn_mean_exponential(system, i)
-            dev = abs(means[i] - closed) / closed
-            for a, s in zip(lsts[i][2:], DEFAULT_S_GRID):
-                b = sojourn_lst_exponential(system, i, s)
-                dev = max(dev, abs(a - b) / b)
-            yield (f"memoryless_closed_form[{i + 1}]", 1e-8 * scale, dev)
+            closed = [sojourn_mean_exponential(system, i)] + [
+                sojourn_lst_exponential(system, i, s) for s in DEFAULT_S_GRID]
+            yield from _worst_row(
+                f"memoryless_closed_form[{i + 1}]", 1e-8 * scale,
+                ([means[i]] + lsts[i][2:]).__getitem__, closed, closed)
 
+    steps = 1.0 - h * np.eye(n)  # row j: z = 1 but for z_j = 1 - h
     try:
         at_one = [pgf_eval(system, i, np.ones(n)) for i in range(n)]
     except UnsupportedModelError:
         at_one = []  # pgf_eval decides which laws it covers
     for i, value in enumerate(at_one):
         yield (f"pgf_normalization[{i + 1}]", 1e-12 * scale, abs(value - 1.0))
-        worst = 0.0
-        for j in range(n):
-            target = pm.at_polling[i, j]
-            if target <= 0.0:
-                continue
-            z = np.ones(n)
-            z[j] = 1.0 - h
-            grad = (1.0 - pgf_eval(system, i, z)) / h
-            worst = max(worst, abs(grad - target) / target)
-        yield (f"pgf_gradient_vs_means[{i + 1}]", 1e-4 * scale, worst)
+        yield from _worst_row(
+            f"pgf_gradient_vs_means[{i + 1}]", 1e-4 * scale,
+            lambda j: (1.0 - pgf_eval(system, i, steps[j])) / h,
+            pm.at_polling[i], pm.at_polling[i])
 
     report = run(system, sim, threads=threads)
-    if report.replications >= 2:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            zx = np.abs(report.polling_means - pm.at_polling) \
-                / report.polling_stderr
-            zy = np.abs(report.visit_end_means - pm.at_visit_end) \
-                / report.visit_end_stderr
-        yield ("sim_polling_means_z", 3.0 * scale, float(np.nanmax(zx)))
-        yield ("sim_visit_end_means_z", 3.0 * scale, float(np.nanmax(zy)))
-        # (name, estimate, exact value, stderr): a z row needs a finite,
-        # positive stderr, which a queue with no arrivals does not have
-        estimates = []
-        for i, d in enumerate(system._derived_quantities):
-            estimates += [
-                (f"sim_sojourn_mean_z[{i + 1}]", report.sojourn_means[i],
-                 means[i], report.sojourn_stderr[i]),
-                (f"sim_completion_fraction_z[{i + 1}]",
-                 report.completion_fraction[i], d.completion_prob,
-                 report.completion_stderr[i])]
-        total_rate = sum(q.arrival_rate for q in system.queues)
-        estimates.append(("sim_throughput_z", report.throughput_mean,
-                          total_rate * cycle_moments(system).cycle_mean,
-                          report.throughput_stderr))
-        for name, estimate, exact, se in estimates:
-            if np.isfinite(se) and se > 0.0:
-                yield (name, 3.0 * scale, abs(estimate - exact) / se)
+    # (name, estimates, exact values, stderrs)
+    estimates = [
+        ("sim_polling_means_z", report.polling_means, pm.at_polling,
+         report.polling_stderr),
+        ("sim_visit_end_means_z", report.visit_end_means, pm.at_visit_end,
+         report.visit_end_stderr)]
+    for i, d in enumerate(system._derived_quantities):
+        estimates += [(f"sim_sojourn_mean_z[{i + 1}]", report.sojourn_means[i],
+                       means[i], report.sojourn_stderr[i]),
+                      (f"sim_completion_fraction_z[{i + 1}]",
+                       report.completion_fraction[i], d.completion_prob,
+                       report.completion_stderr[i])]
+    total_rate = sum(q.arrival_rate for q in system.queues)
+    estimates.append(("sim_throughput_z", report.throughput_mean,
+                      total_rate * cycle_moments(system).cycle_mean,
+                      report.throughput_stderr))
+    for name, estimate, exact, se in estimates:
+        yield from _worst_row(name, 3.0 * scale, np.ravel(estimate).__getitem__,
+                              np.ravel(exact), np.ravel(se))
 
 
 def cmd_validate(args) -> int:
@@ -682,18 +686,16 @@ def cmd_validate(args) -> int:
                           f"got {scale!r}")
     system, sim, threads = _simulation_inputs(args)
 
-    failures = 0
     rows = []
     print(f"{'check':<34}  {'tolerance':>10}  {'measured':>12}  status")
     for name, tol, measured in _validate_checks(system, sim, scale, threads):
-        ok = measured <= tol
-        failures += 0 if ok else 1
-        status = "PASS" if ok else "FAIL"
+        status = "PASS" if measured <= tol else "FAIL"
         rows.append((name, tol, measured, status))
         print(f"{name:<34}  {tol:>10.3g}  {measured:>12.5g}  {status}")
     if args.out:
         _write_csv(args.out, ("check", "tolerance", "measured", "status"),
                    rows)
+    failures = sum(status == "FAIL" for *_, status in rows)
     if failures:
         print(f"\n{failures} check(s) failed")
         return 1

@@ -283,10 +283,9 @@ class _Atomic(Distribution):
 
     def survival(self, x):
         values, weights = self._arrays
-        idx = np.searchsorted(values, np.asarray(x, dtype=float), side="right")
-        # tail[k] = mass strictly beyond the k-th atom boundary
-        tail = np.concatenate([[1.0], 1.0 - np.cumsum(weights)])
-        return np.maximum(tail[idx], 0.0)[()]
+        x = np.asarray(x, dtype=float)
+        # the weight of the atoms above x, so a tiny tail is not lost to 1 - F
+        return np.minimum(_dot(x[..., None] < values, weights), 1.0)
 
     def lst(self, s):
         values, weights = self._arrays

@@ -419,9 +419,8 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
     """
     queues = system.queues
     n = len(queues)
-    streams = [[None] * 5 for _ in queues]
-    for (j, purpose), rng in zip(keys, _generators(keys.values())):
-        streams[j][purpose] = rng
+    # a stream nobody reads has no key, and `.get` hands its law None
+    gen = dict(zip(keys, _generators(keys.values())))
 
     x_sum = np.zeros((n, n))
     y_sum = np.zeros((n, n))
@@ -439,10 +438,10 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
         cycles = min(_BLOCK_CYCLES, total - first)
         # the block's measured cycles are its suffix from cycle lo on
         lo = min(max(config.warmup_cycles - first, 0), cycles)
-        visits = np.column_stack([q.visit.sample(s[_VISIT], cycles)
-                                  for q, s in zip(queues, streams)])
-        switches = np.column_stack([q.switch.sample(s[_SWITCH], cycles)
-                                    for q, s in zip(queues, streams)])
+        visits = np.column_stack([q.visit.sample(gen.get((j, _VISIT)), cycles)
+                                  for j, q in enumerate(queues)])
+        switches = np.column_stack([q.switch.sample(gen.get((j, _SWITCH)), cycles)
+                                    for j, q in enumerate(queues)])
         # the server's intervals in time order: interval 2(c n + i) is the
         # visit to queue i in cycle c and the next one its switch-over;
         # boundary k is the start of interval k
@@ -452,9 +451,9 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
         # point's terms one cycle after another
         pgf_terms = np.ones((cycles - lo, len(config.pgf_points)))
 
-        for j, (queue, s) in enumerate(zip(queues, streams)):
+        for j, queue in enumerate(queues):
             owner, at = _timeline_arrivals(queue.arrival_rate, ends,
-                                           s[_COUNT], s[_POSITION])
+                                           gen[j, _COUNT], gen[j, _POSITION])
             cycle, slot = np.divmod(owner, 2 * n)
             own = slot == 2 * j
             carried = carry_time[j].size
@@ -477,7 +476,7 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
 
             done, sojourn, done_tag, kept_time, kept_tag = _retry_rounds(
                 attempt, arrival, offset, tag, visits[:, j],
-                starts[2 * j::2 * n], queue.service, s[_SERVICE])
+                starts[2 * j::2 * n], queue.service, gen.get((j, _SERVICE)))
             # completions before cycle lo go to bins 3-5, which are dropped;
             # each bin sums its sojourns in round order
             bins = done_tag + 3 * (done < lo)

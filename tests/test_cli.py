@@ -1120,6 +1120,43 @@ class TestValidate:
         # two normalizations, then one gradient point per polled queue
         assert len(seen) == 4 and all(z[1] == 1.0 for z in seen)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rates, replications", [
+        ((0.0, 0.0), 10), ((1e-14, 3e-14), 10), ((0.8, 0.5), 1)])
+    def test_unmeasurable_simulation_rows_are_left_out(
+            self, tmp_path, capsys, monkeypatch, rates, replications):
+        # a run without arrivals leaves each stderr at 0 or nan, and one
+        # replication has none: with no entry to compare there is no `sim_`
+        # row, where a nan or inf row would fail a valid system
+        monkeypatch.setenv("POLLING_NUM_THREADS", "1")
+        config = json.loads(PINNED_CONFIGS["base_config"].read_text())
+        for q, rate in zip(config["system"]["queues"], rates):
+            q["arrival_rate"] = rate
+        config["sim"]["replications"] = replications
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["validate", "--config", str(path), "--seed", "7",
+                     "--cycles", "500"]) == 0
+        captured = capsys.readouterr()
+        assert "memoryless_closed_form[2]" in captured.out
+        assert "sim_" not in captured.out and captured.err == ""
+
+    def test_no_gradient_row_without_arrivals(self, tmp_path, capsys,
+                                              monkeypatch):
+        # every mean at a polling instant is 0, so no gradient entry has a
+        # scale, and a row would read 0 without comparing anything
+        monkeypatch.setenv("POLLING_NUM_THREADS", "1")
+        config = json.loads((WORKLOADS / "atomic-pgf.json").read_text())
+        for q in config["system"]["queues"]:
+            q["arrival_rate"] = 0.0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["validate", "--config", str(path), "--seed", "7",
+                     "--cycles", "300"]) == 0
+        out = capsys.readouterr().out
+        assert "pgf_normalization[3]" in out
+        assert "pgf_gradient_vs_means" not in out
+
     def test_pgf_rows_follow_pgf_eval(self, tmp_path, capsys, monkeypatch):
         # continuous visit laws: pgf_eval declines, and the rows are left out
         cfg = write_config(tmp_path, sim=base_sim_block(measured_cycles=500))

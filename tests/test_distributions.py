@@ -190,6 +190,14 @@ class TestSurvivalAndTransforms:
         assert d.survival(2.0) == pytest.approx(0.0, abs=1e-15)
         assert d.integrated_survival(1.5) == pytest.approx(1.0 + 0.5 * 0.75)
 
+    def test_discrete_tiny_tail_is_exact(self):
+        # 1 - cumsum(weights) would round the tail above the first atom to 0
+        d = Discrete(((1.0, 1.0), (2.0, 1e-17)))
+        assert d.survival(1.5) == 1e-17
+        # these weights sum to 1 + 2^-52, and a probability stays at most 1
+        d = Discrete(((1.0, 0.7), (2.0, 0.2), (3.0, 0.1)))
+        assert d.survival(0.5) == 1.0
+
     def test_erlang_survival_closed_form(self):
         # Erlang(2, mu): S(x) = e^{-mu x}(1 + mu x)
         d = Erlang(2, 1.5)
