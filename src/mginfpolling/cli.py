@@ -71,7 +71,7 @@ from .optimizer import (
     brute_force_order,
     optimal_order,
 )
-from .simulator import SimConfig, _mean_and_stderr, run
+from .simulator import SimConfig, run
 
 __all__ = ["main"]
 
@@ -496,11 +496,10 @@ def cmd_simulate(args) -> int:
           f"{sim.measured_cycles} cycles (warmup {sim.warmup_cycles}, "
           f"seed {sim.master_seed}, {threads} worker(s))")
     print()
-    table = report.per_replication
-    means, ses = _mean_and_stderr(np.stack(list(table.values()), axis=1))
     rows = []
     print(f"{'metric':<34}  {'estimate':>14}  {'stderr':>12}")
-    for (metric, values), mean, se in zip(table.items(), means, ses):
+    for (metric, values), mean, se in zip(report.per_replication.items(),
+                                          *report.summary):
         print(f"{metric:<34}  {float(mean):>14.8g}  {float(se):>12.4g}")
         if args.out:
             rows += [(str(r), metric, value, "")

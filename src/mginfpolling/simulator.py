@@ -155,7 +155,10 @@ class SimulationReport:
     sojourn_phase_means splits per-queue sojourns by arrival phase
     (SERVED_SAME_VISIT, CARRIED_FROM_VISIT, OUTSIDE_VISIT columns).
     per_replication maps metric names to per-replication value arrays, in a
-    fixed insertion order, for tabular export.
+    fixed insertion order, for tabular export. summary is the (means,
+    stderrs) pair of one summary pass over those arrays, entry k for the
+    k-th metric; every estimate and standard error above is its share of
+    that pass, except the pooled sojourn_phase_means and counts.
     """
 
     replications: int
@@ -177,7 +180,8 @@ class SimulationReport:
     per_queue_throughput: np.ndarray
     pgf_estimates: np.ndarray | None
     pgf_stderr: np.ndarray | None
-    per_replication: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
+    per_replication: dict[str, np.ndarray] = field(repr=False)
+    summary: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -581,83 +585,70 @@ def run(system: SystemSpec, config: SimConfig, threads: int = 1) -> SimulationRe
     def stack(key):
         return np.stack([res[key] for res in results])
 
-    # every per-replication metric, from the kernel's raw sums
+    # every per-replication metric, from the kernel's raw sums: each block
+    # holds its metric names and a (replications, ...) array of their values
     m = float(config.measured_cycles)
     x_sum = stack("x_sum")
-    polling_reps = x_sum / m
-    visit_end_reps = stack("y_sum") / m
-    polling, polling_se = _mean_and_stderr(polling_reps)
-    visit_end, visit_end_se = _mean_and_stderr(visit_end_reps)
-
     phase_sum = stack("phase_sum")
     phase_count = stack("phase_count")
     served = phase_count.sum(axis=2)
-    per_rep_sojourn = _ratio(phase_sum.sum(axis=2), served)
-    sojourn, sojourn_se = _mean_and_stderr(per_rep_sojourn)
-    phase_counts = phase_count.sum(axis=0)
-    phase_means = _ratio(phase_sum.sum(axis=0), phase_counts)
-    per_rep_phase = _ratio(phase_sum, phase_count)
-
-    per_rep_phat = _ratio(phase_count[..., 1:].sum(axis=2),
-                          x_sum.diagonal(axis1=1, axis2=2))
-    phat, phat_se = _mean_and_stderr(per_rep_phat)
-
     per_rep_theta_queue = served / m
-    per_queue_theta, _ = _mean_and_stderr(per_rep_theta_queue)
-    per_rep_total = per_rep_theta_queue.sum(axis=1)
-    t_mean, t_se = _mean_and_stderr(per_rep_total)
-
-    pgf_reps = stack("pgf_sum") / m
-    pgf_est = pgf_se = None
-    if config.pgf_points:
-        pgf_est, pgf_se = _mean_and_stderr(pgf_reps)
-
-    per_replication: dict[str, np.ndarray] = {}
-    for i in range(n):
-        for j in range(n):
-            per_replication[f"polling_mean[{i + 1},{j + 1}]"] = polling_reps[:, i, j]
-    for i in range(n):
-        for j in range(n):
-            per_replication[f"visit_end_mean[{i + 1},{j + 1}]"] = \
-                visit_end_reps[:, i, j]
-    for i in range(n):
-        per_replication[f"sojourn_mean[{i + 1}]"] = per_rep_sojourn[:, i]
-    for i in range(n):
-        for tag, name in ((SERVED_SAME_VISIT, "served_same_visit"),
-                          (CARRIED_FROM_VISIT, "carried_from_visit"),
-                          (OUTSIDE_VISIT, "outside_visit")):
-            per_replication[f"sojourn_mean_{name}[{i + 1}]"] = \
-                per_rep_phase[:, i, tag]
-    for i in range(n):
-        per_replication[f"completion_fraction[{i + 1}]"] = per_rep_phat[:, i]
-    per_replication["throughput_per_cycle"] = per_rep_total
-    for i in range(n):
-        per_replication[f"throughput_per_cycle[{i + 1}]"] = per_rep_theta_queue[:, i]
-    for k, (pq, zs) in enumerate(config.pgf_points):
-        zrepr = ",".join(format(z, "g") for z in zs)
-        per_replication[f"pgf[q{pq + 1};z={zrepr}]"] = pgf_reps[:, k]
+    ids = range(1, n + 1)
+    pairs = [f"{i},{j}" for i in ids for j in ids]
+    # in tag order: SERVED_SAME_VISIT, CARRIED_FROM_VISIT, OUTSIDE_VISIT
+    phases = ("served_same_visit", "carried_from_visit", "outside_visit")
+    blocks = {
+        "polling": ([f"polling_mean[{ij}]" for ij in pairs], x_sum / m),
+        "visit_end": ([f"visit_end_mean[{ij}]" for ij in pairs],
+                      stack("y_sum") / m),
+        "sojourn": ([f"sojourn_mean[{i}]" for i in ids],
+                    _ratio(phase_sum.sum(axis=2), served)),
+        "phase": ([f"sojourn_mean_{name}[{i}]" for i in ids for name in phases],
+                  _ratio(phase_sum, phase_count)),
+        "completion": ([f"completion_fraction[{i}]" for i in ids],
+                       _ratio(phase_count[..., 1:].sum(axis=2),
+                              x_sum.diagonal(axis1=1, axis2=2))),
+        # the sum of the per-queue rates: served.sum(axis=1) / m rounds
+        # differently and would move the seeded outputs
+        "total": (["throughput_per_cycle"], per_rep_theta_queue.sum(axis=1)),
+        "per_queue": ([f"throughput_per_cycle[{i}]" for i in ids],
+                      per_rep_theta_queue),
+        "pgf": ([f"pgf[q{pq + 1};z={','.join(format(z, 'g') for z in zs)}]"
+                 for pq, zs in config.pgf_points], stack("pgf_sum") / m),
+    }
+    table = np.concatenate([values.reshape(reps, -1)
+                            for _, values in blocks.values()], axis=1)
+    per_replication = dict(zip(
+        [name for names, _ in blocks.values() for name in names], table.T))
+    # one summary pass over every metric, then each block's share of it
+    summary = _mean_and_stderr(table)
+    cuts = np.cumsum([len(names) for names, _ in blocks.values()])[:-1]
+    mean, se = (dict(zip(blocks, np.split(a, cuts))) for a in summary)
+    phase_counts = phase_count.sum(axis=0)
+    has_pgf = bool(config.pgf_points)
 
     return SimulationReport(
         replications=reps,
         measured_cycles=config.measured_cycles,
         warmup_cycles=config.warmup_cycles,
         master_seed=config.master_seed,
-        polling_means=polling,
-        polling_stderr=polling_se,
-        visit_end_means=visit_end,
-        visit_end_stderr=visit_end_se,
-        sojourn_means=sojourn,
-        sojourn_stderr=sojourn_se,
-        sojourn_phase_means=phase_means,
+        polling_means=mean["polling"].reshape(n, n),
+        polling_stderr=se["polling"].reshape(n, n),
+        visit_end_means=mean["visit_end"].reshape(n, n),
+        visit_end_stderr=se["visit_end"].reshape(n, n),
+        sojourn_means=mean["sojourn"],
+        sojourn_stderr=se["sojourn"],
+        sojourn_phase_means=_ratio(phase_sum.sum(axis=0), phase_counts),
         sojourn_phase_counts=phase_counts,
-        completion_fraction=phat,
-        completion_stderr=phat_se,
-        throughput_mean=float(t_mean),
-        throughput_stderr=float(t_se),
-        per_queue_throughput=per_queue_theta,
-        pgf_estimates=pgf_est,
-        pgf_stderr=pgf_se,
+        completion_fraction=mean["completion"],
+        completion_stderr=se["completion"],
+        throughput_mean=float(mean["total"][0]),
+        throughput_stderr=float(se["total"][0]),
+        per_queue_throughput=mean["per_queue"],
+        pgf_estimates=mean["pgf"] if has_pgf else None,
+        pgf_stderr=se["pgf"] if has_pgf else None,
         per_replication=per_replication,
+        summary=summary,
     )
 
 

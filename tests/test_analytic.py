@@ -12,11 +12,13 @@ import itertools
 import math
 import pickle
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mginfpolling import analytic
+from conftest import simd_dispatch
+from mginfpolling import analytic, cli
 from mginfpolling.analytic import (
     CycleMoments,
     QueueSpec,
@@ -734,9 +736,11 @@ class TestPgfConstants:
         assert points == [(i, z) for i, z, _ in ATOMIC_PGF_PINS]
         system = atomic_pgf_system()
         for i, z, pinned in ATOMIC_PGF_PINS:
-            assert pgf_eval(system, i, z).hex() == pinned, (i, z)
+            assert pgf_eval(system, i, z).hex() == pinned, \
+                f"{(i, z)}; {simd_dispatch()}"
             # a second spec built from the same queues agrees bit for bit
-            assert pgf_eval(atomic_pgf_system(), i, z).hex() == pinned, (i, z)
+            assert pgf_eval(atomic_pgf_system(), i, z).hex() == pinned, \
+                f"{(i, z)}; {simd_dispatch()}"
 
     def test_twelve_calls_read_each_service_law_once(self, monkeypatch):
         # top-level calls only: an Erlang mixture's integrated_survival
@@ -762,12 +766,12 @@ class TestPgfConstants:
         once = {(id(q.service), name): 1 for q in system.queues
                 for name in ("survival", "integrated_survival")}
         for i, z, pinned in ATOMIC_PGF_PINS[:12]:
-            assert pgf_eval(system, i, z).hex() == pinned
+            assert pgf_eval(system, i, z).hex() == pinned, simd_dispatch()
         assert calls == once
         # a replaced spec keeps no constants: it builds its own, once
         twin = dataclasses.replace(system)
         for i, z, pinned in ATOMIC_PGF_PINS[:12]:
-            assert pgf_eval(twin, i, z).hex() == pinned
+            assert pgf_eval(twin, i, z).hex() == pinned, simd_dispatch()
         assert calls == {key: 2 for key in once}
 
     def test_replaced_queue_gives_its_own_values(self):
@@ -1085,6 +1089,21 @@ class TestSojournMetrics:
         among = sojourn_metrics(system, (0.1, s, 7.0)).lst_table
         assert (alone[:, 0] == among[:, 1]).all()
         assert isinstance(sojourn_lst(system, 0, s), float)
+
+    @pytest.mark.parametrize("config", [
+        "demos/base_config.json", "bench/workloads/demo.json",
+        "bench/workloads/general-wide.json", "bench/workloads/atomic-pgf.json"])
+    def test_transform_is_a_falling_probability_down_to_1e_8(self, config):
+        """The transform of a nonnegative time lies in (0, 1] and falls in s.
+
+        It holds from s = 1e-8 up. Below that the transform loses digits,
+        and below about s = 1e-15 it leaves [0, 1]: see ROADMAP item 14.
+        """
+        path = Path(__file__).resolve().parents[1] / config
+        system = cli._build_system(cli._load_config(str(path))["system"])
+        table = sojourn_metrics(system, np.geomspace(1e-8, 1e3, 60)).lst_table
+        assert ((table > 0.0) & (table <= 1.0)).all()
+        assert (np.diff(table, axis=1) <= 0.0).all()
 
 
 def cached_values(spec: QueueSpec) -> tuple[float, ...]:

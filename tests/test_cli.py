@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import simd_dispatch
 import mginfpolling
 from mginfpolling import analytic, cli
 from mginfpolling.cli import main
@@ -1200,7 +1201,8 @@ class TestValidate:
         out_path = tmp_path / "checks.csv"
         assert main(["validate", "--config", cfg, "--out", str(out_path)]) == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == \
-            "486e889e3cbad2eae2c1593930473bc9d1f24075fed43caf8634d62dff3b4fdc"
+            "486e889e3cbad2eae2c1593930473bc9d1f24075fed43caf8634d62dff3b4fdc", \
+            simd_dispatch()
 
     def test_pgf_rows_for_never_serving_visit_atom(self, tmp_path, capsys):
         # queue 1's short visit atom never completes its service

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import simd_dispatch
 from mginfpolling import (
     Deterministic,
     Discrete,
@@ -219,9 +220,10 @@ def test_cycle_moment_squares_match_the_point_loop():
     assert_bit_equal(readme_system(), 1, "visit_mean", grid)
     weighted, per_queue = sojourn_sweep(readme_system(), 1, "visit_mean",
                                         grid)[1]
-    assert weighted.hex() == "0x1.64a5662e18c32p+1"
+    assert weighted.hex() == "0x1.64a5662e18c32p+1", simd_dispatch()
     assert [v.hex() for v in per_queue] == ["0x1.819ecf2b53876p+1",
-                                            "0x1.36498aff5455ep+1"]
+                                            "0x1.36498aff5455ep+1"], \
+        simd_dispatch()
 
 
 def test_lone_law_matches_the_point_loop():
@@ -270,4 +272,5 @@ def test_sweep_bytes_are_pinned(tmp_path, path, digest):
     # a change that moves any bit of a sweep value changes these bytes
     out_path = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", str(path), "--out", str(out_path)]) == 0
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, \
+        simd_dispatch()
