@@ -128,6 +128,15 @@ def _as_atoms(obj, path: str) -> tuple[tuple[float, float], ...]:
 _FIELD_PARSERS = {"phases": _as_int, "atoms": _as_atoms}
 
 
+@contextlib.contextmanager
+def _config_errors(path: str, *kinds):
+    """Re-raise a library error of one of `kinds` as a ConfigError at `path`."""
+    try:
+        yield
+    except kinds as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _build_distribution(obj, path: str) -> Distribution:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected a distribution object, got {obj!r}")
@@ -143,10 +152,8 @@ def _build_distribution(obj, path: str) -> Distribution:
     fields = {name: _FIELD_PARSERS.get(name, _as_number)(obj[name],
                                                          f"{path}.{name}")
               for name in names}
-    try:
+    with _config_errors(path, DomainError, ModelError):
         return cls(**fields)
-    except (DomainError, ModelError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _build_system(obj, path: str = "system") -> SystemSpec:
@@ -172,19 +179,15 @@ def _build_system(obj, path: str = "system") -> SystemSpec:
         if "return" in q:
             kwargs["return_"] = _build_distribution(q["return"],
                                                     f"{qpath}.return")
-        try:
+        with _config_errors(qpath, ModelError):
             queues.append(QueueSpec(
                 _as_number(q["arrival_rate"], f"{qpath}.arrival_rate"),
                 _build_distribution(q["service"], f"{qpath}.service"),
                 _build_distribution(q["visit"], f"{qpath}.visit"),
                 _build_distribution(q["switch"], f"{qpath}.switch"),
                 **kwargs))
-        except ModelError as exc:
-            raise ConfigError(f"{qpath}: {exc}") from exc
-    try:
+    with _config_errors(path, ModelError):
         return SystemSpec(tuple(queues))
-    except ModelError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _build_sim(obj, path: str, n_queues: int) -> SimConfig:
@@ -223,10 +226,8 @@ def _build_sim(obj, path: str, n_queues: int) -> SimConfig:
                 raise ConfigError(f"{ppath}[1]: expected {n_queues} z values")
             points.append((queue - 1, zs))
         kwargs["pgf_points"] = tuple(points)
-    try:
+    with _config_errors(path, DomainError):
         return SimConfig(**kwargs)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -271,14 +272,8 @@ def _build_sweep(obj, path: str, n_queues: int) -> _SweepSpec:
     return _SweepSpec(queue=queue - 1, target=target, grid=grid)
 
 
-@dataclasses.dataclass(frozen=True)
-class _OptimizeSpec:
-    counts: tuple[int, ...]
-    mode: str
-    objective: str
-
-
-def _build_optimize(obj, path: str, n_queues: int) -> _OptimizeSpec:
+def _build_optimize(obj, path: str, n_queues: int) -> tuple[TourState, str]:
+    """The tour state and the objective the "optimize" block describes."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object (the config needs an "
                           "'optimize' block for this command)")
@@ -297,7 +292,8 @@ def _build_optimize(obj, path: str, n_queues: int) -> _OptimizeSpec:
     if objective not in ("max", "min"):
         raise ConfigError(f"{path}.objective: expected 'max' or 'min', "
                           f"got {objective!r}")
-    return _OptimizeSpec(counts=counts, mode=mode, objective=objective)
+    with _config_errors(f"{path}.counts", DomainError):
+        return TourState(counts, mode=mode), objective
 
 
 def _load_config(path: str) -> dict:
@@ -482,9 +478,11 @@ def _simulation_inputs(args):
     raw, system = _inputs(args)
     sim = _build_sim(raw.get("sim"), "sim", len(system.queues))
     if args.seed is not None:
-        sim = dataclasses.replace(sim, master_seed=args.seed)
+        with _config_errors("--seed", DomainError):
+            sim = dataclasses.replace(sim, master_seed=args.seed)
     if args.cycles is not None:
-        sim = dataclasses.replace(sim, measured_cycles=args.cycles)
+        with _config_errors("--cycles", DomainError):
+            sim = dataclasses.replace(sim, measured_cycles=args.cycles)
     return system, sim, _thread_count(sim.replications)
 
 
@@ -529,24 +527,18 @@ def cmd_sweep(args) -> int:
 def cmd_optimize(args) -> int:
     raw, system = _inputs(args)
     n = len(system.queues)
-    spec = _build_optimize(raw.get("optimize"), "optimize", n)
-    objective = args.objective or spec.objective
-    try:
-        state = TourState(spec.counts, mode=spec.mode)
-    except DomainError as exc:
-        raise ConfigError(f"optimize.counts: {exc}") from exc
-    try:
+    state, objective = _build_optimize(raw.get("optimize"), "optimize", n)
+    objective = args.objective or objective
+    with _config_errors("optimize", UnsupportedModelError):
         report = optimal_order(system, state, objective)
-    except UnsupportedModelError as exc:
-        raise ConfigError(f"optimize: {exc}") from exc
 
     names = [str(q + 1) for q in range(n)]
 
     def label(order):
         return " -> ".join([names[q] for q in order]) or "(empty)"
 
-    print(f"mode: {spec.mode}   objective: {objective}")
-    print(f"initial counts: {list(spec.counts)}")
+    print(f"mode: {state.mode}   objective: {objective}")
+    print(f"initial counts: {list(state.counts)}")
     print()
     rows = []
     print("queue  index_value")

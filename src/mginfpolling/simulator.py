@@ -739,11 +739,9 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
 
         elapsed = elapsed + v + after.sample(after_rng, reps)
 
-    served = per_queue.sum(axis=0)
-    mean = float(served.mean())
-    stderr = float(served.std(ddof=1) / math.sqrt(reps)) if reps > 1 else float("nan")
-    return SingleCycleEstimate(mean=mean, stderr=stderr,
-                               per_queue_mean=per_queue.mean(axis=1),
+    mean, stderr = _mean_and_stderr(per_queue.sum(axis=0))
+    return SingleCycleEstimate(mean=float(mean), stderr=float(stderr),
+                               per_queue_mean=_mean_and_stderr(per_queue.T)[0],
                                replications=reps)
 
 

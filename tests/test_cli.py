@@ -278,6 +278,12 @@ CONFIG_ERRORS = [
      "--s-grid values must be finite and >= 0"),
     (["analyze", "--s-grid", "0.5,inf"], {},
      "--s-grid values must be finite and >= 0"),
+    (["simulate", "--seed", "-1"], {},
+     "--seed: master_seed must fit in 64 bits"),
+    (["validate", "--seed", "18446744073709551616"], {},
+     "--seed: master_seed must fit in 64 bits"),
+    (["simulate", "--cycles", "0"], {},
+     "--cycles: measured_cycles must be >= 1"),
 ]
 
 
@@ -868,6 +874,19 @@ class TestOptimize:
         assert main(["optimize", "--config", cfg]) == 2
         assert "approach" in capsys.readouterr().err
 
+    def test_zero_completion_is_a_model_error(self, tmp_path, capsys):
+        # only UnsupportedModelError reads as an optimize config error; a
+        # queue that never completes a service keeps its 1-based model error
+        queues = json.loads(json.dumps(BASE_QUEUES))
+        queues[1]["service"] = {"type": "deterministic", "value": 1.0}
+        queues[1]["visit"] = {"type": "deterministic", "value": 0.5}
+        cfg = write_config(tmp_path, queues=queues,
+                           optimize={"counts": [1, 1]})
+        assert main(["optimize", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "error: queue 2: service never completes within a visit "
+            "(completion probability 0)\n")
+
     def test_identical_queues_tie_note(self, tmp_path, capsys):
         queues = [json.loads(json.dumps(BASE_QUEUES[0])) for _ in range(2)]
         cfg = write_config(tmp_path, queues=queues,
@@ -952,7 +971,8 @@ def test_analyze_bytes_are_pinned(tmp_path, name, digest):
     out_path = tmp_path / "analyze.csv"
     assert main(["analyze", "--config", str(WORKLOADS / f"{name}.json"),
                  "--out", str(out_path)]) == 0
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, \
+        simd_dispatch()
 
 
 PINNED_CONFIGS = {name: WORKLOADS / f"{name}.json"
@@ -1028,8 +1048,9 @@ def test_validate_bytes_are_pinned(tmp_path, capsys, monkeypatch, name,
                  "--seed", "7", "--cycles", "300",
                  "--out", str(out_path)]) == 0
     stdout = capsys.readouterr().out.encode()
-    assert hashlib.sha256(stdout).hexdigest() == stdout_digest
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest
+    assert hashlib.sha256(stdout).hexdigest() == stdout_digest, simd_dispatch()
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == csv_digest, \
+        simd_dispatch()
 
 
 class TestValidate:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import simd_dispatch
 import mginfpolling
 from mginfpolling import analytic, distributions
 from mginfpolling.analytic import QueueSpec, SystemSpec, derived_quantities
@@ -896,7 +897,8 @@ def test_pair_functionals_keep_their_bits(monkeypatch):
     assert len(flat) == 49 * 19 + 14 * 4 * 3
     digest = hashlib.sha256(" ".join(flat).encode()).hexdigest()
     assert digest == \
-        "31f048893ede08761541961d12286a823f08bbd82643636c489cf4198b2e5dbc"
+        "31f048893ede08761541961d12286a823f08bbd82643636c489cf4198b2e5dbc", \
+        simd_dispatch()
 
 
 def mp_law(d, mpmath):

@@ -1,11 +1,17 @@
 """Simulator checks: forced-outcome mechanics, agreement with the analytic
 layer, distributional structure of visit-end leftovers, and determinism."""
+import concurrent.futures
+import functools
+import json
 import math
+import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mginfpolling import cli
 from mginfpolling.analytic import (
     QueueSpec,
     SystemSpec,
@@ -43,6 +49,7 @@ from mginfpolling.simulator import (
 )
 
 THREADS = min(4, os.cpu_count() or 1)
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads"
 
 
 def base_system():
@@ -762,6 +769,27 @@ class TestDeterminism:
         for key in a.per_replication:
             assert np.array_equal(a.per_replication[key],
                                   b.per_replication[key], equal_nan=True)
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_start_method_does_not_change_results(self, monkeypatch,
+                                                       method):
+        # a spawned or forkserver worker imports the package afresh, so it
+        # must register `_Key` itself; `run` imports the pool class per call
+        raw = json.loads((WORKLOADS / "general-wide.json").read_text())
+        system = cli._build_system(raw["system"])
+        cfg = SimConfig(warmup_cycles=100, measured_cycles=250, replications=4,
+                        master_seed=1)
+        a = run(system, cfg, threads=1)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor",
+            functools.partial(concurrent.futures.ProcessPoolExecutor,
+                              mp_context=multiprocessing.get_context(method)))
+        b = run(system, cfg, threads=2)
+        for x, y in zip(a.summary, b.summary, strict=True):
+            assert x.tobytes() == y.tobytes()
+        assert a.per_replication.keys() == b.per_replication.keys()
+        for key, values in a.per_replication.items():
+            assert values.tobytes() == b.per_replication[key].tobytes(), key
 
     def test_reruns_are_bit_identical(self):
         cfg = SimConfig(warmup_cycles=30, measured_cycles=500, replications=3,
