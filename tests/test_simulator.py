@@ -2,6 +2,7 @@
 layer, distributional structure of visit-end leftovers, and determinism."""
 import concurrent.futures
 import functools
+import hashlib
 import json
 import math
 import multiprocessing
@@ -757,6 +758,34 @@ def test_single_cycle_throughput_pins(name):
     got = (est.mean.hex(), est.stderr.hex(),
            tuple(float(x).hex() for x in est.per_queue_mean))
     assert got == SINGLE_CYCLE_PINS[name]
+
+
+# sha256 of the counts of `leftover_after_visit` at rate 1.5, 3000
+# replications and seed 43, per (service, visit) pair; one-atom laws on
+# either side, then two laws that draw more than one uniform per sample
+# (numpy 2.4 on x86-64)
+LEFTOVER_PINS = {
+    "atomic": (
+        Deterministic(0.3), Deterministic(0.8),
+        "eda050f0d5641ad54a8e571c5fbd12432d8341d4279243c2237d5cced7c31b24"),
+    "atomic-visit": (
+        Exponential(1.0), Deterministic(0.8),
+        "f29e3b9753f0ba82deb1a611df9da3d507ea1051d04c815131b392fb2dff6957"),
+    "atomic-service": (
+        Deterministic(0.3), Exponential(1.0),
+        "15dc7f9cff0de7102319fef33b48ed6908c9da26607af85559efe6c089d74375"),
+    "mixed-discrete": (
+        MixedErlang(0.2, 2, 3.0), Discrete(((0.5, 0.5), (1.0, 0.5))),
+        "f0a413420ed67b561c3f430a0d8b962436dffafe461ba7d825128edaeb7416de"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEFTOVER_PINS))
+def test_leftover_after_visit_pins(name):
+    service, visit, digest = LEFTOVER_PINS[name]
+    counts = leftover_after_visit(1.5, service, visit, replications=3_000,
+                                  master_seed=43)
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == digest
 
 
 class TestDeterminism:
