@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -358,7 +359,19 @@ class SojournMetrics:
     lst_table: np.ndarray
 
 
+def _integer(name: str, value) -> int:
+    """`value` as an int, or DomainError unless it is an integer.
+
+    operator.index's rule: ints and numpy ints pass, a float never does.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _queue_checked(system: SystemSpec, queue: int) -> QueueSpec:
+    queue = _integer("queue index", queue)
     if not 0 <= queue < len(system.queues):
         raise DomainError(
             f"queue index {queue} out of range for {len(system.queues)} queues")

@@ -428,7 +428,8 @@ def _inputs(args) -> tuple[dict, SystemSpec]:
 def cmd_analyze(args) -> int:
     _, system = _inputs(args)
     n = len(system.queues)
-    s_grid = _parse_s_grid(args.s_grid) if args.s_grid else DEFAULT_S_GRID
+    s_grid = (DEFAULT_S_GRID if args.s_grid is None
+              else _parse_s_grid(args.s_grid))
 
     derived = system._derived_quantities
     pm = polling_means(system)

@@ -519,8 +519,8 @@ def _pick(edges: np.ndarray, rng: np.random.Generator, size=None):
     last index takes every u beyond the one before it, also when rounding
     leaves the total weight below 1. A single weight (no edges) needs no
     draw: it returns the index 0, whatever `size`, and leaves `rng`
-    untouched, so `rng` may then be None. The simulator relies on this to
-    build no stream for a one-atom law.
+    untouched, which may also be None. So a one-atom law draws nothing
+    from the stream the simulator builds for it.
     """
     if edges.size == 0:
         return 0

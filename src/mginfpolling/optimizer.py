@@ -22,7 +22,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .analytic import SystemSpec
+from .analytic import SystemSpec, _integer
 from .errors import DomainError, UnsupportedModelError
 
 __all__ = [
@@ -146,7 +146,7 @@ class _TourParams:
         self.index = self.rate_prob / self.delay
 
     def check_order(self, order) -> tuple[int, ...]:
-        order = tuple(int(q) for q in order)
+        order = tuple(_integer("queue index", q) for q in order)
         if sorted(order) != sorted(self.visited):
             need = "all queues" if self.mode == SERIAL else "the non-empty queues"
             raise DomainError(f"order {order} must be a permutation of {need} "

@@ -53,12 +53,11 @@ hands each replication, also in a worker process, the keys of its own
 streams. Per block, a queue's count stream gives one Poisson count, its
 position stream that many uniforms, and its service stream one
 requirement per customer in each retry round; `single_cycle_throughput`
-and `leftover_after_visit` instead draw one count per interval. A
-one-atom law (`Deterministic`, a one-atom `Discrete`) never reads its
-stream, so no call builds a visit, switch-over or service stream for one,
-and its sampler is handed None; every other stream keeps its key. Reports
-aggregate replication means in replication order, making results
-bit-identical for a fixed master seed and any thread count.
+and `leftover_after_visit` instead draw one count per interval. Every call
+builds every stream it names; a one-atom law (`Deterministic`, a one-atom
+`Discrete`) draws nothing from its own. Reports aggregate replication
+means in replication order, making results bit-identical for a fixed
+master seed and any thread count.
 """
 from __future__ import annotations
 
@@ -68,8 +67,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import SystemSpec
-from .distributions import Deterministic, Distribution
+from .analytic import SystemSpec, _integer
+from .distributions import Distribution
 from .errors import DomainError
 from .optimizer import TourState
 
@@ -99,18 +98,10 @@ _CYCLE_SALT = 0x74686574
 _BLOCK_CYCLES = 4096
 
 
-def _check_integer(name: str, value) -> None:
-    """Raise DomainError unless `value` is an integer; numpy ints pass."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _check_seeding(replications, master_seed) -> None:
     """The checks every entry point makes on its replication count and seed."""
-    _check_integer("replications", replications)
-    _check_integer("master_seed", master_seed)
+    _integer("replications", replications)
+    _integer("master_seed", master_seed)
     if replications < 1:
         raise DomainError("replications must be >= 1")
     if not 0 <= master_seed < 2**64:
@@ -132,14 +123,15 @@ class SimConfig:
     pgf_points: tuple[tuple[int, tuple[float, ...]], ...] = ()
 
     def __post_init__(self):
-        _check_integer("warmup_cycles", self.warmup_cycles)
-        _check_integer("measured_cycles", self.measured_cycles)
+        _integer("warmup_cycles", self.warmup_cycles)
+        _integer("measured_cycles", self.measured_cycles)
         if self.warmup_cycles < 0:
             raise DomainError("warmup_cycles must be >= 0")
         if self.measured_cycles < 1:
             raise DomainError("measured_cycles must be >= 1")
         _check_seeding(self.replications, self.master_seed)
-        points = tuple((int(q), tuple(float(z) for z in zs))
+        points = tuple((_integer("pgf point queue index", q),
+                        tuple(float(z) for z in zs))
                        for q, zs in self.pgf_points)
         if not all(math.isfinite(z) for _, zs in points for z in zs):
             raise DomainError("pgf_points z values must be finite")
@@ -282,32 +274,9 @@ def _generators(keys) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(_Key(key))) for key in keys]
 
 
-def _read_rows(laws: dict) -> list:
-    """The rows of `laws` whose stream is read.
-
-    `laws` maps a stream's row to the law that draws from it, or to None
-    for a count or position stream, which is always read.
-    """
-    return [row for row, law in laws.items() if law is None or _reads_stream(law)]
-
-
-def _streams(master_seed: int, salt: int, laws: dict) -> dict:
-    """A Generator for each (rep, queue, purpose) row of `laws` that is read.
-
-    A row left out is read by nobody: `.get` hands its law None.
-    """
-    rows = _read_rows(laws)
+def _streams(master_seed: int, salt: int, rows: list) -> dict:
+    """A Generator for each (rep, queue, purpose) row of `rows`."""
     return dict(zip(rows, _generators(_stream_keys(master_seed, salt, rows))))
-
-
-def _reads_stream(law: Distribution) -> bool:
-    """Whether `law.sample` reads its rng; only a one-atom law does not.
-
-    A one-atom law (`Deterministic`, a one-atom `Discrete`) has one weight,
-    so `_pick` draws no uniform and `sample` returns the atom without
-    touching its rng, which may then be None.
-    """
-    return law.atoms is None or len(law.atoms) > 1
 
 
 def _arrivals(rate: float, lengths: np.ndarray, count_rng: np.random.Generator,
@@ -419,11 +388,10 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
     sojourns and completions of queue j per arrival phase, and pgf_sum[k]
     the terms of pgf point k. Each is kept once, undivided: `run` derives
     every per-replication metric from them. `keys` maps the (queue,
-    purpose) pair of each stream the replication reads to its Philox key.
+    purpose) pair of each of the replication's streams to its Philox key.
     """
     queues = system.queues
     n = len(queues)
-    # a stream nobody reads has no key, and `.get` hands its law None
     gen = dict(zip(keys, _generators(keys.values())))
 
     x_sum = np.zeros((n, n))
@@ -442,9 +410,9 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
         cycles = min(_BLOCK_CYCLES, total - first)
         # the block's measured cycles are its suffix from cycle lo on
         lo = min(max(config.warmup_cycles - first, 0), cycles)
-        visits = np.column_stack([q.visit.sample(gen.get((j, _VISIT)), cycles)
+        visits = np.column_stack([q.visit.sample(gen[j, _VISIT], cycles)
                                   for j, q in enumerate(queues)])
-        switches = np.column_stack([q.switch.sample(gen.get((j, _SWITCH)), cycles)
+        switches = np.column_stack([q.switch.sample(gen[j, _SWITCH], cycles)
                                     for j, q in enumerate(queues)])
         # the server's intervals in time order: interval 2(c n + i) is the
         # visit to queue i in cycle c and the next one its switch-over;
@@ -480,7 +448,7 @@ def _simulate_replication(system: SystemSpec, config: SimConfig,
 
             done, sojourn, done_tag, kept_time, kept_tag = _retry_rounds(
                 attempt, arrival, offset, tag, visits[:, j],
-                starts[2 * j::2 * n], queue.service, gen.get((j, _SERVICE)))
+                starts[2 * j::2 * n], queue.service, gen[j, _SERVICE])
             # completions before cycle lo go to bins 3-5, which are dropped;
             # each bin sums its sojourns in round order
             bins = done_tag + 3 * (done < lo)
@@ -559,13 +527,8 @@ def run(system: SystemSpec, config: SimConfig, threads: int = 1) -> SimulationRe
             raise DomainError("pgf point z-vector length must match queue count")
 
     reps = config.replications
-    # one key table for every replication: the count and position streams
-    # always draw, a visit, switch-over or service law only when its
-    # `sample` reads its stream
-    pairs = _read_rows({(j, purpose): law for j, q in enumerate(system.queues)
-                        for purpose, law in ((_VISIT, q.visit), (_SWITCH, q.switch),
-                                             (_COUNT, None), (_SERVICE, q.service),
-                                             (_POSITION, None))})
+    # one key table for every replication, five streams per queue
+    pairs = [(j, purpose) for j in range(n) for purpose in range(5)]
     table = _stream_keys(config.master_seed, _RUN_SALT,
                          [(r, *pair) for r in range(reps) for pair in pairs])
     keys = [dict(zip(pairs, rep_keys))
@@ -682,7 +645,7 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
     """
     queues = system.queues
     n = len(queues)
-    order = tuple(int(q) for q in order)
+    order = tuple(_integer("queue index", q) for q in order)
     # TourState's rule: integral values only, each nonnegative
     counts = np.array(TourState(initial_counts).counts, dtype=int)
     if counts.shape != (n,):
@@ -703,30 +666,23 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
     # bundle 0 of a queue holds its visit, count, service and position
     # streams and, in a serial tour, the switch-over's; bundles 1 and 2 the
     # approach and return streams of a central-point tour
-    laws = {}
-    for q in order:
-        spec = queues[q]
-        laws.update({(0, q, _VISIT): spec.visit, (0, q, _COUNT): None,
-                     (0, q, _SERVICE): spec.service, (0, q, _POSITION): None})
-        if central:
-            laws.update({(1, q, _SWITCH): spec.approach,
-                         (2, q, _SWITCH): spec.return_})
-        else:
-            laws[0, q, _SWITCH] = spec.switch
-    gen = _streams(master_seed, _CYCLE_SALT, laws)
+    legs = ((1, _SWITCH), (2, _SWITCH)) if central else ((0, _SWITCH),)
+    gen = _streams(master_seed, _CYCLE_SALT,
+                   [(bundle, q, purpose) for q in order
+                    for bundle, purpose in ((0, _VISIT), (0, _COUNT), (0, _SERVICE),
+                                            (0, _POSITION), *legs)])
 
     for q in order:
         spec = queues[q]
+        # a serial tour has no approach and returns by the switch-over
         if central:
-            approach, after = spec.approach, spec.return_
-            out_rng, after_rng = gen.get((1, q, _SWITCH)), gen.get((2, q, _SWITCH))
+            elapsed = elapsed + spec.approach.sample(gen[1, q, _SWITCH], reps)
+            after, after_rng = spec.return_, gen[2, q, _SWITCH]
         else:
-            approach, after, out_rng, after_rng = (Deterministic(0.0), spec.switch,
-                                                   None, gen.get((0, q, _SWITCH)))
-        elapsed = elapsed + approach.sample(out_rng, reps)
-        v = spec.visit.sample(gen.get((0, q, _VISIT)), reps)
+            after, after_rng = spec.switch, gen[0, q, _SWITCH]
+        v = spec.visit.sample(gen[0, q, _VISIT], reps)
         rate = spec.arrival_rate
-        count_rng, service_rng = gen[0, q, _COUNT], gen.get((0, q, _SERVICE))
+        count_rng, service_rng = gen[0, q, _COUNT], gen[0, q, _SERVICE]
 
         # the customers present at the polling instant attempt with the
         # whole visit, then the visit's arrivals with the rest of it
@@ -761,10 +717,10 @@ def leftover_after_visit(arrival_rate: float, service: Distribution,
                           f"got {arrival_rate!r}")
     _check_seeding(replications, master_seed)
     gen = _streams(master_seed, _CYCLE_SALT,
-                   {(3, 0, _VISIT): visit, (3, 0, _COUNT): None,
-                    (3, 0, _SERVICE): service, (3, 0, _POSITION): None})
-    v = visit.sample(gen.get((3, 0, _VISIT)), replications)
+                   [(3, 0, purpose)
+                    for purpose in (_VISIT, _COUNT, _SERVICE, _POSITION)])
+    v = visit.sample(gen[3, 0, _VISIT], replications)
     owner, t_a = _arrivals(arrival_rate, v, gen[3, 0, _COUNT], gen[3, 0, _POSITION])
-    b = service.sample(gen.get((3, 0, _SERVICE)), owner.size)
+    b = service.sample(gen[3, 0, _SERVICE], owner.size)
     stay = owner[t_a + b > v[owner]]
     return np.bincount(stay, minlength=replications)

@@ -32,6 +32,7 @@ from mginfpolling.analytic import (
     sojourn_mean,
     sojourn_mean_exponential,
     sojourn_metrics,
+    sojourn_sweep,
     weighted_sojourn_mean,
 )
 from mginfpolling.distributions import (
@@ -54,6 +55,8 @@ from mginfpolling.errors import (
     NumericsError,
     UnsupportedModelError,
 )
+from mginfpolling.optimizer import TourState, expected_throughput
+from mginfpolling.simulator import SimConfig, single_cycle_throughput
 
 
 def reference_system() -> SystemSpec:
@@ -1301,3 +1304,30 @@ def test_two_dimensional_s_is_rejected(name):
     with pytest.raises(DomainError):
         _GRID_FUNCTIONS[name](Exponential(1.0), Exponential(2.0),
                               np.full((2, 2), 0.5))
+
+
+# every public argument that names a queue, fed a float: operator.index's
+# rule, so none is cut to an int or reaches tuple indexing
+_QUEUE_INDEX_CASES = {
+    "SimConfig.pgf_points": (
+        lambda: SimConfig(pgf_points=((0.9, (0.5, 0.5)),)), 0.9),
+    "expected_throughput": (
+        lambda: expected_throughput(reference_system(), TourState((1, 1)),
+                                    (1.7, 0.2)), 1.7),
+    "single_cycle_throughput": (
+        lambda: single_cycle_throughput(reference_system(), (0.6, 1.4),
+                                        (1, 1), replications=10), 0.6),
+    "sojourn_mean": (lambda: sojourn_mean(reference_system(), 0.5), 0.5),
+    "pgf_eval": (lambda: pgf_eval(reference_system(), 0.5, (0.5, 0.5)), 0.5),
+    "sojourn_sweep": (
+        lambda: sojourn_sweep(reference_system(), 1.0, "visit_scv", (0.5,)),
+        1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_QUEUE_INDEX_CASES))
+def test_queue_index_must_be_an_integer(name):
+    call, value = _QUEUE_INDEX_CASES[name]
+    with pytest.raises(DomainError,
+                       match=f"queue index must be an integer, got {value}$"):
+        call()

@@ -278,6 +278,8 @@ CONFIG_ERRORS = [
      "--s-grid values must be finite and >= 0"),
     (["analyze", "--s-grid", "0.5,inf"], {},
      "--s-grid values must be finite and >= 0"),
+    (["analyze", "--s-grid", ""], {},
+     "config error: --s-grid must be comma-separated numbers, got ''"),
     (["simulate", "--seed", "-1"], {},
      "--seed: master_seed must fit in 64 bits"),
     (["validate", "--seed", "18446744073709551616"], {},
