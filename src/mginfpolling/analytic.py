@@ -488,11 +488,13 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     A level holds the distinct counts of crossed visit atoms reached so far
     (they fix u) and each count vector's mass: the summed product of the
     factors along every history that reaches it. Only the queues with
-    z_j != 1 carry counts. For any other queue u_j stays 0, so its atoms
-    never change u, and a crossing of it changes no count: it multiplies
-    every mass by its switch-over's and its visit's transforms at the
-    lambda . u carried from the last crossing that changed the counts, and
-    only the mass floor is tested after it. u, lambda . u and the u floor
+    z_j != 1 and a positive arrival rate carry counts; a zero-rate queue
+    is always empty, so the value does not depend on its z_j, and its u_j
+    is held at 0. For any other queue u_j stays 0, so its atoms never
+    change u, and a crossing of it changes no count: it multiplies every
+    mass by its switch-over's and its visit's transforms at the lambda . u
+    carried from the last crossing that changed the counts, and only the
+    mass floor is tested after it. u, lambda . u and the u floor
     are formed only after a tracked crossing; when rows retire, lambda . u
     is sliced, since each of its rows is summed on its own and keeps its
     bits among any other rows. Points where all but one coordinate
@@ -544,9 +546,10 @@ def pgf_eval(system: SystemSpec, queue: int, z) -> float:
     rates, atoms, left, survive = system._pgf_constants
 
     u0 = 1.0 - z
-    # only the queues with u_j != 0 carry count columns: for any other queue
-    # u_j stays 0 at every level, so its atom counts never change the future
-    tracked = u0 != 0.0
+    # only the queues with u_j != 0 and arrivals carry count columns: for any
+    # other queue lambda_j u_j stays 0 at every level, so its atom counts
+    # never change the future
+    tracked = (u0 != 0.0) & (rates > 0.0)
     survive = np.concatenate([np.zeros(0)] + [  # empty at z = 1
         a for a, t in zip(survive, tracked) if t])
     # a count vector holds tracked queue j's atoms in columns

@@ -107,22 +107,34 @@ class BruteForceResult:
     ranking: tuple[tuple[tuple[int, ...], float], ...]
 
 
+def _check_state(system: SystemSpec, state: TourState) -> None:
+    """One count per queue, and central-point mode only with travel laws."""
+    n = len(system.queues)
+    if len(state.counts) != n:
+        raise DomainError(f"initial counts must be {n} nonnegative integers")
+    if state.mode == CENTRAL_POINT and not system.has_central_point:
+        raise UnsupportedModelError(
+            "central_point mode needs approach and return laws on every queue")
+
+
+def _check_order(state: TourState, order) -> tuple[int, ...]:
+    """Integer queue indices that permute `state.visited`, as a tuple."""
+    order = tuple(_integer("queue index", q) for q in order)
+    if sorted(order) != list(state.visited):
+        need = "all queues" if state.mode == SERIAL else "the non-empty queues"
+        raise DomainError(f"order {order} must be a permutation of {need} "
+                          f"{state.visited}")
+    return order
+
+
 class _TourParams:
     """Per-queue numbers shared by every order of one (system, state) pair."""
 
-    __slots__ = ("n", "mode", "rate_prob", "delay", "base", "constant",
-                 "index", "visited")
+    __slots__ = ("rate_prob", "delay", "base", "constant", "index", "visited")
 
     def __init__(self, system: SystemSpec, state: TourState):
+        _check_state(system, state)
         queues = system.queues
-        self.n = len(queues)
-        if len(state.counts) != self.n:
-            raise DomainError(
-                f"state has {len(state.counts)} counts for {self.n} queues")
-        if state.mode == CENTRAL_POINT and not system.has_central_point:
-            raise UnsupportedModelError(
-                "central_point mode needs approach and return laws on every queue")
-        self.mode = state.mode
         self.visited = state.visited
 
         lam = np.array([q.arrival_rate for q in queues])
@@ -145,16 +157,8 @@ class _TourParams:
         # visit laws have no mass at zero, so every delay is positive
         self.index = self.rate_prob / self.delay
 
-    def check_order(self, order) -> tuple[int, ...]:
-        order = tuple(_integer("queue index", q) for q in order)
-        if sorted(order) != sorted(self.visited):
-            need = "all queues" if self.mode == SERIAL else "the non-empty queues"
-            raise DomainError(f"order {order} must be a permutation of {need} "
-                              f"{self.visited}")
-        return order
-
     def report(self, order) -> ThroughputReport:
-        per_queue = np.zeros(self.n)
+        per_queue = np.zeros_like(self.base)
         penalty = elapsed = 0.0
         for q in order:
             step = self.rate_prob[q] * elapsed
@@ -178,8 +182,7 @@ def expected_throughput(system: SystemSpec, state: TourState,
     unless they run past the visit end; arrivals before the visit behave
     like initial customers.
     """
-    params = _TourParams(system, state)
-    return params.report(params.check_order(order))
+    return _TourParams(system, state).report(_check_order(state, order))
 
 
 def optimal_order(system: SystemSpec, state: TourState,

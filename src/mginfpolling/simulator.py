@@ -6,8 +6,9 @@ completes exactly when it fits inside the visit time left. A customer
 waiting at a polling instant attempts with the whole visit; a customer
 arriving while the server is at its queue attempts at once, with the rest
 of that visit; whoever misses waits for the queue's next visit. No quantity
-measured here is assumed from theory, which is what makes the estimates
-usable as an independent cross-check of the analytic layer.
+measured here is assumed from theory: the estimates cross-check the
+analytic layer, and `single_cycle_throughput` plays one `TourState`, under
+the optimizer's rules for a tour, to check `expected_throughput`.
 
 The kernel is schedule-first. The server's visit and switch-over times do
 not depend on the queue contents, and given them every customer evolves
@@ -70,7 +71,8 @@ import numpy as np
 from .analytic import SystemSpec, _integer
 from .distributions import Distribution
 from .errors import DomainError
-from .optimizer import TourState
+from .optimizer import (CENTRAL_POINT, SERIAL, TourState, _check_order,
+                        _check_state)
 
 __all__ = [
     "SERVED_SAME_VISIT",
@@ -625,42 +627,35 @@ class SingleCycleEstimate:
     replications: int
 
 
-def single_cycle_throughput(system: SystemSpec, order, initial_counts,
+def single_cycle_throughput(system: SystemSpec, order, state,
                             replications: int = 10_000,
                             master_seed: int = 0) -> SingleCycleEstimate:
-    """Estimate the expected number of services in one tour from state `initial_counts`.
+    """Estimate the expected number of services in one tour from `state`.
 
-    The tour follows `order`. With central-point travel laws the order may
-    cover any subset and each visit is wrapped in its approach and return
-    travel times; without them the order must cover all queues and the tour
-    is read as a central-point tour with no approach whose return is the
-    queue's switch-over. Customers present at the start and all customers
-    arriving during the tour behave exactly as in `run`; completions of
-    both kinds count.
+    `state` is a `TourState`, or a count sequence read in the mode the
+    system implies: central-point with travel laws, serial without. The
+    order obeys `expected_throughput`'s rule. A central-point visit is
+    wrapped in its approach and return travel times; a serial tour has no
+    approach and returns by the switch-over. Customers present at the start
+    and all customers arriving during the tour behave exactly as in `run`;
+    completions of both kinds count.
 
     No step needs a guard for a zero arrival rate or an empty draw: a
     Poisson mean of 0 and a sample of size 0 read nothing from their
     Generator, so every later draw on its stream is the same as if the
     step had been skipped.
     """
-    queues = system.queues
-    n = len(queues)
-    order = tuple(_integer("queue index", q) for q in order)
-    # TourState's rule: integral values only, each nonnegative
-    counts = np.array(TourState(initial_counts).counts, dtype=int)
-    if counts.shape != (n,):
-        raise DomainError(f"initial_counts must be {n} nonnegative integers")
-    central = system.has_central_point
-    if any(not 0 <= q < n for q in order) or len(set(order)) != len(order):
-        raise DomainError("order must list distinct queue indices in range")
-    if not central and sorted(order) != list(range(n)):
-        raise DomainError("order must visit every queue when the system has "
-                          "no central-point travel laws")
+    if not isinstance(state, TourState):
+        state = TourState(state, CENTRAL_POINT if system.has_central_point
+                          else SERIAL)
+    _check_state(system, state)
+    order = _check_order(state, order)
     _check_seeding(replications, master_seed)
+    central = state.mode == CENTRAL_POINT
 
     reps = replications
     rep_ids = np.arange(reps)
-    per_queue = np.zeros((n, reps))
+    per_queue = np.zeros((len(state.counts), reps))
     elapsed = np.zeros(reps)
 
     # bundle 0 of a queue holds its visit, count, service and position
@@ -673,8 +668,7 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
                                             (0, _POSITION), *legs)])
 
     for q in order:
-        spec = queues[q]
-        # a serial tour has no approach and returns by the switch-over
+        spec = system.queues[q]
         if central:
             elapsed = elapsed + spec.approach.sample(gen[1, q, _SWITCH], reps)
             after, after_rng = spec.return_, gen[2, q, _SWITCH]
@@ -686,7 +680,8 @@ def single_cycle_throughput(system: SystemSpec, order, initial_counts,
 
         # the customers present at the polling instant attempt with the
         # whole visit, then the visit's arrivals with the rest of it
-        owner = np.repeat(rep_ids, counts[q] + count_rng.poisson(rate * elapsed))
+        owner = np.repeat(rep_ids,
+                          state.counts[q] + count_rng.poisson(rate * elapsed))
         b = spec.service.sample(service_rng, owner.size)
         per_queue[q] += np.bincount(owner[b <= v[owner]], minlength=reps)
         owner, t_a = _arrivals(rate, v, count_rng, gen[0, q, _POSITION])

@@ -135,17 +135,18 @@ def full_walk_pgf(system: SystemSpec, queue: int, z,
     """`pgf_eval`'s level recursion, forming u and lambda . u on every level.
 
     With `every_queue`, every queue's atom counts are tracked: the reference
-    for `pgf_eval`, which tracks only the queues with z_j != 1. Without it,
-    only those queues are tracked, and a crossing of any other queue
-    multiplies the masses by its visit transform, as `pgf_eval` does; that
-    is the reference for `pgf_eval`'s carrying of u and lambda . u across
-    such crossings. Takes valid inputs only.
+    for `pgf_eval`, which tracks only the queues with z_j != 1 and a
+    positive arrival rate. Without it, only those queues are tracked, and a
+    crossing of any other queue multiplies the masses by its visit
+    transform, as `pgf_eval` does; that is the reference for `pgf_eval`'s
+    carrying of u and lambda . u across such crossings. Takes valid inputs
+    only.
     """
     queues = system.queues
     n = len(queues)
     rates = np.array([q.arrival_rate for q in queues])
     u0 = 1.0 - np.asarray(z, dtype=float)
-    tracked = np.full(n, True) if every_queue else u0 != 0.0
+    tracked = np.full(n, True) if every_queue else (u0 != 0.0) & (rates > 0.0)
     atoms = [np.array(q.visit.atoms).T for q in queues]
     left = [rate * q.service.integrated_survival(v)
             for rate, q, (v, _) in zip(rates, queues, atoms)]
@@ -637,6 +638,23 @@ class TestPgfTrackedQueues:
         for z in ((1.0, 0.5, 1.0), (1.0 - 1e-6, 1.0, 1.0)):
             for i in range(3):
                 assert 0.0 < pgf_eval(system, i, z) < 1.0
+
+    def test_zero_rate_queue_is_free_of_its_z(self):
+        # atomic-pgf with queue 0's switch-over of 0.2 split into 0.1, then
+        # a zero-rate queue whose visit and switch-over take the other 0.1
+        base = atomic_pgf_system()
+        idle = QueueSpec(0.0, Exponential(1.0), Deterministic(0.06),
+                         Deterministic(0.04))
+        split = SystemSpec((
+            dataclasses.replace(base.queues[0], switch=Deterministic(0.1)),
+            idle, *base.queues[1:]))
+        start = time.perf_counter()
+        value = pgf_eval(split, 0, (0.5, 0.5, 0.5, 0.5))
+        assert time.perf_counter() - start < 5.0
+        assert value == pgf_eval(split, 0, (0.5, 1.0, 0.5, 0.5))
+        assert value == full_walk_pgf(split, 0, (0.5, 0.5, 0.5, 0.5),
+                                      every_queue=False)
+        assert abs(value - pgf_eval(base, 0, (0.5, 0.5, 0.5))) < 1e-15
 
     @pytest.mark.parametrize("j", range(3))
     def test_marginal_is_bitwise_free_of_the_service_law(self, j):

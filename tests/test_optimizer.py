@@ -435,3 +435,81 @@ class TestOneValuePerTour:
             assert (a.mean.hex(), a.stderr.hex()) == \
                 (b.mean.hex(), b.stderr.hex())
             assert a.per_queue_mean.tobytes() == b.per_queue_mean.tobytes()
+
+
+def bad_tours():
+    """(system, state, order, error class, message) of tours both
+    `expected_throughput` and `single_cycle_throughput` refuse."""
+    serial = serial_system([0.5, 0.6, 0.7])
+    central = central_system([(0.5, 0.1, 0.1), (0.6, 0.1, 0.1), (0.7, 0.1, 0.1)])
+    full, gap = TourState((1, 1, 1)), TourState((1, 0, 1), CENTRAL_POINT)
+    return {
+        "count_length": (serial, TourState((1, 1)), (0, 1), DomainError,
+                         "must be 3 nonnegative integers"),
+        "duplicate_queue": (serial, full, (0, 1, 1), DomainError, None),
+        "queue_out_of_range": (serial, full, (0, 1, 3), DomainError, None),
+        "float_queue_index": (serial, full, (0, 1.5, 2), DomainError,
+                              "queue index must be an integer"),
+        "serial_non_permutation": (serial, full, (0, 2), DomainError, None),
+        "central_without_travel_laws": (serial, gap, (0, 2),
+                                        UnsupportedModelError, None),
+        "central_skips_a_non_empty_queue": (central, gap, (0,), DomainError,
+                                            None),
+        "central_visits_an_empty_queue": (central, gap, (0, 1, 2),
+                                          DomainError, None),
+    }
+
+
+@pytest.mark.parametrize("entry", ["expected_throughput",
+                                   "single_cycle_throughput"])
+@pytest.mark.parametrize("case", sorted(bad_tours()))
+def test_one_tour_rule_refuses_the_same_tours(case, entry):
+    system, state, order, error, message = bad_tours()[case]
+    calls = {
+        "expected_throughput": lambda: expected_throughput(system, state, order),
+        "single_cycle_throughput": lambda: single_cycle_throughput(
+            system, order, state, replications=10),
+    }
+    with pytest.raises(error, match=message) as info:
+        calls[entry]()
+    assert type(info.value) is error
+
+
+class TestSerialTourWithTravelLaws:
+    """A serial tour on a system with travel laws uses none of them."""
+
+    @staticmethod
+    def tour():
+        system, central = bench_tour("general-wide")
+        return system, TourState(central.counts, SERIAL)
+
+    def test_travel_laws_draw_nothing(self):
+        system, state = self.tour()
+        stripped = SystemSpec(tuple(
+            dataclasses.replace(q, approach=None, return_=None)
+            for q in system.queues))
+        order = optimal_order(system, state).order
+        a, b = (single_cycle_throughput(s, order, state, replications=2_000,
+                                        master_seed=3)
+                for s in (system, stripped))
+        assert (a.mean.hex(), a.stderr.hex()) == (b.mean.hex(), b.stderr.hex())
+        assert a.per_queue_mean.tobytes() == b.per_queue_mean.tobytes()
+
+    def test_plain_counts_read_the_mode_the_system_implies(self):
+        system, central = bench_tour("general-wide")
+        order = optimal_order(system, central).order
+        a, b = (single_cycle_throughput(system, order, state,
+                                        replications=2_000, master_seed=3)
+                for state in (central, central.counts))
+        assert (a.mean.hex(), a.stderr.hex()) == (b.mean.hex(), b.stderr.hex())
+
+    def test_matches_expected_throughput(self):
+        system, state = self.tour()
+        rule = optimal_order(system, state).order
+        for k, order in enumerate((rule, rule[::-1], state.visited)):
+            total = expected_throughput(system, state, order).total
+            est = single_cycle_throughput(system, order, state,
+                                          replications=20_000,
+                                          master_seed=5 + k)
+            z = (est.mean - total) / est.stderr
+            assert abs(z) <= 4.0, (order, z)

@@ -697,7 +697,7 @@ class TestSingleCycleThroughput:
                + lam[0] * ev[0] - d[0].leftover_arrival_mean)
         zcheck(est.mean, th0 + th1, est.stderr, limit=3.5)
 
-        solo = single_cycle_throughput(sys, (0,), n, replications=100_000,
+        solo = single_cycle_throughput(sys, (0,), (1, 0), replications=100_000,
                                        master_seed=13)
         th_solo = ((n[0] + lam[0] * 0.2) * d[0].completion_prob
                    + lam[0] * ev[0] - d[0].leftover_arrival_mean)
@@ -710,9 +710,12 @@ class TestSingleCycleThroughput:
             QueueSpec(0.5, Exponential(1.5), Exponential(1.5), Deterministic(0.0),
                       approach=Deterministic(0.1), return_=Deterministic(0.4)),
         ))
-        est = single_cycle_throughput(sys, (), (4, 2), replications=100,
+        est = single_cycle_throughput(sys, (), (0, 0), replications=100,
                                       master_seed=1)
         assert est.mean == 0.0
+        with pytest.raises(DomainError):
+            single_cycle_throughput(sys, (), (4, 2), replications=100,
+                                    master_seed=1)
 
 
 # float.hex of (mean, stderr, per-queue means) of `single_cycle_throughput`,
@@ -747,7 +750,7 @@ def single_cycle_pin_cases():
                   return_=Deterministic(0.25)),
     ))
     return {"serial": (serial, (2, 0, 1), (3, 0, 2), 41),
-            "central": (central, (2, 0), (1, 4, 2), 42)}
+            "central": (central, (2, 0), (1, 0, 2), 42)}
 
 
 @pytest.mark.parametrize("name", sorted(SINGLE_CYCLE_PINS))
