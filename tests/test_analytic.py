@@ -8,6 +8,7 @@ derived by hand from that parameterization before the code existed.
 """
 import collections
 import dataclasses
+import hashlib
 import itertools
 import math
 import pickle
@@ -1125,6 +1126,25 @@ class TestSojournMetrics:
         table = sojourn_metrics(system, np.geomspace(1e-8, 1e3, 60)).lst_table
         assert ((table > 0.0) & (table <= 1.0)).all()
         assert (np.diff(table, axis=1) <= 0.0).all()
+
+    @pytest.mark.parametrize("config, digest", [
+        ("demos/base_config.json",
+         "4c1084bb4789adee9054e133274d2563e3f28de11a7e346311af7b195652d74a"),
+        ("bench/workloads/demo.json",
+         "4c1084bb4789adee9054e133274d2563e3f28de11a7e346311af7b195652d74a"),
+        ("bench/workloads/general-wide.json",
+         "e9307e5a686e1b6b3ea21af8df92f0327d19d8da17e38b7ef17e268a2f849ab0"),
+        ("bench/workloads/atomic-pgf.json",
+         "273dd272ce510cacd643d1804a89f683b890bf919ff5c74da413f261077a493e"),
+    ])
+    def test_metrics_bytes_are_pinned(self, config, digest):
+        # a change that moves any bit of a sojourn mean or of the transform
+        # table changes these bytes
+        path = Path(__file__).resolve().parents[1] / config
+        system = cli._build_system(cli._load_config(str(path))["system"])
+        metrics = sojourn_metrics(system, np.geomspace(1e-3, 1e3, 40))
+        data = np.array(metrics.means).tobytes() + metrics.lst_table.tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest, simd_dispatch()
 
 
 def cached_values(spec: QueueSpec) -> tuple[float, ...]:

@@ -274,3 +274,27 @@ def test_sweep_bytes_are_pinned(tmp_path, path, digest):
     assert main(["sweep", "--config", str(path), "--out", str(out_path)]) == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest, \
         simd_dispatch()
+
+
+# general-wide's queue 1 (0-based) has Erlang(2, 3) service and a
+# hyperexponential visit; each target's grid crosses the fitted families
+SWEEP_PINS = {
+    "service_mean": ([0.2, 0.5, 1.0],
+                     "8e79573090d9a65412cabf23b7e90242e9903de317ea48dbd6419dd08cb0565c"),
+    "service_scv": ([0.3, 0.5, 1.0, 3.0],
+                    "e1104aa1f6b851661500fbc4e318de4e642814d94a4f0f13a1415727f5acf537"),
+    "visit_mean": ([0.5, 1.0, 2.0],
+                   "f806e1365a783776fc1ce19a06d93215d5276c8900a74c0fb55d8dc1297824cf"),
+    "visit_scv": ([0.25, 0.8, 1.0, 2.5],
+                  "73b9ed6cc76ed8ef977f73837ea7aa9c8b1fc6d48e05ccf368d3a2335d450b71"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(SWEEP_PINS))
+def test_sojourn_sweep_values_are_pinned(target):
+    grid, digest = SWEEP_PINS[target]
+    system, _ = config_sweep(WORKLOADS / "general-wide.json")
+    points = sojourn_sweep(system, 1, target, grid)
+    data = np.array([[weighted, *per_queue] for weighted, per_queue in points])
+    assert hashlib.sha256(data.tobytes()).hexdigest() == digest, \
+        simd_dispatch()
