@@ -32,11 +32,16 @@ the whole grid, and `sojourn_sweep` evaluates those of the swept queue once
 per group of fitted laws with the same phases. Functionals of a transform
 argument s are not cached; they take the whole s-grid at once instead.
 
+The server-away time A_i, the cycle less queue i's visit, has one home
+for its moments and one for its transform: `_cycle_moments_from` reads the
+queues' visit and switch-over laws, and `_away_lsts` runs each of those
+laws' transforms once over an s-grid and forms every queue's A_i from them.
+
 A one-point call is the one-row case of the grid pass. `sojourn_metrics`
-runs each queue's transform functionals once over the whole grid and each
-visit and switch-over transform once over it, shared across the queues;
-the scalar `sojourn_lst` is the same computation on a one-point grid. A
-sweep point whose fitted law has phases of its own is a stack of one law.
+runs each queue's transform functionals once over the whole grid and
+shares `_away_lsts` across the queues; the scalar `sojourn_lst` is the
+same computation on a one-point grid. A sweep point whose fitted law has
+phases of its own is a stack of one law.
 
 Conventions: queue indices are 0-based everywhere in the library. Optional
 central-point travel laws can ride along on a queue spec for tour planning,
@@ -229,11 +234,7 @@ class SystemSpec:
 
     @functools.cached_property
     def _cycle_moments(self) -> CycleMoments:
-        queues = self.queues
-        return _cycle_moments_from([q.visit.mean() for q in queues],
-                                   [q.visit.variance() for q in queues],
-                                   sum(q.switch.mean() for q in queues),
-                                   sum(q.switch.variance() for q in queues))
+        return _cycle_moments_from(self.queues)
 
     @functools.cached_property
     def _derived_quantities(self) -> tuple[DerivedQueueQuantities, ...]:
@@ -312,25 +313,21 @@ class CycleMoments:
     partial_second_moments: tuple[float, ...]
 
 
-def _cycle_moments_from(visit_means, visit_vars, switch_mean: float,
-                        switch_var: float) -> CycleMoments:
-    """`CycleMoments` from per-queue visit moments and summed switch-overs.
+def _cycle_moments_from(queues) -> CycleMoments:
+    """`CycleMoments` of the cycle of the queues' `visit` and `switch` laws.
 
-    `visit_means` and `visit_vars` hold each queue's visit mean and
-    variance in queue order; `SystemSpec` and `sojourn_sweep` both form
-    the moments here.
+    Every sum runs in queue order. `SystemSpec` and `sojourn_sweep`'s
+    stand-in points both form their moments here.
     """
-    cycle_mean = sum(visit_means) + switch_mean
+    visit_means = [q.visit.mean() for q in queues]
+    visit_vars = [q.visit.variance() for q in queues]
+    cycle_mean = sum(visit_means) + sum(q.switch.mean() for q in queues)
     visit_var = sum(visit_vars)
-    partial_means = []
-    partial_seconds = []
-    for mean_v, var_v in zip(visit_means, visit_vars):
-        mean_i = cycle_mean - mean_v
-        var_i = visit_var - var_v + switch_var
-        partial_means.append(mean_i)
-        partial_seconds.append(var_i + mean_i**2)
-    return CycleMoments(cycle_mean, tuple(partial_means),
-                        tuple(partial_seconds))
+    switch_var = sum(q.switch.variance() for q in queues)
+    partial_means = tuple(cycle_mean - mean_v for mean_v in visit_means)
+    return CycleMoments(cycle_mean, partial_means, tuple(
+        visit_var - var_v + switch_var + mean_i**2
+        for var_v, mean_i in zip(visit_vars, partial_means)))
 
 
 @dataclass(frozen=True)
@@ -660,51 +657,40 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
         return 1.0
     _completion_prob(system, queue)
     grid = np.array([s], dtype=float)
-    return float(_sojourn_lst(system, queue, grid, _server_lsts(system, grid))[0])
+    return float(_sojourn_lst(system, queue, grid,
+                              _away_lsts(system, grid)[queue])[0])
 
 
-def _server_lsts(system: SystemSpec, s_grid: np.ndarray):
-    """Every queue's visit and switch-over transforms over the grid.
+def _away_lsts(system: SystemSpec, s: np.ndarray) -> list:
+    """Each queue's server-away transform A_i over the grid, in queue order.
 
-    Returns (visits, switches), one array over the grid per queue, from one
-    `lst` call per law over the whole grid. A law's transform at one point
-    is the one-row case of that call, so each entry is the law's `lst` at
-    its point.
+    A_i is the transform of the cycle less queue i's visit. Every visit and
+    switch-over `lst` runs once over the whole grid, and A_i multiplies,
+    left to right from 1, the other queues' visit transforms in queue order
+    and then every switch-over transform. A law's transform at one point is
+    the one-row case of its grid call, so each entry is that of the point
+    alone.
     """
-    return ([q.visit.lst(s_grid) for q in system.queues],
-            [q.switch.lst(s_grid) for q in system.queues])
-
-
-def _away_lst(lsts, queue: int):
-    """Transform of the cycle less the queue's visit, from `_server_lsts`.
-
-    Multiplies every other queue's visit transform, then every switch-over
-    transform, in queue order; one value per grid point.
-    """
-    visits, switches = lsts
-    away = 1.0
-    for j, v in enumerate(visits):
-        if j != queue:
-            away *= v
-    for w in switches:
-        away *= w
-    return away
+    visits = [q.visit.lst(s) for q in system.queues]
+    switches = [q.switch.lst(s) for q in system.queues]
+    return [math.prod(visits[:i] + visits[i + 1:] + switches)
+            for i in range(len(visits))]
 
 
 def _sojourn_lst(system: SystemSpec, queue: int, s: np.ndarray,
-                 lsts) -> np.ndarray:
+                 away: np.ndarray) -> np.ndarray:
     """`sojourn_lst` over a 1-D grid s of points > 0, one value per point.
 
-    `lsts` is the system's `_server_lsts` over the same grid. Each of the
-    queue's four transform functionals runs once for the whole grid. The
-    caller has checked that the queue's completion probability is positive.
+    `away` is the queue's server-away transform over the same grid, its
+    entry of `_away_lsts`. Each of the queue's four transform functionals
+    runs once for the whole grid. The caller has checked that the queue's
+    completion probability is positive.
     """
     spec = system.queues[queue]
     moments = cycle_moments(system)
     ev, ec = spec.visit.mean(), moments.cycle_mean
     ecmi = moments.partial_means[queue]
 
-    away = _away_lst(lsts, queue)
     succ, fail = attempt_lst(spec.service, spec.visit, s)
     from_polling = succ / (1.0 - fail * away)
 
@@ -786,9 +772,8 @@ def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
     positive = grid > 0.0
     if positive.any():
         s = grid[positive]
-        lsts = _server_lsts(system, s)
-        for i in range(n):
-            table[i, positive] = _sojourn_lst(system, i, s, lsts)
+        for i, away in enumerate(_away_lsts(system, s)):
+            table[i, positive] = _sojourn_lst(system, i, s, away)
     return SojournMetrics(means=means, s_grid=s_values, lst_table=table)
 
 
@@ -848,8 +833,9 @@ def _sweep_points(system: SystemSpec, queue: int, field: str, laws) -> list:
     functionals as one `_Stack`; a law with phases of its own is a stack of
     one, the one-row case of the same pass. No spec is built per point.
     `sojourn_mean` reads a point through the attributes it reads on a
-    `SystemSpec` (`queues`, `_cycle_moments`) and on the swept `QueueSpec`
-    (`visit` and the `_PAIR_FUNCTIONALS` names).
+    `SystemSpec` (`queues`, `_cycle_moments`), and it and
+    `_cycle_moments_from` read the swept queue's stand-in through those of
+    a `QueueSpec` (`visit`, `switch` and the `_PAIR_FUNCTIONALS` names).
     """
     spec = system.queues[queue]
     pairs = [None] * len(laws)
@@ -861,18 +847,13 @@ def _sweep_points(system: SystemSpec, queue: int, field: str, laws) -> list:
         for k, values in zip(group, zip(*columns)):
             pairs[k] = dict(zip(_PAIR_FUNCTIONALS, values))
     queues = list(system.queues)
-    visits = [q.visit for q in queues]
-    switch_mean = sum(q.switch.mean() for q in queues)
-    switch_var = sum(q.switch.variance() for q in queues)
     points = []
     for law, pair in zip(laws, pairs):
-        if field == "visit":
-            visits[queue] = law
-        queues[queue] = SimpleNamespace(visit=visits[queue], **pair)
-        moments = _cycle_moments_from([v.mean() for v in visits],
-                                      [v.variance() for v in visits],
-                                      switch_mean, switch_var)
-        point = SimpleNamespace(queues=queues, _cycle_moments=moments)
+        queues[queue] = SimpleNamespace(
+            visit=law if field == "visit" else spec.visit, switch=spec.switch,
+            **pair)
+        point = SimpleNamespace(queues=queues,
+                                _cycle_moments=_cycle_moments_from(queues))
         per_queue = tuple(sojourn_mean(point, i) for i in range(len(queues)))
         points.append((_rate_weighted(system, per_queue), per_queue))
     return points

@@ -992,8 +992,7 @@ class TestSojournLst:
             raise AssertionError("general-path helper called")
 
         sys2 = reference_system()
-        monkeypatch.setattr(analytic, "_server_lsts", refuse)
-        monkeypatch.setattr(analytic, "_away_lst", refuse)
+        monkeypatch.setattr(analytic, "_away_lsts", refuse)
         for queue, gamma, mu, other in ((0, 1.0, 1.0, 1.5), (1, 1.5, 1.5, 1.0)):
             for s in (0.1, 0.5, 2.0):
                 away = other / (other + s) * math.exp(-0.5 * s)
