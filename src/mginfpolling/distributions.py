@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 
 __all__ = [
     "Distribution",
@@ -213,8 +213,13 @@ class _ErlangMixture(Distribution):
 
     @functools.cached_property
     def _erlang_parts(self) -> tuple[tuple, tuple]:
-        """What all three term sums read, built once (see `_erlang_terms`)."""
+        """What all three term sums read, built once (see `_erlang_terms`).
+
+        Raises `NumericsError` when the per-phase arrays, one row per law
+        of the phase total, would hold more than `_MAX_TERMS` terms.
+        """
         w, k, r = self._arrays
+        _check_terms("per-phase arrays", math.prod(w.shape[:-1]) * int(k.sum()))
         logw = np.fromiter(map(math.log, w.ravel().tolist()), float,
                            w.size).reshape(w.shape)
         component = (logw, np.log(r), r, k)
@@ -532,6 +537,18 @@ def has_atom_at_zero(law: Distribution) -> bool:
     return law.atoms is not None and any(v == 0.0 and w > 0.0 for v, w in law.atoms)
 
 
+#: most terms one law's per-phase arrays or one term product may hold: above
+#: it a sum would take gigabytes, so it is refused before it is built
+_MAX_TERMS = 2**22
+
+
+def _check_terms(what: str, count: int) -> None:
+    """Raise `NumericsError` when `count` terms exceed `_MAX_TERMS`."""
+    if count > _MAX_TERMS:
+        raise NumericsError(f"{what} would hold {count} terms, above the "
+                            f"cap of {_MAX_TERMS}")
+
+
 class _Terms(NamedTuple):
     """The function sum of sign * exp(logc) * x^p * exp(-r x) * 1{x < u}.
 
@@ -594,9 +611,11 @@ def _weighted(t: _Terms, moment: int, s) -> _Terms:
     A 1-D array s adds a leading grid axis to the rates, and to the rates
     only: row k of `r` holds the rates of the sum multiplied by
     exp(-s[k] x). A scalar s adds no axis. The other fields are `t`'s own.
+    Raises `NumericsError` when the rates would hold more than `_MAX_TERMS`.
     """
-    return _Terms(t.logc, t.sign, t.p + moment,
-                  t.r + np.asarray(s, dtype=float)[..., None], t.u)
+    s = np.asarray(s, dtype=float)[..., None]
+    _check_terms("term sum over the s-grid", max(t.r.size, s.size * t.sign.size))
+    return _Terms(t.logc, t.sign, t.p + moment, t.r + s, t.u)
 
 
 def _product(a: _Terms, b: _Terms) -> _Terms:
@@ -605,11 +624,15 @@ def _product(a: _Terms, b: _Terms) -> _Terms:
     The pair (i, j) sits at i * len(b) + j. Signs, powers and cutoffs stay
     on the term axis, one outer operation each; coefficients and rates keep
     a leading grid axis, so the product is built once for the whole grid.
+    Raises `NumericsError` when it would hold more than `_MAX_TERMS` terms,
+    grid rows times pairs; the rates carry every grid row.
     """
-    logc = a.logc[..., :, None] + b.logc[..., None, :]
-    r = a.r[..., :, None] + b.r[..., None, :]
     # the pair axis is given its length: -1 is ambiguous on an empty grid
     pairs = a.sign.size * b.sign.size
+    rows = max(a.r.size // a.sign.size, b.r.size // b.sign.size)
+    _check_terms("term product", rows * pairs)
+    logc = a.logc[..., :, None] + b.logc[..., None, :]
+    r = a.r[..., :, None] + b.r[..., None, :]
     return _Terms(logc.reshape(*logc.shape[:-2], pairs),
                   np.multiply.outer(a.sign, b.sign).ravel(),
                   np.add.outer(a.p, b.p).ravel(),

@@ -14,7 +14,7 @@ class UnsupportedModelError(ModelError):
 
 
 class NumericsError(RuntimeError):
-    """A numerical routine failed to reach its accuracy target."""
+    """A numerical routine missed its accuracy target or exceeded a size cap."""
 
 
 class ConfigError(ValueError):

@@ -2,8 +2,14 @@
 
 The acceptance suite registers one verdict per criterion here; the hook
 below prints them as a single summary block, one pass/fail line each, at
-the end of the run.
+the end of the run. `call_with_memory_limit` runs a call that could fill
+the machine's memory in a child process whose address space is capped.
 """
+import multiprocessing
+import time
+
+import pytest
+
 _criterion_lines: dict[int, tuple[bool, str]] = {}
 
 
@@ -36,3 +42,44 @@ def simd_dispatch() -> str:
     return (f"numpy SIMD dispatch: {' '.join(active) or 'baseline only'} "
             f"(AVX512_SKX {'on' if avx512 else 'off'}); the pin was "
             f"recorded under AVX-512")
+
+
+def _limited_call(conn, limit: int, fn, args) -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    start = time.perf_counter()
+    try:
+        outcome = (fn(*args), None)
+    except Exception as exc:
+        outcome = (None, exc)
+    conn.send((*outcome, time.perf_counter() - start))
+
+
+def call_with_memory_limit(fn, *args, limit: int = 1_500_000_000,
+                           timeout: float = 120.0):
+    """Call fn(*args) in a spawned child whose address space is capped.
+
+    The child sets `resource.RLIMIT_AS` to `limit` bytes before the call, so
+    a call that would fill the machine's memory raises `MemoryError` there
+    instead of getting the test run killed. `fn` must be importable by name
+    (a module-level function), and its arguments, value and exception
+    picklable. Returns (value, error, seconds): the call's value and None,
+    or None and the exception it raised, and the call's wall time in the
+    child. Skips the test where the `resource` module is missing.
+    """
+    pytest.importorskip("resource")
+    ctx = multiprocessing.get_context("spawn")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_limited_call, args=(sender, limit, fn, args))
+    child.start()
+    sender.close()
+    try:
+        if not receiver.poll(timeout):
+            raise AssertionError(f"no answer from the child in {timeout} s")
+        return receiver.recv()
+    except EOFError:
+        raise AssertionError("the child exited without an answer") from None
+    finally:
+        child.kill()
+        child.join()

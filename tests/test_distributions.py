@@ -4,9 +4,12 @@ Closed-form values asserted here were computed by hand or in independent
 high-precision scratch sessions before the implementation existed, so the
 suite cannot inherit a bug from the code under test.
 """
+import contextlib
 import functools
 import hashlib
+import io
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -16,10 +19,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import simd_dispatch
+from conftest import call_with_memory_limit, simd_dispatch
 import mginfpolling
-from mginfpolling import analytic, distributions
-from mginfpolling.analytic import QueueSpec, SystemSpec, derived_quantities
+from mginfpolling import analytic, cli, distributions
+from mginfpolling.analytic import (
+    QueueSpec,
+    SystemSpec,
+    derived_quantities,
+    sojourn_sweep,
+)
 from mginfpolling.distributions import (
     Deterministic,
     Discrete,
@@ -39,7 +47,7 @@ from mginfpolling.distributions import (
     _dot,
     _gamma_pq,
 )
-from mginfpolling.errors import DomainError
+from mginfpolling.errors import DomainError, NumericsError
 
 ALL_LAWS = [
     Exponential(1.3),
@@ -536,6 +544,96 @@ def test_empty_grid_gives_empty_arrays(service, visit):
     for value in values:
         assert isinstance(value, np.ndarray)
         assert value.shape == (0,) and value.dtype == float
+
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "base_config.json"
+
+
+def demo_sweep_at_scv_1e9():
+    """A sweep point whose fitted service law has 10^9 phases."""
+    system = cli._build_system(cli._load_config(str(DEMO_CONFIG))["system"])
+    return sojourn_sweep(system, 0, "service_scv", [1e-9])
+
+
+def expected_min_of_6000_phases():
+    """36M pair terms in one product."""
+    return expected_min(Erlang(6000, 6000.0), Erlang(6000, 6000 / 1.1))
+
+
+def survival_product_over_40_points():
+    """2.25M pair terms, under the cap, then taken over it by the grid."""
+    return survival_product_integral(Erlang(1500, 1500.0),
+                                     Erlang(1500, 1000.0),
+                                     np.geomspace(1e-3, 1e3, 40))
+
+
+def run_cli(*argv):
+    """`cli.main(argv)` with its output captured: (exit code, stderr)."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return code, stderr.getvalue()
+
+
+def billion_phase_config(tmp_path) -> str:
+    """The demo config with a 10^9-phase Erlang service law at queue 1."""
+    raw = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    raw["system"]["queues"][0]["service"] = {
+        "type": "erlang", "phases": 1_000_000_000, "rate": 1e9}
+    path = tmp_path / "phases.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
+
+
+class TestTermCap:
+    """A term sum past `_MAX_TERMS` raises `NumericsError` before it is built.
+
+    Each over-cap call runs in a child under a memory limit: without the
+    cap it fills the memory of the machine. Drawing from a law needs no
+    term sums, so `simulate` still takes such laws.
+    """
+
+    def assert_refused(self, fn, *args) -> str:
+        value, error, seconds = call_with_memory_limit(fn, *args)
+        assert isinstance(error, NumericsError), (value, error)
+        assert f"above the cap of {distributions._MAX_TERMS}" in str(error)
+        assert seconds < 1.0
+        return str(error)
+
+    def test_cap_is_inclusive(self):
+        distributions._check_terms("terms", distributions._MAX_TERMS)
+        with pytest.raises(NumericsError, match="would hold 4194305 terms"):
+            distributions._check_terms("terms", distributions._MAX_TERMS + 1)
+
+    def test_sweep_to_a_billion_phases(self):
+        assert "per-phase arrays would hold 1000000000 terms" in \
+            self.assert_refused(demo_sweep_at_scv_1e9)
+
+    def test_product_of_two_6000_phase_erlangs(self):
+        assert "term product would hold 36000000 terms" in \
+            self.assert_refused(expected_min_of_6000_phases)
+
+    def test_grid_takes_a_product_over_the_cap(self):
+        assert "over the s-grid would hold 90000000 terms" in \
+            self.assert_refused(survival_product_over_40_points)
+
+    def test_cli_analyze_of_a_billion_phases_is_an_error(self, tmp_path):
+        value, error, seconds = call_with_memory_limit(
+            run_cli, "analyze", "--config", billion_phase_config(tmp_path))
+        assert error is None, error
+        code, stderr = value
+        assert code == 2
+        assert stderr.startswith("error: per-phase arrays would hold "
+                                 "1000000000 terms"), stderr
+        assert seconds < 1.0
+
+    def test_cli_simulate_takes_a_billion_phases(self, tmp_path):
+        value, error, _ = call_with_memory_limit(
+            run_cli, "simulate", "--config", billion_phase_config(tmp_path),
+            "--cycles", "50")
+        assert error is None, error
+        assert value == (0, "")
 
 
 class TestCompletionProbability:
