@@ -61,8 +61,7 @@ import numpy as np
 from .distributions import (
     Distribution,
     _dot,
-    _phase_groups,
-    _Stack,
+    _stacks,
     attempt_lst,
     completion_probability,
     expected_min,
@@ -792,7 +791,8 @@ def sojourn_sweep(system: SystemSpec, queue: int, target: str, grid):
     and the tuple of every queue's `sojourn_mean` on that system.
 
     Fitted laws with the same phases share one evaluation of the queue's
-    four s-free pair functionals: a `_Stack` builds their term sums from
+    four s-free pair functionals (a few, for a group past the term cap,
+    see `_sweep_points`): a `_Stack` builds their term sums from
     the laws' weights and rates in one array pass and goes through each
     functional once. No spec is built per point: each point's cycle
     moments come from the helper behind `SystemSpec`'s, and `sojourn_mean`
@@ -830,18 +830,20 @@ def _sweep_points(system: SystemSpec, queue: int, field: str, laws) -> list:
     """`sojourn_sweep` for the fitted laws of one field of one queue.
 
     Each group of laws with the same phases goes through the four pair
-    functionals as one `_Stack`; a law with phases of its own is a stack of
-    one, the one-row case of the same pass. No spec is built per point.
+    functionals as one `_Stack`, or as a few when `_stacks` cuts a long
+    group to keep each batch within the term cap; a law with phases of its
+    own is a stack of one, the one-row case of the same pass. No spec is
+    built per point.
     `sojourn_mean` reads a point through the attributes it reads on a
     `SystemSpec` (`queues`, `_cycle_moments`), and it and
     `_cycle_moments_from` read the swept queue's stand-in through those of
     a `QueueSpec` (`visit`, `switch` and the `_PAIR_FUNCTIONALS` names).
     """
     spec = system.queues[queue]
+    partner = spec.visit if field == "service" else spec.service
     pairs = [None] * len(laws)
-    for group in _phase_groups(laws):
-        both = {"service": spec.service, "visit": spec.visit,
-                field: _Stack(laws[k] for k in group)}
+    for group, stack in _stacks(laws, partner):
+        both = {"service": spec.service, "visit": spec.visit, field: stack}
         columns = [f(both["service"], both["visit"]).tolist()
                    for f in _PAIR_FUNCTIONALS.values()]
         for k, values in zip(group, zip(*columns)):

@@ -215,11 +215,11 @@ class _ErlangMixture(Distribution):
     def _erlang_parts(self) -> tuple[tuple, tuple]:
         """What all three term sums read, built once (see `_erlang_terms`).
 
-        Raises `NumericsError` when the per-phase arrays, one row per law
-        of the phase total, would hold more than `_MAX_TERMS` terms.
+        Raises `NumericsError` when one law's row of the per-phase arrays,
+        its phase total, would hold more than `_MAX_TERMS` terms.
         """
         w, k, r = self._arrays
-        _check_terms("per-phase arrays", math.prod(w.shape[:-1]) * int(k.sum()))
+        _check_terms("per-phase arrays", int(k.sum()))
         logw = np.fromiter(map(math.log, w.ravel().tolist()), float,
                            w.size).reshape(w.shape)
         component = (logw, np.log(r), r, k)
@@ -251,7 +251,10 @@ class _ErlangMixture(Distribution):
         A float for a scalar s, one value per entry of a 1-D array s, and
         one value per law for a `g` of a `_Stack`, or on a `_Stack`.
         """
-        return _integral(_product(self._density_terms, _weighted(g, moment, s)))
+        density = self._density_terms
+        return _by_grid(
+            lambda s: _integral(_product(density, _weighted(g, moment, s))),
+            s, density.sign.size * g.sign.size)
 
     @functools.cached_property
     def _draw_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,14 +326,21 @@ class _Atomic(Distribution):
         """E[Y^moment exp(-s Y) g(Y)] over the atoms, g(y-) when `left`.
 
         A float for a scalar s, one value per entry of a 1-D array s, and
-        one value per law for a `g` of a `_Stack`.
+        one value per law for a `g` of a `_Stack`. Raises `NumericsError`
+        when one grid row, every term at every atom, would hold more than
+        `_MAX_TERMS` terms.
         """
         values, weights = self._arrays
-        t = _weighted(g, moment, s)
-        # each grid row of coefficients and rates meets every atom
-        return _dot(_evaluate(_Terms(t.logc[..., None, :], t.sign, t.p,
-                                     t.r[..., None, :], t.u), values, left),
-                    weights)
+        per_row = g.sign.size * values.size
+        _check_terms("term sum over the atoms", per_row)
+
+        def expect(s):
+            t = _weighted(g, moment, s)
+            # each grid row of coefficients and rates meets every atom
+            return _dot(_evaluate(_Terms(t.logc[..., None, :], t.sign, t.p,
+                                         t.r[..., None, :], t.u), values, left),
+                        weights)
+        return _by_grid(expect, s, per_row)
 
     @functools.cached_property
     def _draw_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -474,7 +484,8 @@ class _Stack:
     two-law functionals, at a scalar s, take a stack in place of either law
     and return one array with one value per law, also for a stack of one.
     A lone law is the one-row case of its stack: each value equals that of
-    the law alone.
+    the law alone. A stack's rows are not cut into slices: `_stacks` builds
+    stacks whose batches stay within `_MAX_TERMS`.
     """
 
     def __init__(self, laws):
@@ -510,6 +521,33 @@ def _phase_groups(laws) -> list[list[int]]:
     return list(groups.values())
 
 
+def _stacks(laws, partner: Distribution) -> list[tuple[list[int], _Stack]]:
+    """The laws as `_Stack`s to pair with `partner`, with their indices.
+
+    Each `_phase_groups` group is cut into runs of as many laws as keep a
+    stack's pair sums with `partner`, at `_term_bound` terms a pair of
+    sums, within `_MAX_TERMS`, and of one law at least. Runs come in the
+    order of the groups, and the indices in each in the order of the laws.
+    """
+    runs = []
+    for group in _phase_groups(laws):
+        size = max(1, _MAX_TERMS // (_term_bound(laws[group[0]])
+                                     * _term_bound(partner)))
+        runs += [group[lo:lo + size] for lo in range(0, len(group), size)]
+    return [(run, _Stack(laws[k] for k in run)) for run in runs]
+
+
+def _term_bound(law: Distribution) -> int:
+    """The most terms any term sum of the law holds, without building one.
+
+    An Erlang mixture's survival and tail sums hold one term per phase, its
+    density one per component; an atomic law's tail sum holds two per atom.
+    """
+    if isinstance(law, _Atomic):
+        return 2 * law._arrays[0].size
+    return int(law._arrays[1].sum())
+
+
 def _pick_edges(weights: np.ndarray) -> np.ndarray:
     """The cumulative weights `_pick` draws against: all but the last."""
     edges = np.cumsum(weights[:-1])
@@ -537,8 +575,12 @@ def has_atom_at_zero(law: Distribution) -> bool:
     return law.atoms is not None and any(v == 0.0 and w > 0.0 for v, w in law.atoms)
 
 
-#: most terms one law's per-phase arrays or one term product may hold: above
-#: it a sum would take gigabytes, so it is refused before it is built
+#: most terms one row of a term sum may hold: one law's per-phase arrays,
+#: one pair product, one grid point's terms at every atom. A product integral
+#: peaks at about 135 bytes a term (554 MB for the 2**22 pairs of two
+#: 2048-phase Erlangs, 131 to 136 bytes a term from 500 to 2048 phases), so
+#: a row at the cap takes about half a gigabyte. A larger row is refused
+#: before it is built; a batch of rows is cut into slices under the cap.
 _MAX_TERMS = 2**22
 
 
@@ -547,6 +589,22 @@ def _check_terms(what: str, count: int) -> None:
     if count > _MAX_TERMS:
         raise NumericsError(f"{what} would hold {count} terms, above the "
                             f"cap of {_MAX_TERMS}")
+
+
+def _by_grid(fn, s, per_row: int):
+    """fn(s), with a 1-D s cut into slices of at most `_MAX_TERMS` terms.
+
+    `per_row` terms ride on each entry of s, so a slice takes as many
+    entries as keep it within the cap, one at least. Each entry of fn's
+    value depends on its own s only, so the joined slices equal the value
+    of one pass, bit for bit. A scalar s, or a grid that fits, is one call.
+    """
+    size = max(1, _MAX_TERMS // per_row)
+    # a float s, the common case, is one call without a numpy conversion
+    if isinstance(s, float) or np.size(s) <= size:
+        return fn(s)
+    s = np.asarray(s, dtype=float)
+    return np.concatenate([fn(s[lo:lo + size]) for lo in range(0, s.size, size)])
 
 
 class _Terms(NamedTuple):
@@ -611,10 +669,8 @@ def _weighted(t: _Terms, moment: int, s) -> _Terms:
     A 1-D array s adds a leading grid axis to the rates, and to the rates
     only: row k of `r` holds the rates of the sum multiplied by
     exp(-s[k] x). A scalar s adds no axis. The other fields are `t`'s own.
-    Raises `NumericsError` when the rates would hold more than `_MAX_TERMS`.
     """
     s = np.asarray(s, dtype=float)[..., None]
-    _check_terms("term sum over the s-grid", max(t.r.size, s.size * t.sign.size))
     return _Terms(t.logc, t.sign, t.p + moment, t.r + s, t.u)
 
 
@@ -624,13 +680,12 @@ def _product(a: _Terms, b: _Terms) -> _Terms:
     The pair (i, j) sits at i * len(b) + j. Signs, powers and cutoffs stay
     on the term axis, one outer operation each; coefficients and rates keep
     a leading grid axis, so the product is built once for the whole grid.
-    Raises `NumericsError` when it would hold more than `_MAX_TERMS` terms,
-    grid rows times pairs; the rates carry every grid row.
+    Raises `NumericsError` when one grid row, its pairs, would hold more
+    than `_MAX_TERMS` terms; callers keep the grid rows within the cap.
     """
     # the pair axis is given its length: -1 is ambiguous on an empty grid
     pairs = a.sign.size * b.sign.size
-    rows = max(a.r.size // a.sign.size, b.r.size // b.sign.size)
-    _check_terms("term product", rows * pairs)
+    _check_terms("term product", pairs)
     logc = a.logc[..., :, None] + b.logc[..., None, :]
     r = a.r[..., :, None] + b.r[..., None, :]
     return _Terms(logc.reshape(*logc.shape[:-2], pairs),
@@ -785,8 +840,8 @@ def survival_product_integral(a: Distribution, b: Distribution, s=0.0,
     entry, each equal to the scalar call at that entry.
     """
     _check_s(s, "survival_product_integral")
-    return _integral(_weighted(
-        _product(a._survival_terms, b._survival_terms), moment, s))
+    t = _product(a._survival_terms, b._survival_terms)
+    return _by_grid(lambda s: _integral(_weighted(t, moment, s)), s, t.sign.size)
 
 
 def expected_min(a: Distribution, b: Distribution) -> float:

@@ -44,10 +44,16 @@ def simd_dispatch() -> str:
             f"recorded under AVX-512")
 
 
-def _limited_call(conn, limit: int, fn, args) -> None:
+#: the address space of a `call_with_memory_limit` child, in bytes
+MEMORY_LIMIT = 1_500_000_000
+#: how long `call_with_memory_limit` waits for its child, in seconds
+CHILD_TIMEOUT = 120.0
+
+
+def _limited_call(conn, fn, args) -> None:
     import resource
 
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
     start = time.perf_counter()
     try:
         outcome = (fn(*args), None)
@@ -56,27 +62,28 @@ def _limited_call(conn, limit: int, fn, args) -> None:
     conn.send((*outcome, time.perf_counter() - start))
 
 
-def call_with_memory_limit(fn, *args, limit: int = 1_500_000_000,
-                           timeout: float = 120.0):
+def call_with_memory_limit(fn, *args):
     """Call fn(*args) in a spawned child whose address space is capped.
 
-    The child sets `resource.RLIMIT_AS` to `limit` bytes before the call, so
-    a call that would fill the machine's memory raises `MemoryError` there
-    instead of getting the test run killed. `fn` must be importable by name
-    (a module-level function), and its arguments, value and exception
-    picklable. Returns (value, error, seconds): the call's value and None,
-    or None and the exception it raised, and the call's wall time in the
-    child. Skips the test where the `resource` module is missing.
+    The child sets `resource.RLIMIT_AS` to `MEMORY_LIMIT` bytes before the
+    call, so a call that would fill the machine's memory raises
+    `MemoryError` there instead of getting the test run killed. `fn` must
+    be importable by name (a module-level function), and its arguments,
+    value and exception picklable. Returns (value, error, seconds): the
+    call's value and None, or None and the exception it raised, and the
+    call's wall time in the child. Fails the test when the child gives no
+    answer in `CHILD_TIMEOUT` seconds; skips it where the `resource` module
+    is missing.
     """
     pytest.importorskip("resource")
     ctx = multiprocessing.get_context("spawn")
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_limited_call, args=(sender, limit, fn, args))
+    child = ctx.Process(target=_limited_call, args=(sender, fn, args))
     child.start()
     sender.close()
     try:
-        if not receiver.poll(timeout):
-            raise AssertionError(f"no answer from the child in {timeout} s")
+        if not receiver.poll(CHILD_TIMEOUT):
+            raise AssertionError(f"no answer from the child in {CHILD_TIMEOUT} s")
         return receiver.recv()
     except EOFError:
         raise AssertionError("the child exited without an answer") from None

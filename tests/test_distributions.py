@@ -5,6 +5,7 @@ high-precision scratch sessions before the implementation existed, so the
 suite cannot inherit a bug from the code under test.
 """
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -26,6 +27,7 @@ from mginfpolling.analytic import (
     QueueSpec,
     SystemSpec,
     derived_quantities,
+    sojourn_metrics,
     sojourn_sweep,
 )
 from mginfpolling.distributions import (
@@ -560,11 +562,42 @@ def expected_min_of_6000_phases():
     return expected_min(Erlang(6000, 6000.0), Erlang(6000, 6000 / 1.1))
 
 
-def survival_product_over_40_points():
-    """2.25M pair terms, under the cap, then taken over it by the grid."""
-    return survival_product_integral(Erlang(1500, 1500.0),
-                                     Erlang(1500, 1000.0),
-                                     np.geomspace(1e-3, 1e3, 40))
+def expected_min_at_the_cap(phases):
+    """E[min] of two Erlang laws, `phases` times 2048 pair terms."""
+    return expected_min(Erlang(phases, float(phases)), Erlang(2048, 2048 / 1.1))
+
+
+def discrete_against_400000_phases():
+    """10^4 atoms, each meeting 4 x 10^5 survival terms."""
+    atoms = Discrete(tuple((float(v), 1e-4) for v in range(1, 10_001)))
+    return completion_probability(atoms, Erlang(400_000, 400_000.0))
+
+
+def phase_rich_demo(service_phases: int, visit_phases: int) -> SystemSpec:
+    """The demo config with Erlang service and visit laws of mean 1 at queue 1."""
+    system = cli._build_system(cli._load_config(str(DEMO_CONFIG))["system"])
+    queue = dataclasses.replace(
+        system.queues[0], service=Erlang(service_phases, float(service_phases)),
+        visit=Erlang(visit_phases, float(visit_phases)))
+    return SystemSpec((queue, *system.queues[1:]))
+
+
+LONG_SWEEP_GRID = np.geomspace(0.5, 2.0, 1000)
+LONG_S_GRID = np.geomspace(1e-3, 1e3, 1000)
+
+
+def long_service_mean_sweep():
+    """1000 fitted Erlang(20) services against an Erlang(210) visit.
+
+    One phase group: 4.2M pair terms as a single stack.
+    """
+    return sojourn_sweep(phase_rich_demo(20, 210), 0, "service_mean",
+                         LONG_SWEEP_GRID)
+
+
+def long_transform_grid():
+    """1000 transform points of two 65-phase laws: 4.2M pair terms."""
+    return sojourn_metrics(phase_rich_demo(65, 65), LONG_S_GRID).lst_table
 
 
 def run_cli(*argv):
@@ -614,9 +647,52 @@ class TestTermCap:
         assert "term product would hold 36000000 terms" in \
             self.assert_refused(expected_min_of_6000_phases)
 
-    def test_grid_takes_a_product_over_the_cap(self):
-        assert "over the s-grid would hold 90000000 terms" in \
-            self.assert_refused(survival_product_over_40_points)
+    def test_largest_accepted_product(self):
+        # 2048 x 2048 pairs is the cap itself: the call runs in the child,
+        # at about 135 bytes a pair term, within its memory limit
+        value, error, _ = call_with_memory_limit(expected_min_at_the_cap, 2048)
+        assert error is None, error
+        assert value == pytest.approx(0.9999894913928746, rel=1e-12)
+        assert "term product would hold 4196352 terms" in \
+            self.assert_refused(expected_min_at_the_cap, 2049)
+
+    def test_long_sweep_is_cut_into_stacks(self):
+        value, error, _ = call_with_memory_limit(long_service_mean_sweep)
+        assert error is None, error
+        system = phase_rich_demo(20, 210)
+        # the fit has 19 + 20 phases, so 512 laws make a stack: 511 and 512
+        # sit on either side of the cut
+        for k in [*range(0, 1000, 17), 511, 512, 999]:
+            point = LONG_SWEEP_GRID[k]
+            assert value[k] == sojourn_sweep(system, 0, "service_mean", [point])[0]
+
+    def test_long_transform_grid_is_sliced(self):
+        value, error, _ = call_with_memory_limit(long_transform_grid)
+        assert error is None, error
+        system = phase_rich_demo(65, 65)
+        for k in range(0, LONG_S_GRID.size, 7):
+            column = sojourn_metrics(system, LONG_S_GRID[k:k + 1]).lst_table
+            assert value[:, k].tobytes() == column[:, 0].tobytes()
+
+    @pytest.mark.parametrize("visit", ALL_LAWS, ids=repr)
+    @pytest.mark.parametrize("service", ALL_LAWS, ids=repr)
+    def test_sliced_grid_keeps_every_bit(self, monkeypatch, service, visit):
+        # a cap of 60 terms cuts a 23-point grid into slices of 1 to 30
+        # points for most pairs; every pair's row fits under it
+        grid = np.geomspace(1e-3, 1e3, 23)
+
+        def values():
+            return (*attempt_lst(service, visit, grid),
+                    served_in_visit(service, visit, grid, 1),
+                    survival_product_integral(service, visit, grid, 1))
+        whole = values()
+        monkeypatch.setattr(distributions, "_MAX_TERMS", 60)
+        for got, want in zip(values(), whole):
+            assert got.tobytes() == want.tobytes()
+
+    def test_atoms_times_terms_over_the_cap(self):
+        assert "term sum over the atoms would hold 4000000000 terms" in \
+            self.assert_refused(discrete_against_400000_phases)
 
     def test_cli_analyze_of_a_billion_phases_is_an_error(self, tmp_path):
         value, error, seconds = call_with_memory_limit(
