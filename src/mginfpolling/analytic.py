@@ -32,6 +32,15 @@ the whole grid, and `sojourn_sweep` evaluates those of the swept queue once
 per group of fitted laws with the same phases. Functionals of a transform
 argument s are not cached; they take the whole s-grid at once instead.
 
+Each use of a queue's pair is one integral pass of the distributions
+module (`_pair_uses`): the (completion probability, expected minimum) pair
+that `derived_quantities` and the tour optimizer read, the in-visit pair
+that `sojourn_mean` reads with it, the four transform functionals of
+`sojourn_lst`, and the four s-free values of a sweep group. Uses that run
+together share one pass: `sojourn_mean` computes both s-free pairs in one,
+and `sojourn_metrics` puts the pairs a spec does not keep yet in the pass
+of the queue's transforms, where their parts share term products.
+
 The server-away time A_i, the cycle less queue i's visit, has one home
 for its moments and one for its transform: `_cycle_moments_from` reads the
 queues' visit and switch-over laws, and `_away_lsts` runs each of those
@@ -61,14 +70,10 @@ import numpy as np
 from .distributions import (
     Distribution,
     _dot,
+    _pair_uses,
     _stacks,
-    attempt_lst,
-    completion_probability,
-    expected_min,
     fit_two_moments,
     has_atom_at_zero,
-    served_in_visit,
-    survival_product_integral,
 )
 from .errors import (
     DomainError,
@@ -98,20 +103,6 @@ __all__ = [
 ]
 
 
-#: The s-free functionals of a (service, visit) pair that a `QueueSpec`
-#: keeps, each under the name of the cached property that holds it. Either
-#: law may be a `_Stack`, which gives one value per law of the stack. Each
-#: looks its functional up at call time, so a wrapper set on this module
-#: sees every call.
-_PAIR_FUNCTIONALS = {
-    "_completion_probability": lambda b, v: completion_probability(b, v),
-    "_expected_min": lambda b, v: expected_min(b, v),
-    "_served_mean": lambda b, v: served_in_visit(b, v, moment=1),
-    "_overshoot_integral":
-        lambda b, v: survival_product_integral(v, b, 0.0, 1),
-}
-
-
 @dataclass(frozen=True)
 class QueueSpec:
     """One queue of the polling system.
@@ -131,10 +122,12 @@ class QueueSpec:
         tour planning only and leave cyclic-model quantities untouched.
 
     The s-free functionals of the (service, visit) pair are computed on
-    first use and kept on the spec, each in its own private cached
-    property, so a caller pays only for the ones it reads. The spec is
-    frozen, so they cannot go stale; `dataclasses.replace` returns a new
-    spec with none of them computed yet.
+    first use and kept on the spec, in two pairs (`_pair_values`): the
+    completion probability and expected minimum, which are all that
+    `derived_quantities` and the tour optimizer pay for, and the in-visit
+    terms of the sojourn mean. The spec is frozen, so they cannot go
+    stale; `dataclasses.replace` returns a new spec with none of them
+    computed yet.
     """
 
     arrival_rate: float
@@ -158,28 +151,51 @@ class QueueSpec:
                 "central-point travel times must be given as a pair "
                 "(approach and return_) or not at all")
 
-    def _pair(self, name: str) -> float:
-        return _PAIR_FUNCTIONALS[name](self.service, self.visit)
+    def _pair_values(self, *uses, s=None) -> list:
+        """The values of each use of the pair (see `_pair_uses`).
+
+        The spec keeps the values of the s-free uses, "min" and
+        "in_visit", as `_min_pair` and `_in_visit_pair`. The uses it does
+        not keep yet run in one pass, where their parts share term
+        products, and the s-free ones among them are kept.
+        """
+        kept = vars(self)
+        run = [use for use in uses if f"_{use}_pair" not in kept]
+        if not run:
+            return [kept[f"_{use}_pair"] for use in uses]
+        found = dict(zip(run, _pair_uses(self.service, self.visit, run, s)))
+        for use in run:
+            if use != "transforms":
+                kept[f"_{use}_pair"] = found[use]
+        return [found[use] if use in found else kept[f"_{use}_pair"]
+                for use in uses]
+
+    # The four values, each kept once read, so a read is a lookup: a sweep
+    # reads an unchanged queue's at every grid point.
 
     @functools.cached_property
     def _completion_probability(self) -> float:
         """P[B <= V]."""
-        return self._pair("_completion_probability")
+        return self._pair_values("min")[0][0]
 
     @functools.cached_property
     def _expected_min(self) -> float:
         """E[min(B, V)]."""
-        return self._pair("_expected_min")
+        return self._pair_values("min")[0][1]
 
     @functools.cached_property
     def _served_mean(self) -> float:
-        """E[B; B <= residual visit], the in-visit service term."""
-        return self._pair("_served_mean")
+        """E[B; B <= residual visit], the in-visit service term.
+
+        Its pass computes the "min" pair too, when the spec does not keep
+        it yet: `sojourn_mean` reads both.
+        """
+        return self._pair_values("min", "in_visit")[1][0]
 
     @functools.cached_property
     def _overshoot_integral(self) -> float:
         """Integral of x S_V(x) S_B(x); over E[V], the residual overshoot."""
-        return self._pair("_overshoot_integral")
+        return self._pair_values("min", "in_visit")[1][1]
 
 
 class _PgfConstants(NamedTuple):
@@ -622,6 +638,9 @@ def sojourn_mean(system: SystemSpec, queue: int) -> float:
     attempt adds the expected minimum of requirement and visit plus, on
     failure, the server-elsewhere remainder of the cycle.
     """
+    # the in-visit pass also computes the completion probability and the
+    # expected minimum, when the spec does not keep them yet
+    served = _queue_checked(system, queue)._served_mean
     p = _completion_prob(system, queue)
     spec = system.queues[queue]
     emin = spec._expected_min
@@ -630,7 +649,6 @@ def sojourn_mean(system: SystemSpec, queue: int) -> float:
     ecmi = moments.partial_means[queue]
     ec2mi = moments.partial_second_moments[queue]
 
-    served = spec._served_mean
     residual_excess = spec._overshoot_integral / ev
     from_polling = (ecmi + emin) / p
     in_visit = served + residual_excess + emin / ev * from_polling
@@ -656,8 +674,10 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
         return 1.0
     _completion_prob(system, queue)
     grid = np.array([s], dtype=float)
+    spec = system.queues[queue]
+    transforms = _pair_uses(spec.service, spec.visit, ("transforms",), grid)[0]
     return float(_sojourn_lst(system, queue, grid,
-                              _away_lsts(system, grid)[queue])[0])
+                              _away_lsts(system, grid)[queue], transforms)[0])
 
 
 def _away_lsts(system: SystemSpec, s: np.ndarray) -> list:
@@ -677,24 +697,23 @@ def _away_lsts(system: SystemSpec, s: np.ndarray) -> list:
 
 
 def _sojourn_lst(system: SystemSpec, queue: int, s: np.ndarray,
-                 away: np.ndarray) -> np.ndarray:
+                 away: np.ndarray, transforms: tuple) -> np.ndarray:
     """`sojourn_lst` over a 1-D grid s of points > 0, one value per point.
 
     `away` is the queue's server-away transform over the same grid, its
-    entry of `_away_lsts`. Each of the queue's four transform functionals
-    runs once for the whole grid. The caller has checked that the queue's
-    completion probability is positive.
+    entry of `_away_lsts`, and `transforms` its four transform functionals
+    over the grid, the "transforms" use of `_pair_uses`. The caller has
+    checked that the queue's completion probability is positive.
     """
     spec = system.queues[queue]
     moments = cycle_moments(system)
     ev, ec = spec.visit.mean(), moments.cycle_mean
     ecmi = moments.partial_means[queue]
 
-    succ, fail = attempt_lst(spec.service, spec.visit, s)
+    succ, fail, served, overshoot = transforms
     from_polling = succ / (1.0 - fail * away)
 
-    served = served_in_visit(spec.service, spec.visit, s)
-    residual_excess = survival_product_integral(spec.visit, spec.service, s) / ev
+    residual_excess = overshoot / ev
     residual_away = (1.0 - away) / (s * ecmi)
 
     term_served = (ev / ec) * served
@@ -753,26 +772,33 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
 def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
     """Sojourn means for every queue plus a transform table over `s_grid`.
 
-    The table is filled one queue row at a time: each queue's transform
-    functionals run once over all the grid points s > 0, and every visit
-    and switch-over transform runs once over them and is shared by all the
-    rows. Entries at s = 0 are 1. `sojourn_lst` at one point is the
-    one-point case of this pass, so each entry equals it, whatever the rest
-    of the grid.
+    Each queue's transform functionals run in one pass over all the grid
+    points s > 0, with the s-free pairs of the queue that its spec does not
+    keep yet (`QueueSpec._pair_values`), so those parts share term products
+    with the transforms'. Every visit and switch-over transform runs once
+    over the grid and is shared by all the rows. Entries at s = 0 are 1.
+    `sojourn_lst` at one point is the one-point case of this pass, so each
+    entry equals it, whatever the rest of the grid.
     """
     s_values = tuple(float(s) for s in s_grid)
     if any(not 0.0 <= s < math.inf for s in s_values):
         raise DomainError("transform grid values must be finite and >= 0")
     n = len(system.queues)
-    # sojourn_mean rejects a queue whose completion probability is zero
-    means = tuple(sojourn_mean(system, i) for i in range(n))
-    table = np.ones((n, len(s_values)))
     grid = np.array(s_values)
     positive = grid > 0.0
+    s = grid[positive]
+    transforms = []
+    for i, spec in enumerate(system.queues):
+        if positive.any():
+            transforms.append(spec._pair_values("min", "in_visit",
+                                                "transforms", s=s)[2])
+        # a queue whose completion probability is zero is rejected first
+        _completion_prob(system, i)
+    means = tuple(sojourn_mean(system, i) for i in range(n))
+    table = np.ones((n, len(s_values)))
     if positive.any():
-        s = grid[positive]
         for i, away in enumerate(_away_lsts(system, s)):
-            table[i, positive] = _sojourn_lst(system, i, s, away)
+            table[i, positive] = _sojourn_lst(system, i, s, away, transforms[i])
     return SojournMetrics(means=means, s_grid=s_values, lst_table=table)
 
 
@@ -826,28 +852,33 @@ def sojourn_sweep(system: SystemSpec, queue: int, target: str, grid):
     return _sweep_points(system, queue, field, laws)
 
 
+#: the `QueueSpec` names of the values of the "min" and "in_visit" uses
+_S_FREE_NAMES = ("_completion_probability", "_expected_min", "_served_mean",
+                 "_overshoot_integral")
+
+
 def _sweep_points(system: SystemSpec, queue: int, field: str, laws) -> list:
     """`sojourn_sweep` for the fitted laws of one field of one queue.
 
-    Each group of laws with the same phases goes through the four pair
-    functionals as one `_Stack`, or as a few when `_stacks` cuts a long
-    group to keep each batch within the term cap; a law with phases of its
-    own is a stack of one, the one-row case of the same pass. No spec is
-    built per point.
+    Each group of laws with the same phases goes through one pass of the
+    four s-free pair values (the "min" and "in_visit" uses of `_pair_uses`)
+    as one `_Stack`, or as a few when `_stacks` cuts a long group to keep
+    each batch within the term cap; a law with phases of its own is a stack
+    of one, the one-row case of the same pass. No spec is built per point.
     `sojourn_mean` reads a point through the attributes it reads on a
     `SystemSpec` (`queues`, `_cycle_moments`), and it and
     `_cycle_moments_from` read the swept queue's stand-in through those of
-    a `QueueSpec` (`visit`, `switch` and the `_PAIR_FUNCTIONALS` names).
+    a `QueueSpec` (`visit`, `switch` and the `_S_FREE_NAMES`).
     """
     spec = system.queues[queue]
     partner = spec.visit if field == "service" else spec.service
     pairs = [None] * len(laws)
     for group, stack in _stacks(laws, partner):
         both = {"service": spec.service, "visit": spec.visit, field: stack}
-        columns = [f(both["service"], both["visit"]).tolist()
-                   for f in _PAIR_FUNCTIONALS.values()]
+        columns = [c.tolist() for use in _pair_uses(
+            both["service"], both["visit"], ("min", "in_visit")) for c in use]
         for k, values in zip(group, zip(*columns)):
-            pairs[k] = dict(zip(_PAIR_FUNCTIONALS, values))
+            pairs[k] = dict(zip(_S_FREE_NAMES, values))
     queues = list(system.queues)
     points = []
     for law, pair in zip(laws, pairs):

@@ -431,10 +431,12 @@ def cmd_analyze(args) -> int:
     s_grid = (DEFAULT_S_GRID if args.s_grid is None
               else _parse_s_grid(args.s_grid))
 
+    # the transform pass of each queue also computes the s-free pairs that
+    # derived_quantities then reads, sharing term products with them
+    metrics = sojourn_metrics(system, s_grid)
     derived = system._derived_quantities
     pm = polling_means(system)
     cm = cycle_moments(system)
-    metrics = sojourn_metrics(system, s_grid)
     rows = []
 
     print(f"system: {n} queues, mean cycle {cm.cycle_mean:.10g}")

@@ -22,6 +22,15 @@ integrals, the outcome-split transforms of one visit attempt, and the
 served-in-visit term of the sojourn time. Each is a finite sum of
 incomplete-gamma integrals of products of such terms, in log space.
 
+Every such functional is a part of a pass (`_pass`): an expectation of a
+term sum under a law, or the integral of a product of two survival sums,
+each times x^moment exp(-s x). A pass builds each distinct term product
+once, integrates the terms of all of its parts in one sweep (`_integral`),
+and sums each part's own slice of them, so every value has the bits of
+its part evaluated alone. The public functionals are passes of one or two
+parts, and `_pair_uses` runs the uses of a queue's (service, visit) pair
+that the analysis reads, each use one pass or several uses in one.
+
 One rule holds for every evaluation here: a one-point call is the one-row
 case of the grid pass. A law's `lst`, `survival` and `integrated_survival`
 run a scalar argument through their array code. The functionals of a
@@ -29,11 +38,11 @@ transform argument s (`survival_product_integral`, `attempt_lst` and
 `served_in_visit`) take a scalar or a 1-D grid of s, which rides on the
 rates as a leading axis. A `_Stack` of Erlang mixtures with the same phases
 stands in for one law of a pair and puts one row per law on the
-coefficients and the rates. Weighted sums over atoms and components, and
-sums of integrated terms, go through `_dot`, which multiplies elementwise
-and lets numpy sum each row, with no BLAS product: a row is summed as a lone
-row is, so a grid entry has the bits of its one-point call, and no value
-depends on the BLAS kernel.
+coefficients and the rates. Weighted sums over atoms and components go
+through `_dot`, which multiplies elementwise and lets numpy sum each row,
+with no BLAS product, and a pass sums its integrated terms the same way: a
+row, or a slice of one, is summed as a lone row is, so a grid entry has the
+bits of its one-point call, and no value depends on the BLAS kernel.
 
 Every incomplete gamma function met here has an integer shape a, so it is a
 Poisson tail: P(a, x) = P[Poisson(x) >= a]. `_gamma_pq` sums the side of
@@ -51,6 +60,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -176,10 +186,10 @@ class _ErlangMixture(Distribution):
                 sum(w * k * (k + 1) / r**2 for w, k, r in self._rows()))
 
     def survival(self, x):
-        return _evaluate(self._survival_terms, np.maximum(x, 0.0))
+        return _evaluate_points(self._survival_terms, np.maximum(x, 0.0))
 
     def pdf(self, x):
-        return _evaluate(self._density_terms, np.maximum(x, 0.0))
+        return _evaluate_points(self._density_terms, np.maximum(x, 0.0))
 
     def lst(self, s):
         """E[exp(-s Y)], also for s < 0 down to minus the smallest rate.
@@ -244,17 +254,6 @@ class _ErlangMixture(Distribution):
     def _tail_terms(self) -> _Terms:
         """E[(Y - x)^+], the integral of the survival function beyond x."""
         return _erlang_terms("tail", self._erlang_parts)
-
-    def _expect(self, g: _Terms, moment: int = 0, s=0.0, left: bool = False):
-        """E[Y^moment exp(-s Y) g(Y)] by the density, which ignores `left`.
-
-        A float for a scalar s, one value per entry of a 1-D array s, and
-        one value per law for a `g` of a `_Stack`, or on a `_Stack`.
-        """
-        density = self._density_terms
-        return _by_grid(
-            lambda s: _integral(_product(density, _weighted(g, moment, s))),
-            s, density.sign.size * g.sign.size)
 
     @functools.cached_property
     def _draw_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -505,8 +504,6 @@ class _Stack:
     def mean(self) -> np.ndarray:
         return np.array([law.mean() for law in self._laws])
 
-    _expect = _ErlangMixture._expect
-
 
 def _phase_groups(laws) -> list[list[int]]:
     """Indices of Erlang mixtures grouped by the phases of their components.
@@ -591,20 +588,33 @@ def _check_terms(what: str, count: int) -> None:
                             f"cap of {_MAX_TERMS}")
 
 
-def _by_grid(fn, s, per_row: int):
-    """fn(s), with a 1-D s cut into slices of at most `_MAX_TERMS` terms.
+def _slices(s, per_row: int) -> list:
+    """A 1-D s cut into slices of at most `_MAX_TERMS` terms, in order.
 
     `per_row` terms ride on each entry of s, so a slice takes as many
-    entries as keep it within the cap, one at least. Each entry of fn's
-    value depends on its own s only, so the joined slices equal the value
-    of one pass, bit for bit. A scalar s, or a grid that fits, is one call.
+    entries as keep it within the cap, one at least. A scalar s, or a grid
+    that fits, is one slice: a float s itself, else s as a float array.
     """
-    size = max(1, _MAX_TERMS // per_row)
-    # a float s, the common case, is one call without a numpy conversion
-    if isinstance(s, float) or np.size(s) <= size:
-        return fn(s)
+    # a float s, the common case, is one slice without a numpy conversion
+    if isinstance(s, float):
+        return [s]
     s = np.asarray(s, dtype=float)
-    return np.concatenate([fn(s[lo:lo + size]) for lo in range(0, s.size, size)])
+    size = max(1, _MAX_TERMS // per_row)
+    if s.size <= size:
+        return [s]
+    return [s[lo:lo + size] for lo in range(0, s.size, size)]
+
+
+def _by_grid(fn, s, per_row: int):
+    """fn(s), with a 1-D s cut into `_slices` and their values joined.
+
+    Each entry of fn's value depends on its own s only, so the joined
+    slices equal the value of one call, bit for bit.
+    """
+    pieces = _slices(s, per_row)
+    if len(pieces) == 1:
+        return fn(pieces[0])
+    return np.concatenate([fn(piece) for piece in pieces])
 
 
 class _Terms(NamedTuple):
@@ -680,12 +690,11 @@ def _product(a: _Terms, b: _Terms) -> _Terms:
     The pair (i, j) sits at i * len(b) + j. Signs, powers and cutoffs stay
     on the term axis, one outer operation each; coefficients and rates keep
     a leading grid axis, so the product is built once for the whole grid.
-    Raises `NumericsError` when one grid row, its pairs, would hold more
-    than `_MAX_TERMS` terms; callers keep the grid rows within the cap.
+    `_pass` checks one row, its pairs, against `_MAX_TERMS` before any
+    product is built.
     """
     # the pair axis is given its length: -1 is ambiguous on an empty grid
     pairs = a.sign.size * b.sign.size
-    _check_terms("term product", pairs)
     logc = a.logc[..., :, None] + b.logc[..., None, :]
     r = a.r[..., :, None] + b.r[..., None, :]
     return _Terms(logc.reshape(*logc.shape[:-2], pairs),
@@ -779,8 +788,8 @@ def _gamma_p(a, x) -> np.ndarray:
     return _gamma_pq_arrays(a, x)[0].astype(float)
 
 
-def _integral(t: _Terms):
-    """Integral of a term sum over x >= 0, term by term in closed form.
+def _integral(ts: list[_Terms]) -> list:
+    """Integral over x >= 0 of each term sum of `ts`, all in one sweep.
 
     With a = p + 1, the integral of x^p e^{-r x} over [0, u] is
     Gamma(a) / r^a * P(a, r u) for r > 0, with P the regularized lower
@@ -791,12 +800,21 @@ def _integral(t: _Terms):
     `np.where`. A term whose factor P(a, r u) underflows is below 1e-300 of
     its full integral and drops out.
 
+    The sums are joined along the term axis, so log Gamma(a), the
+    logarithms, the exponentials and one `_gamma_p` call run once over all
+    of their terms; each sum's integral is then its own slice of the
+    joined terms, summed alone. Every step acts on one term at a time, and
+    a slice of a row sums as the lone row does, so each integral has the
+    bits of its sum integrated alone. The sums share their leading shape.
+
     Rates with a leading grid axis (from `_weighted` at a 1-D array s), or
     coefficients and rates with one (from a `_Stack`), give one integral
     per grid row. The shapes, signs, cutoffs and log Gamma(a) carry no grid
     axis, so they are formed once for the whole grid; only the factors
     that depend on the coefficient or the rate are evaluated per row.
     """
+    t = ts[0] if len(ts) == 1 else _Terms(
+        *[np.concatenate(field, axis=-1) for field in zip(*ts)])
     a = t.p + 1.0
     finite = np.isfinite(t.u)
     positive = np.count_nonzero(t.r > 0.0)
@@ -808,7 +826,14 @@ def _integral(t: _Terms):
                 a[finite].astype(int), t.r[..., finite] * t.u[finite]))
         if positive < t.r.size:
             log_i = np.where(t.r > 0.0, log_i, a * np.log(t.u) - np.log(a))
-        return _dot(np.exp(t.logc + log_i), t.sign)
+        terms = np.multiply(np.exp(t.logc + log_i), t.sign, order="C")
+    if len(ts) == 1:
+        sums = [np.add.reduce(terms, axis=-1)]
+    else:
+        ends = list(itertools.accumulate(x.sign.size for x in ts))
+        sums = [np.add.reduce(terms[..., lo:hi], axis=-1)
+                for lo, hi in zip([0, *ends], ends)]
+    return [float(x) for x in sums] if terms.ndim == 1 else sums
 
 
 def _evaluate(t: _Terms, x, left: bool = False):
@@ -819,6 +844,127 @@ def _evaluate(t: _Terms, x, left: bool = False):
         log_xp = np.where(t.p > 0.0, t.p * np.log(x), 0.0)
         values = t.sign * np.exp(t.logc + log_xp - t.r * x)
     return np.where(inside, values, 0.0).sum(axis=-1)[()]
+
+
+def _evaluate_points(t: _Terms, x):
+    """`_evaluate(t, x)` over x in slices of at most `_MAX_TERMS` entries.
+
+    A point meets every term, so the flattened points are cut by
+    `_slices`' rule. Each point's value is its own row sum, so it has the
+    bits of its one-point call, whatever the slices.
+    """
+    x = np.asarray(x, dtype=float)
+    pieces = _slices(x.ravel(), t.sign.size)
+    if len(pieces) == 1:
+        return _evaluate(t, x)
+    return np.concatenate([_evaluate(t, piece)
+                           for piece in pieces]).reshape(x.shape)
+
+
+class _Part(NamedTuple):
+    """One functional of a `_pass`: the integral of x^moment e^{-s x} f g.
+
+    An expectation E[Y^moment exp(-s Y) g(Y)] under `law` has f the density
+    of `law` and takes g(Y-) when `left`; a survival product has `law`
+    None and `f` and `g` the two survival sums. s is a scalar or a 1-D
+    grid, and either sum may be a `_Stack`'s.
+    """
+
+    law: object
+    f: _Terms | None
+    g: _Terms
+    moment: int
+    s: object
+    left: bool = False
+
+
+def _survival_product(a, b, moment: int = 0, s=0.0) -> _Part:
+    """Integral of x^moment exp(-s x) S_a(x) S_b(x) over x >= 0."""
+    return _Part(None, a._survival_terms, b._survival_terms, moment, s)
+
+
+def _part_terms(part: _Part, s, f: _Terms, product: _Terms) -> _Terms:
+    """The term sum whose integral is the part's value at s.
+
+    `f` is the part's first sum and `product` the product of its two sums,
+    unweighted, which the parts of a pass on the same two sums share. A
+    survival product weights the product, so its rates are (r_f + r_g) + s.
+    An expectation weights g, so its rates are r_f + (r_g + s), formed
+    anew unless s is 0. Each is the sum its functional integrated alone, in
+    that order: the powers are integers, so p_f + (p_g + moment) is
+    (p_f + p_g) + moment, and a rate plus a zero s is the rate.
+    """
+    if isinstance(s, float) and s == 0.0:
+        return product if not part.moment else _Terms(
+            product.logc, product.sign, product.p + part.moment, product.r,
+            product.u)
+    if part.law is None:
+        return _weighted(product, part.moment, s)
+    r = f.r[..., :, None] + (part.g.r + np.asarray(s)[..., None])[..., None, :]
+    return _Terms(product.logc, product.sign, product.p + part.moment,
+                  r.reshape(*r.shape[:-2], product.sign.size), product.u)
+
+
+def _pass(parts) -> list:
+    """The value of each part, in order, with as few integrals as the cap allows.
+
+    An expectation under an atomic law is a sum over its atoms
+    (`_Atomic._expect`). Every other part is the integral of a term
+    product, and the parts on the same two sums share one product. Parts of
+    one leading shape (a grid, a stack or neither) share one `_integral`
+    while their terms, rows times pairs, stay within `_MAX_TERMS`, and a
+    part over the cap on its own is cut along its s-grid by `_slices`, each
+    slice integrated alone. One row over the cap raises `NumericsError`,
+    for the first such part, before any product is built. A product is
+    built just before the first integral that reads it and dropped after
+    the last.
+
+    A value is a float for a scalar s, one value per entry of a 1-D s, and
+    one value per law for a `_Stack`'s sum. Each has the bits of its part
+    evaluated alone.
+    """
+    values = [None] * len(parts)  # per part, its value on each slice
+    groups = []  # [terms, [(part, slice, s, f, sums), ...], index] per integral
+    open_groups = {}  # the group that takes more parts, per leading shape
+    last = {}  # per pair of sums, the last group that reads their product
+    for k, part in enumerate(parts):
+        law, g, s = part.law, part.g, part.s
+        if isinstance(law, _Atomic):
+            values[k] = [law._expect(g, part.moment, s, part.left)]
+            continue
+        f = part.f if law is None else law._density_terms
+        per_row = f.sign.size * g.sign.size
+        _check_terms("term product", per_row)
+        # at most one of the two sums is a `_Stack`'s
+        lead = f.logc.shape[:-1] or g.logc.shape[:-1]
+        per_s = per_row * math.prod(lead)
+        sums = id(f), id(g)
+        pieces = _slices(s, per_s)
+        values[k] = [None] * len(pieces)
+        for i, s in enumerate(pieces):
+            grid = () if isinstance(s, float) else s.shape
+            terms = per_s * math.prod(grid)
+            group = open_groups.get((lead, grid))
+            if group is None or group[0] + terms > _MAX_TERMS:
+                group = open_groups[lead, grid] = [0, [], len(groups)]
+                groups.append(group)
+            group[0] += terms
+            group[1].append((k, i, s, f, sums))
+            last[sums] = group[2]
+    products = {}
+    for _, members, n in groups:
+        ts = []
+        for k, _, s, f, sums in members:
+            product = products.get(sums)
+            if product is None:
+                product = products[sums] = _product(f, parts[k].g)
+            ts.append(_part_terms(parts[k], s, f, product))
+        if n < len(groups) - 1:  # keep what a later integral reads
+            products = {sums: t for sums, t in products.items()
+                        if last[sums] > n}
+        for (k, i, *_), value in zip(members, _integral(ts)):
+            values[k][i] = value
+    return [v[0] if len(v) == 1 else np.concatenate(v) for v in values]
 
 
 def _check_s(s, name: str):
@@ -840,8 +986,7 @@ def survival_product_integral(a: Distribution, b: Distribution, s=0.0,
     entry, each equal to the scalar call at that entry.
     """
     _check_s(s, "survival_product_integral")
-    t = _product(a._survival_terms, b._survival_terms)
-    return _by_grid(lambda s: _integral(_weighted(t, moment, s)), s, t.sign.size)
+    return _pass([_survival_product(a, b, moment, s)])[0]
 
 
 def expected_min(a: Distribution, b: Distribution) -> float:
@@ -855,9 +1000,7 @@ def completion_probability(service: Distribution, visit: Distribution) -> float:
     Computed as E[P[V >= B]], a sum of positive terms, which carries the
     shared-atom overlap term exactly when both laws are atomic.
     """
-    p = service._expect(visit._survival_terms, left=True)
-    # a `_Stack` in place of either law gives one value per law
-    return np.minimum(p, 1.0) if isinstance(p, np.ndarray) else min(1.0, p)
+    return _at_most_one(_pass([_completion(service, visit)])[0])
 
 
 def attempt_lst(service: Distribution, visit: Distribution, s):
@@ -869,8 +1012,8 @@ def attempt_lst(service: Distribution, visit: Distribution, s):
     floats for a scalar s; for a 1-D array s, two arrays over its entries.
     """
     _check_s(s, "attempt_lst")
-    success = service._expect(visit._survival_terms, 0, s, left=True)
-    failure = visit._expect(service._survival_terms, 0, s)
+    success, failure = _pass([_completion(service, visit, s),
+                              _failure(service, visit, s)])
     return success, failure
 
 
@@ -885,7 +1028,67 @@ def served_in_visit(service: Distribution, visit: Distribution,
     scalar s; for a 1-D array s, one value per entry.
     """
     _check_s(s, "served_in_visit")
-    return service._expect(visit._tail_terms, moment, s) / visit.mean()
+    return _pass([_served(service, visit, s, moment)])[0] / visit.mean()
+
+
+# The parts of the public functionals, and the passes of a queue's uses.
+
+def _completion(service, visit, s=0.0) -> _Part:
+    """E[exp(-s B); B <= V], as E[exp(-s B) P[V >= B]]."""
+    return _Part(service, None, visit._survival_terms, 0, s, left=True)
+
+
+def _failure(service, visit, s) -> _Part:
+    """E[exp(-s V); V < B], as E[exp(-s V) P[B > V]]."""
+    return _Part(visit, None, service._survival_terms, 0, s)
+
+
+def _served(service, visit, s=0.0, moment: int = 0) -> _Part:
+    """E[B^moment exp(-s B) (V - B)^+], `served_in_visit` times E[V]."""
+    return _Part(service, None, visit._tail_terms, moment, s)
+
+
+def _at_most_one(p):
+    """A probability clipped to 1; one value per law for a `_Stack`'s."""
+    return np.minimum(p, 1.0) if isinstance(p, np.ndarray) else min(1.0, p)
+
+
+def _use_parts(use: str, service, visit, s) -> list[_Part]:
+    """The parts of one use of a (service, visit) pair; see `_pair_uses`."""
+    if use == "min":
+        return [_completion(service, visit), _survival_product(service, visit)]
+    if use == "in_visit":
+        return [_served(service, visit, moment=1),
+                _survival_product(visit, service, 1)]
+    return [_completion(service, visit, s), _failure(service, visit, s),
+            _served(service, visit, s), _survival_product(visit, service, 0, s)]
+
+
+def _pair_uses(service, visit, uses, s=None) -> list[tuple]:
+    """The values of each use of a (service, visit) pair, all in one `_pass`.
+
+    A use is "min", (P[B <= V], E[min(B, V)]), which `derived_quantities`
+    and the tour optimizer read; "in_visit", (E[B; B <= residual visit],
+    integral of x S_V(x) S_B(x)), the in-visit terms of the sojourn mean;
+    or "transforms", over the 1-D s, (E[exp(-s B); B <= V],
+    E[exp(-s V); V < B], `served_in_visit` at s, integral of
+    exp(-s x) S_V(x) S_B(x)), the sojourn transform's. Every value has the
+    bits of its public functional called alone. A `_Stack` in place of
+    either law gives one value per law, for the s-free uses.
+    """
+    values = _pass([part for use in uses
+                    for part in _use_parts(use, service, visit, s)])
+    out, k = [], 0
+    for use in uses:
+        if use == "min":
+            out.append((_at_most_one(values[k]), values[k + 1]))
+        elif use == "in_visit":
+            out.append((values[k] / visit.mean(), values[k + 1]))
+        else:
+            out.append((*values[k:k + 2], values[k + 2] / visit.mean(),
+                        values[k + 3]))
+        k += len(out[-1])
+    return out
 
 
 def fit_mixed_erlang(mean: float, scv: float) -> Distribution:

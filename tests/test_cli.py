@@ -17,7 +17,7 @@ import pytest
 
 from conftest import simd_dispatch
 import mginfpolling
-from mginfpolling import analytic, cli
+from mginfpolling import analytic, cli, distributions
 from mginfpolling.cli import main
 from mginfpolling.distributions import (
     Deterministic,
@@ -354,6 +354,29 @@ class TestAnalyze:
             calls.clear()
             assert main([*argv, "--config", cfg]) in (0, 1)
             assert calls == dict.fromkeys(range(8), 1)
+
+    @pytest.mark.parametrize("name, n, integrals", [
+        ("demo", 2, 4), ("general-wide", 8, 16), ("atomic-pgf", 3, 6)])
+    def test_one_pass_per_queue(self, capsys, monkeypatch, name, n,
+                                integrals):
+        # each queue's transform pass also computes its s-free pairs: its
+        # four s-free parts share one integral and its four transform parts
+        # another, less those an atomic law sums over its atoms
+        passes, calls = [], []
+        run_pass, integral = distributions._pass, distributions._integral
+
+        def counted_pass(parts):
+            passes.append(len(parts))
+            return run_pass(parts)
+
+        def counted_integral(ts):
+            calls.append(len(ts))
+            return integral(ts)
+        monkeypatch.setattr(distributions, "_pass", counted_pass)
+        monkeypatch.setattr(distributions, "_integral", counted_integral)
+        assert main(["analyze", "--config", str(WORKLOADS / f"{name}.json")]) == 0
+        assert passes == [8] * n
+        assert len(calls) == integrals
 
 
 class TestSimulate:
@@ -725,18 +748,18 @@ class TestSweep:
         ("bench/workloads/general-wide.json", 8, 6, 5)])
     def test_unchanged_queues_evaluate_their_functionals_once(
             self, tmp_path, capsys, monkeypatch, config, n, g, groups):
-        # every unchanged queue is evaluated once, and the swept queue once
-        # per group of fitted laws with the same phases, shared by the new
-        # specs of the group's points
-        counts = dict.fromkeys(("completion_probability", "expected_min",
-                                "served_in_visit",
-                                "survival_product_integral"), 0)
-        for name in counts:
-            def counted(*args, _name=name, _f=getattr(analytic, name),
-                        **kwargs):
-                counts[_name] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(analytic, name, counted)
+        # every unchanged queue is evaluated once, in one pass of its
+        # (completion probability, expected minimum) and in-visit pairs,
+        # and the swept queue in one pass of the same four per group of
+        # fitted laws with the same phases, shared by the new specs of the
+        # group's points
+        passes = []
+        run_pass = distributions._pass
+
+        def counted(parts):
+            passes.append(len(parts))
+            return run_pass(parts)
+        monkeypatch.setattr(distributions, "_pass", counted)
         if config == "three-queue":
             cfg = write_config(
                 tmp_path, queues=BASE_QUEUES + [dict(BASE_QUEUES[0])],
@@ -746,7 +769,7 @@ class TestSweep:
             cfg = str(ROOT / config)
         assert main(["sweep", "--config", cfg]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1 + g
-        assert counts == dict.fromkeys(counts, n - 1 + groups)
+        assert passes == [4] * (n - 1 + groups)
 
     def test_missing_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -778,6 +801,27 @@ class TestSweep:
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("name, n", [("demo", 2), ("general-wide", 8),
+                                         ("atomic-pgf", 3)])
+    def test_index_rule_runs_one_min_pass_per_queue(self, capsys,
+                                                     monkeypatch, name, n):
+        # the index rule and the scan read P[B <= V] and E[min(B, V)] only:
+        # one pass of those two parts per queue, and no law builds the tail
+        # sum that the in-visit and transform parts read
+        passes, tails = [], []
+        run_pass = distributions._pass
+
+        def counted(parts):
+            passes.append(len(parts))
+            return run_pass(parts)
+        monkeypatch.setattr(distributions, "_pass", counted)
+        for base in (distributions._ErlangMixture, distributions._Atomic):
+            monkeypatch.setattr(base, "_tail_terms", property(
+                lambda law: tails.append(law)))
+        cfg = str(WORKLOADS / f"{name}.json")
+        assert main(["optimize", "--config", cfg, "--brute-force"]) == 0
+        assert passes == [2] * n and tails == []
+
     def test_base_order_and_total(self, tmp_path, capsys):
         cfg = write_config(tmp_path, optimize={"counts": [3, 2]})
         assert main(["optimize", "--config", cfg]) == 0

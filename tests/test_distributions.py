@@ -22,7 +22,7 @@ import pytest
 
 from conftest import call_with_memory_limit, simd_dispatch
 import mginfpolling
-from mginfpolling import analytic, cli, distributions
+from mginfpolling import cli, distributions
 from mginfpolling.analytic import (
     QueueSpec,
     SystemSpec,
@@ -1046,10 +1046,11 @@ def test_pair_functionals_keep_their_bits(monkeypatch):
     cases = []
     integral = distributions._integral
 
-    def recorded(t):
-        rates = "positive" if (t.r > 0.0).all() else "zero"
-        cases.append((rates, bool(np.isfinite(t.u).any())))
-        return integral(t)
+    def recorded(ts):
+        for t in ts:
+            rates = "positive" if (t.r > 0.0).all() else "zero"
+            cases.append((rates, bool(np.isfinite(t.u).any())))
+        return integral(ts)
 
     monkeypatch.setattr(distributions, "_integral", recorded)
     values = []
@@ -1061,8 +1062,8 @@ def test_pair_functionals_keep_their_bits(monkeypatch):
         [fit_mixed_erlang(mean, 0.3) for mean in (0.5, 1.0, 2.0)])
     for law in BIT_LAWS:
         for both in ((stack, law), (law, stack)):
-            values += [f(*both).tolist()
-                       for f in analytic._PAIR_FUNCTIONALS.values()]
+            values += [f.tolist() for use in distributions._pair_uses(
+                *both, ("min", "in_visit")) for f in use]
     # the three cases of the integral: positive rates with and without cut
     # columns, and zero rates (two atomic laws at s = 0)
     assert {("positive", False), ("positive", True), ("zero", True)} <= set(cases)
@@ -1072,6 +1073,125 @@ def test_pair_functionals_keep_their_bits(monkeypatch):
     assert digest == \
         "31f048893ede08761541961d12286a823f08bbd82643636c489cf4198b2e5dbc", \
         simd_dispatch()
+
+
+PASS_GRID = np.geomspace(1e-3, 1e3, 12)
+# same-phase fits, as a sweep stacks them
+SWEEP_STACK = distributions._Stack(
+    [fit_mixed_erlang(mean, 0.3) for mean in (0.5, 1.0, 2.0)])
+
+
+def lone_values(b, v, s=None):
+    """Each functional of the pair called alone, in `_pair_uses` order.
+
+    The s-free four ("min", then "in_visit") for s None, else the four
+    transform functionals over s.
+    """
+    if s is None:
+        return [completion_probability(b, v), expected_min(b, v),
+                served_in_visit(b, v, moment=1),
+                survival_product_integral(v, b, 0.0, 1)]
+    return [*attempt_lst(b, v, s), served_in_visit(b, v, s),
+            survival_product_integral(v, b, s)]
+
+
+def joined_values(b, v, uses, s=None):
+    return [x for use in distributions._pair_uses(b, v, uses, s) for x in use]
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert type(x) is type(y)
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("visit", BIT_LAWS, ids=repr)
+@pytest.mark.parametrize("service", BIT_LAWS, ids=repr)
+def test_joined_pass_equals_its_parts(service, visit):
+    s_free = lone_values(service, visit)
+    transforms = lone_values(service, visit, PASS_GRID)
+    assert_same_bits(joined_values(service, visit, ("min",)), s_free[:2])
+    assert_same_bits(joined_values(service, visit, ("in_visit",)), s_free[2:])
+    assert_same_bits(joined_values(service, visit, ("min", "in_visit")),
+                     s_free)
+    assert_same_bits(
+        joined_values(service, visit, ("transforms",), PASS_GRID), transforms)
+    # the s-free parts share term products with the transform parts
+    assert_same_bits(joined_values(service, visit,
+                                   ("min", "in_visit", "transforms"),
+                                   PASS_GRID), s_free + transforms)
+
+
+@pytest.mark.parametrize("law", BIT_LAWS, ids=repr)
+def test_joined_stack_pass_equals_its_parts(law):
+    for both in ((SWEEP_STACK, law), (law, SWEEP_STACK)):
+        assert_same_bits(joined_values(*both, ("min", "in_visit")),
+                         lone_values(*both))
+
+
+@pytest.mark.parametrize("uses, s", [
+    (("min", "in_visit"), None),
+    (("transforms",), PASS_GRID),
+    (("min", "in_visit", "transforms"), PASS_GRID)])
+def test_parts_over_the_cap_together_integrate_apart(monkeypatch, uses, s):
+    # with the cap at the largest part, every part fits alone but a pass of
+    # them all does not: the parts run in more integrals, each within the
+    # cap, and every value keeps its bits
+    service, visit = MixedErlang(0.3, 4, 5.0), fit_mixed_erlang(1.0, 0.02)
+    calls, integral = [], distributions._integral
+
+    def recorded(ts):
+        calls.append([t.r.size for t in ts])
+        return integral(ts)
+
+    monkeypatch.setattr(distributions, "_integral", recorded)
+    whole = joined_values(service, visit, uses, s)
+    joined_calls = list(calls)
+    cap = max(size for call in joined_calls for size in call)
+    assert any(sum(call) > cap for call in joined_calls)
+    calls.clear()
+    monkeypatch.setattr(distributions, "_MAX_TERMS", cap)
+    assert_same_bits(joined_values(service, visit, uses, s), whole)
+    assert len(calls) > len(joined_calls)
+    assert all(sum(call) <= cap for call in calls)
+    assert sorted(size for call in calls for size in call) == \
+        sorted(size for call in joined_calls for size in call)
+
+
+def survival_of_2_20_phases():
+    """A 64-point survival of an Erlang(2**20), and four one-point calls."""
+    law = Erlang(2**20, 2.0**20)
+    x = np.linspace(0, 2, 64)
+    return law.survival(x), [law.survival(x[k]) for k in (0, 31, 32, 63)]
+
+
+class TestEvaluateSlices:
+    """An Erlang mixture's survival and density go through `_evaluate` in
+    slices of at most `_MAX_TERMS` point x term entries."""
+
+    def test_many_points_of_a_million_phases(self):
+        value, error, _ = call_with_memory_limit(survival_of_2_20_phases)
+        assert error is None, error
+        values, points = value
+        assert values.shape == (64,)
+        for k, point in zip((0, 31, 32, 63), points):
+            assert values[k].tobytes() == np.float64(point).tobytes()
+        assert values[0] == 1.0 and values[31] > 0.99 and values[32] < 0.01
+
+    @pytest.mark.parametrize("law", [law for law in ALL_LAWS
+                                     if law.atoms is None], ids=repr)
+    def test_sliced_points_keep_every_bit(self, monkeypatch, law):
+        # a cap of 60 terms cuts the 51 points into slices of 8 to 60
+        x = np.linspace(0.0, 4.0, 51).reshape(3, 17)
+
+        def values():
+            return law.survival(x), law.pdf(x), law.cdf(x)
+        whole = values()
+        monkeypatch.setattr(distributions, "_MAX_TERMS", 60)
+        for got, want in zip(values(), whole):
+            assert got.shape == want.shape == (3, 17)
+            assert got.tobytes() == want.tobytes()
 
 
 def mp_law(d, mpmath):

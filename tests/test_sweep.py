@@ -135,21 +135,24 @@ def test_shared_shape_grid_integrates_once_per_functional(monkeypatch):
     for i in range(len(system.queues)):  # the unchanged queue's constants
         sojourn_mean(system, i)
     grid = list(np.linspace(0.1, 3.0, 25))
-    calls = []
-    integral = distributions._integral
+    passes = []
+    run_pass = distributions._pass
 
-    def counted(t):
-        calls.append(t.r.shape)
-        return integral(t)
+    def counted(parts):
+        values = run_pass(parts)
+        passes.append([np.shape(v) for v in values])
+        return values
 
-    monkeypatch.setattr(distributions, "_integral", counted)
+    monkeypatch.setattr(distributions, "_pass", counted)
     for value in grid:
         reference_row(system, 1, "visit_mean", value)
-    assert len(calls) == 100
-    calls.clear()
+    # a point's spec runs one pass for its (completion probability,
+    # expected minimum) and its in-visit pair
+    assert passes == [[()] * 4] * 25
+    passes.clear()
     sojourn_sweep(system, 1, "visit_mean", grid)
-    assert len(calls) == 4
-    assert all(shape[0] == 25 for shape in calls)
+    # the stack of 25 fits runs all four in one pass
+    assert passes == [[(25,)] * 4]
 
 
 TERM_SUMS = ("_survival_terms", "_density_terms", "_tail_terms")
