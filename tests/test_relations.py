@@ -13,6 +13,9 @@ total.
 
 Rotation. Rotating the queue indices rotates every analytic output.
 
+A sweep keeps both relations: scaling time scales a mean target's grid,
+and rotation moves the swept queue.
+
 Splitting a switch-over. A zero-rate queue whose visit plus switch-over
 equals the part of a switch-over it replaces changes no output of the other
 queues.
@@ -38,6 +41,7 @@ from mginfpolling.analytic import (
     pgf_eval,
     polling_means,
     sojourn_metrics,
+    sojourn_sweep,
 )
 from mginfpolling.distributions import (
     Deterministic,
@@ -61,6 +65,10 @@ PGF_CONFIG = "atomic-pgf"
 PGF_POINTS = ((0.5, 0.5, 0.5), (0.8, 0.6, 0.9), (0.2, 1.0, 0.7),
               (1.0, 0.95, 0.3))
 W_GRID = np.geomspace(1e-3, 2.0, 12)
+#: the grid of an scv sweep target; a mean target's grid is these
+#: multiples of the swept law's mean
+SWEEP_GRID = (0.3, 0.8, 1.0, 2.5)
+SWEEP_TARGETS = ("service_mean", "service_scv", "visit_mean", "visit_scv")
 MEAN_REL = 1e-14
 TOTAL_REL = 1e-14
 W_ABS = 1e-12
@@ -224,6 +232,53 @@ def test_rotation_rotates_every_output(name):
                 pgf_values(rotated, range(n),
                            [[z[j] for j in old] for z in PGF_POINTS]),
                 pgf_values(system, old, PGF_POINTS)) <= PGF_ABS, k
+
+
+def swept(raw, system, target):
+    """The 0-based swept queue of a config's sweep block and `target`'s grid."""
+    queue = raw["sweep"]["queue"] - 1
+    if target.endswith("scv"):
+        return queue, np.array(SWEEP_GRID)
+    law = getattr(system.queues[queue], target.split("_")[0])
+    return queue, law.mean() * np.array(SWEEP_GRID)
+
+
+def sweep_arrays(points):
+    """The weighted means and the per-queue means of a sweep, as arrays."""
+    return (np.array([weighted for weighted, _ in points]),
+            np.array([per_queue for _, per_queue in points]))
+
+
+@pytest.mark.parametrize("c", (*SCALES, 3.0))
+@pytest.mark.parametrize("target", SWEEP_TARGETS)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_sweep_is_time_scale_free(name, target, c):
+    raw, system = load(name)
+    queue, grid = swept(raw, system, target)
+    scaled_grid = grid * c if target.endswith("mean") else grid
+    plain = sweep_arrays(sojourn_sweep(system, queue, target, grid))
+    over = sweep_arrays(sojourn_sweep(scaled_system(system, c), queue, target,
+                                      scaled_grid))
+    for got, want in zip(over, plain):
+        assert worst_relative(got / c, want) <= MEAN_REL
+
+
+@pytest.mark.parametrize("target", SWEEP_TARGETS)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_sweep_rotates_with_its_queue(name, target):
+    raw, system = load(name)
+    queue, grid = swept(raw, system, target)
+    n = len(system)
+    weighted, per_queue = sweep_arrays(sojourn_sweep(system, queue, target,
+                                                     grid))
+    for k in range(1, n):
+        # rotated queue i is queue old[i]
+        old = [(i + k) % n for i in range(n)]
+        rotated = SystemSpec(tuple(system.queues[j] for j in old))
+        got_weighted, got_per_queue = sweep_arrays(sojourn_sweep(
+            rotated, old.index(queue), target, grid))
+        assert worst_relative(got_per_queue, per_queue[:, old]) <= MEAN_REL, k
+        assert worst_relative(got_weighted, weighted) <= MEAN_REL, k
 
 
 def split_switch_overs(system):
