@@ -21,16 +21,19 @@ Laplace-Stieltjes transform.
 Each value that depends on one immutable object only is computed once, on
 first use, and kept on that object: a `QueueSpec` keeps the four s-free
 functionals of its (service, visit) pair (completion probability, expected
-minimum, in-visit service mean and residual overshoot integral), and a
-`SystemSpec` keeps its `CycleMoments` and the per-queue constants of
-`pgf_eval`, so repeated pgf points on one system build them once. Both
-specs are frozen dataclasses, so the laws a cached value came from never
-change under it, and `dataclasses.replace` builds a new spec that starts
-with no cached values.
-A sweep therefore evaluates the functionals of its unchanged queues once for
-the whole grid, and `sojourn_sweep` evaluates those of the swept queue once
-per group of fitted laws with the same phases. Functionals of a transform
-argument s are not cached; they take the whole s-grid at once instead.
+minimum, in-visit service mean and residual overshoot integral) as two
+pairs, and a `SystemSpec` keeps its `CycleMoments` and the per-queue
+constants of `pgf_eval`, so repeated pgf points on one system build them
+once. Both specs are frozen dataclasses, so the laws a cached value came
+from never change under it, and `dataclasses.replace` builds a new spec
+that starts with no cached values. Functionals of a transform argument s
+are not cached; they take the whole s-grid at once instead.
+
+The sojourn mean is one formula over numbers, `_sojourn_mean`: the cycle
+moments, the queue's visit mean and its four s-free values. A sweep builds
+no spec per point: it reads its unchanged queues' values kept on their
+specs, once for the whole grid, and those of the swept queue from one
+pass per group of fitted laws with the same phases.
 
 Each use of a queue's pair is one integral pass of the distributions
 module (`_pair_uses`): the (completion probability, expected minimum) pair
@@ -62,7 +65,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -122,12 +124,12 @@ class QueueSpec:
         tour planning only and leave cyclic-model quantities untouched.
 
     The s-free functionals of the (service, visit) pair are computed on
-    first use and kept on the spec, in two pairs (`_pair_values`): the
-    completion probability and expected minimum, which are all that
-    `derived_quantities` and the tour optimizer pay for, and the in-visit
-    terms of the sojourn mean. The spec is frozen, so they cannot go
-    stale; `dataclasses.replace` returns a new spec with none of them
-    computed yet.
+    first use and kept on the spec, in two pairs that callers read
+    through `_pair_values`: the completion probability and expected
+    minimum, which are all that `derived_quantities` and the tour
+    optimizer pay for, and the in-visit terms of the sojourn mean. The
+    spec is frozen, so they cannot go stale; `dataclasses.replace`
+    returns a new spec with none of them computed yet.
     """
 
     arrival_rate: float
@@ -169,33 +171,6 @@ class QueueSpec:
                 kept[f"_{use}_pair"] = found[use]
         return [found[use] if use in found else kept[f"_{use}_pair"]
                 for use in uses]
-
-    # The four values, each kept once read, so a read is a lookup: a sweep
-    # reads an unchanged queue's at every grid point.
-
-    @functools.cached_property
-    def _completion_probability(self) -> float:
-        """P[B <= V]."""
-        return self._pair_values("min")[0][0]
-
-    @functools.cached_property
-    def _expected_min(self) -> float:
-        """E[min(B, V)]."""
-        return self._pair_values("min")[0][1]
-
-    @functools.cached_property
-    def _served_mean(self) -> float:
-        """E[B; B <= residual visit], the in-visit service term.
-
-        Its pass computes the "min" pair too, when the spec does not keep
-        it yet: `sojourn_mean` reads both.
-        """
-        return self._pair_values("min", "in_visit")[1][0]
-
-    @functools.cached_property
-    def _overshoot_integral(self) -> float:
-        """Integral of x S_V(x) S_B(x); over E[V], the residual overshoot."""
-        return self._pair_values("min", "in_visit")[1][1]
 
 
 class _PgfConstants(NamedTuple):
@@ -249,7 +224,8 @@ class SystemSpec:
 
     @functools.cached_property
     def _cycle_moments(self) -> CycleMoments:
-        return _cycle_moments_from(self.queues)
+        return _cycle_moments_from([q.visit for q in self.queues],
+                                   [q.switch for q in self.queues])
 
     @functools.cached_property
     def _derived_quantities(self) -> tuple[DerivedQueueQuantities, ...]:
@@ -328,17 +304,17 @@ class CycleMoments:
     partial_second_moments: tuple[float, ...]
 
 
-def _cycle_moments_from(queues) -> CycleMoments:
-    """`CycleMoments` of the cycle of the queues' `visit` and `switch` laws.
+def _cycle_moments_from(visits, switches) -> CycleMoments:
+    """`CycleMoments` of the cycle of the visit and switch-over laws.
 
-    Every sum runs in queue order. `SystemSpec` and `sojourn_sweep`'s
-    stand-in points both form their moments here.
+    Both lists are in queue order, and every sum runs in it. `SystemSpec`
+    and each point of `sojourn_sweep` form their moments here.
     """
-    visit_means = [q.visit.mean() for q in queues]
-    visit_vars = [q.visit.variance() for q in queues]
-    cycle_mean = sum(visit_means) + sum(q.switch.mean() for q in queues)
+    visit_means = [law.mean() for law in visits]
+    visit_vars = [law.variance() for law in visits]
+    cycle_mean = sum(visit_means) + sum(law.mean() for law in switches)
     visit_var = sum(visit_vars)
-    switch_var = sum(q.switch.variance() for q in queues)
+    switch_var = sum(law.variance() for law in switches)
     partial_means = tuple(cycle_mean - mean_v for mean_v in visit_means)
     return CycleMoments(cycle_mean, partial_means, tuple(
         visit_var - var_v + switch_var + mean_i**2
@@ -392,7 +368,12 @@ def _queue_checked(system: SystemSpec, queue: int) -> QueueSpec:
 
 def _completion_prob(system: SystemSpec, queue: int) -> float:
     """The queue's completion probability, rejected when it is zero."""
-    p = _queue_checked(system, queue)._completion_probability
+    return _completing(
+        queue, _queue_checked(system, queue)._pair_values("min")[0][0])
+
+
+def _completing(queue: int, p: float) -> float:
+    """Queue `queue`'s completion probability p, rejected when it is zero."""
     if p <= 0.0:
         raise ModelError(
             f"queue {queue}: service never completes within a visit "
@@ -412,7 +393,7 @@ def derived_quantities(system: SystemSpec, queue: int) -> DerivedQueueQuantities
     """
     p = _completion_prob(system, queue)
     spec = system.queues[queue]
-    mmin = spec._expected_min
+    mmin = spec._pair_values("min")[0][1]
     return DerivedQueueQuantities(
         completion_prob=p,
         min_mean=mmin,
@@ -638,18 +619,30 @@ def sojourn_mean(system: SystemSpec, queue: int) -> float:
     attempt adds the expected minimum of requirement and visit plus, on
     failure, the server-elsewhere remainder of the cycle.
     """
-    # the in-visit pass also computes the completion probability and the
-    # expected minimum, when the spec does not keep them yet
-    served = _queue_checked(system, queue)._served_mean
-    p = _completion_prob(system, queue)
-    spec = system.queues[queue]
-    emin = spec._expected_min
-    moments = cycle_moments(system)
-    ev, ec = spec.visit.mean(), moments.cycle_mean
+    values = _mean_values(system, queue)
+    return _sojourn_mean(cycle_moments(system), queue,
+                         system.queues[queue].visit.mean(), *values)
+
+
+def _mean_values(system: SystemSpec, queue: int) -> tuple:
+    """The queue's "min" and "in_visit" values (one pass if not kept), p > 0."""
+    (p, emin), (served, overshoot) = _queue_checked(
+        system, queue)._pair_values("min", "in_visit")
+    return _completing(queue, p), emin, served, overshoot
+
+
+def _sojourn_mean(moments: CycleMoments, queue: int, ev: float, p: float,
+                  emin: float, served: float, overshoot: float) -> float:
+    """`sojourn_mean` of the queue at index `queue` of `moments`.
+
+    ev is E[V], p = P[B <= V] > 0, emin = E[min(B, V)], served =
+    E[B; B <= residual visit] and overshoot the integral of x S_V S_B.
+    """
+    ec = moments.cycle_mean
     ecmi = moments.partial_means[queue]
     ec2mi = moments.partial_second_moments[queue]
 
-    residual_excess = spec._overshoot_integral / ev
+    residual_excess = overshoot / ev
     from_polling = (ecmi + emin) / p
     in_visit = served + residual_excess + emin / ev * from_polling
     out_of_visit = (ec2mi / (2.0 * ecmi)
@@ -820,10 +813,9 @@ def sojourn_sweep(system: SystemSpec, queue: int, target: str, grid):
     four s-free pair functionals (a few, for a group past the term cap,
     see `_sweep_points`): a `_Stack` builds their term sums from
     the laws' weights and rates in one array pass and goes through each
-    functional once. No spec is built per point: each point's cycle
-    moments come from the helper behind `SystemSpec`'s, and `sojourn_mean`
-    reads the point's values. Each value equals that of the point's own
-    evaluation.
+    functional once. No spec is built per point: `_sojourn_mean` takes
+    each point's cycle moments and values. Each value equals that of the
+    point's own evaluation.
 
     Raises
     ------
@@ -852,42 +844,37 @@ def sojourn_sweep(system: SystemSpec, queue: int, target: str, grid):
     return _sweep_points(system, queue, field, laws)
 
 
-#: the `QueueSpec` names of the values of the "min" and "in_visit" uses
-_S_FREE_NAMES = ("_completion_probability", "_expected_min", "_served_mean",
-                 "_overshoot_integral")
-
-
 def _sweep_points(system: SystemSpec, queue: int, field: str, laws) -> list:
     """`sojourn_sweep` for the fitted laws of one field of one queue.
 
     Each group of laws with the same phases goes through one pass of the
-    four s-free pair values (the "min" and "in_visit" uses of `_pair_uses`)
-    as one `_Stack`, or as a few when `_stacks` cuts a long group to keep
-    each batch within the term cap; a law with phases of its own is a stack
-    of one, the one-row case of the same pass. No spec is built per point.
-    `sojourn_mean` reads a point through the attributes it reads on a
-    `SystemSpec` (`queues`, `_cycle_moments`), and it and
-    `_cycle_moments_from` read the swept queue's stand-in through those of
-    a `QueueSpec` (`visit`, `switch` and the `_S_FREE_NAMES`).
+    "min" and "in_visit" uses of `_pair_uses` as one `_Stack`, or as a few
+    when `_stacks` cuts a long group to keep each batch within the term
+    cap; a law with phases of its own is a stack of one. A point's cycle
+    moments come from `_cycle_moments_from` on its laws.
     """
     spec = system.queues[queue]
     partner = spec.visit if field == "service" else spec.service
-    pairs = [None] * len(laws)
+    rows = [None] * len(laws)
     for group, stack in _stacks(laws, partner):
         both = {"service": spec.service, "visit": spec.visit, field: stack}
         columns = [c.tolist() for use in _pair_uses(
             both["service"], both["visit"], ("min", "in_visit")) for c in use]
-        for k, values in zip(group, zip(*columns)):
-            pairs[k] = dict(zip(_S_FREE_NAMES, values))
-    queues = list(system.queues)
+        for k, row in zip(group, zip(*columns)):
+            rows[k] = row
+    visits = [q.visit for q in system.queues]
+    switches = [q.switch for q in system.queues]
     points = []
-    for law, pair in zip(laws, pairs):
-        queues[queue] = SimpleNamespace(
-            visit=law if field == "visit" else spec.visit, switch=spec.switch,
-            **pair)
-        point = SimpleNamespace(queues=queues,
-                                _cycle_moments=_cycle_moments_from(queues))
-        per_queue = tuple(sojourn_mean(point, i) for i in range(len(queues)))
+    for law, (p, *row) in zip(laws, rows):
+        if field == "visit":
+            visits[queue] = law
+        moments = _cycle_moments_from(visits, switches)
+        # the other queues' kept values are read per point: no grid, no pass
+        per_queue = tuple(
+            _sojourn_mean(moments, i, visits[i].mean(),
+                          *((_completing(queue, p), *row) if i == queue
+                            else _mean_values(system, i)))
+            for i in range(len(visits)))
         points.append((_rate_weighted(system, per_queue), per_queue))
     return points
 

@@ -325,21 +325,15 @@ class _Atomic(Distribution):
         """E[Y^moment exp(-s Y) g(Y)] over the atoms, g(y-) when `left`.
 
         A float for a scalar s, one value per entry of a 1-D array s, and
-        one value per law for a `g` of a `_Stack`. Raises `NumericsError`
-        when one grid row, every term at every atom, would hold more than
-        `_MAX_TERMS` terms.
+        one value per law for a `g` of a `_Stack`. `_pass`, its caller,
+        keeps each grid row within the term cap.
         """
         values, weights = self._arrays
-        per_row = g.sign.size * values.size
-        _check_terms("term sum over the atoms", per_row)
-
-        def expect(s):
-            t = _weighted(g, moment, s)
-            # each grid row of coefficients and rates meets every atom
-            return _dot(_evaluate(_Terms(t.logc[..., None, :], t.sign, t.p,
-                                         t.r[..., None, :], t.u), values, left),
-                        weights)
-        return _by_grid(expect, s, per_row)
+        t = _weighted(g, moment, s)
+        # each grid row of coefficients and rates meets every atom
+        return _dot(_evaluate(_Terms(t.logc[..., None, :], t.sign, t.p,
+                                     t.r[..., None, :], t.u), values, left),
+                    weights)
 
     @functools.cached_property
     def _draw_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -605,18 +599,6 @@ def _slices(s, per_row: int) -> list:
     return [s[lo:lo + size] for lo in range(0, s.size, size)]
 
 
-def _by_grid(fn, s, per_row: int):
-    """fn(s), with a 1-D s cut into `_slices` and their values joined.
-
-    Each entry of fn's value depends on its own s only, so the joined
-    slices equal the value of one call, bit for bit.
-    """
-    pieces = _slices(s, per_row)
-    if len(pieces) == 1:
-        return fn(pieces[0])
-    return np.concatenate([fn(piece) for piece in pieces])
-
-
 class _Terms(NamedTuple):
     """The function sum of sign * exp(logc) * x^p * exp(-r x) * 1{x < u}.
 
@@ -854,11 +836,8 @@ def _evaluate_points(t: _Terms, x):
     bits of its one-point call, whatever the slices.
     """
     x = np.asarray(x, dtype=float)
-    pieces = _slices(x.ravel(), t.sign.size)
-    if len(pieces) == 1:
-        return _evaluate(t, x)
-    return np.concatenate([_evaluate(t, piece)
-                           for piece in pieces]).reshape(x.shape)
+    return np.concatenate([_evaluate(t, piece) for piece in _slices(
+        x.ravel(), t.sign.size)]).reshape(x.shape)[()]
 
 
 class _Part(NamedTuple):
@@ -909,15 +888,15 @@ def _pass(parts) -> list:
     """The value of each part, in order, with as few integrals as the cap allows.
 
     An expectation under an atomic law is a sum over its atoms
-    (`_Atomic._expect`). Every other part is the integral of a term
-    product, and the parts on the same two sums share one product. Parts of
-    one leading shape (a grid, a stack or neither) share one `_integral`
-    while their terms, rows times pairs, stay within `_MAX_TERMS`, and a
-    part over the cap on its own is cut along its s-grid by `_slices`, each
-    slice integrated alone. One row over the cap raises `NumericsError`,
-    for the first such part, before any product is built. A product is
-    built just before the first integral that reads it and dropped after
-    the last.
+    (`_Atomic._expect`), one per `_slices` slice of its s-grid. Every other
+    part is the integral of a term product, and the parts on the same two
+    sums share one product. Parts of one leading shape (a grid, a stack or
+    neither) share one `_integral` while their terms, rows times pairs,
+    stay within `_MAX_TERMS`, and a part over the cap on its own is cut
+    along its s-grid by `_slices`, each slice integrated alone. One row
+    over the cap raises `NumericsError`, for the first such part, before
+    any product is built. A product is built just before the first
+    integral that reads it and dropped after the last.
 
     A value is a float for a scalar s, one value per entry of a 1-D s, and
     one value per law for a `_Stack`'s sum. Each has the bits of its part
@@ -930,7 +909,10 @@ def _pass(parts) -> list:
     for k, part in enumerate(parts):
         law, g, s = part.law, part.g, part.s
         if isinstance(law, _Atomic):
-            values[k] = [law._expect(g, part.moment, s, part.left)]
+            per_row = g.sign.size * law._arrays[0].size
+            _check_terms("term sum over the atoms", per_row)
+            values[k] = [law._expect(g, part.moment, piece, part.left)
+                         for piece in _slices(s, per_row)]
             continue
         f = part.f if law is None else law._density_terms
         per_row = f.sign.size * g.sign.size

@@ -1147,8 +1147,8 @@ class TestSojournMetrics:
 
 
 def cached_values(spec: QueueSpec) -> tuple[float, ...]:
-    return (spec._completion_probability, spec._expected_min,
-            spec._served_mean, spec._overshoot_integral)
+    (p, emin), (served, overshoot) = spec._pair_values("min", "in_visit")
+    return p, emin, served, overshoot
 
 
 def fresh_values(spec: QueueSpec) -> tuple[float, ...]:

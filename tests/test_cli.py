@@ -727,12 +727,12 @@ class TestSweep:
         assert out_path.read_bytes() == out.encode()
 
     def test_each_mean_computed_once(self, tmp_path, capsys, monkeypatch):
-        calls, sojourn_mean = [], analytic.sojourn_mean
+        calls, sojourn_mean = [], analytic._sojourn_mean
 
-        def counted(system, queue):
+        def counted(moments, queue, *values):
             calls.append(queue)
-            return sojourn_mean(system, queue)
-        monkeypatch.setattr(analytic, "sojourn_mean", counted)
+            return sojourn_mean(moments, queue, *values)
+        monkeypatch.setattr(analytic, "_sojourn_mean", counted)
         cfg = write_config(tmp_path,
                            sweep={"queue": 1, "target": "visit_scv",
                                   "grid": [0.5, 1.0, 2.0]})

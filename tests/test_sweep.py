@@ -155,6 +155,22 @@ def test_shared_shape_grid_integrates_once_per_functional(monkeypatch):
     assert passes == [[(25,)] * 4]
 
 
+def test_empty_grid_runs_no_pass(monkeypatch):
+    # the unchanged queues' values are read at the first point, so a sweep
+    # with no points evaluates nothing
+    system, _ = config_sweep(WORKLOADS / "general-wide.json")
+    passes = []
+    run_pass = distributions._pass
+
+    def counted(parts):
+        passes.append(len(parts))
+        return run_pass(parts)
+
+    monkeypatch.setattr(distributions, "_pass", counted)
+    assert sojourn_sweep(system, 1, "visit_mean", []) == []
+    assert passes == []
+
+
 TERM_SUMS = ("_survival_terms", "_density_terms", "_tail_terms")
 
 
