@@ -29,31 +29,27 @@ from never change under it, and `dataclasses.replace` builds a new spec
 that starts with no cached values. Functionals of a transform argument s
 are not cached; they take the whole s-grid at once instead.
 
-The sojourn mean is one formula over numbers, `_sojourn_mean`: the cycle
-moments, the queue's visit mean and its four s-free values. A sweep builds
-no spec per point: it reads its unchanged queues' values kept on their
-specs, once for the whole grid, and those of the swept queue from one
-pass per group of fitted laws with the same phases.
+Every sojourn output is one read of its queue. `_values` is the one
+checked read: it checks the queue index, reads the "min" pair (completion
+probability, expected minimum) with any other uses of the queue's pair
+(`QueueSpec._pair_values`) and rejects a zero completion probability.
+`_sojourn` turns one read into the queue's mean, by the formula over
+numbers `_sojourn_mean`, and its transform over a 1-D s-grid:
+`sojourn_mean` is its empty-grid case, `sojourn_lst` its one-point case
+and `sojourn_metrics` one row per queue. A sweep builds no spec per point:
+`_sojourn_mean` takes each point's cycle moments and values, the swept
+queue's from one pass per group of fitted laws with the same phases.
 
 Each use of a queue's pair is one integral pass of the distributions
-module (`_pair_uses`): the (completion probability, expected minimum) pair
-that `derived_quantities` and the tour optimizer read, the in-visit pair
-that `sojourn_mean` reads with it, the four transform functionals of
-`sojourn_lst`, and the four s-free values of a sweep group. Uses that run
-together share one pass: `sojourn_mean` computes both s-free pairs in one,
-and `sojourn_metrics` puts the pairs a spec does not keep yet in the pass
-of the queue's transforms, where their parts share term products.
+module (`_pair_uses`): the "min" pair that `derived_quantities` and the
+tour optimizer read, the in-visit pair of the sojourn mean, the four
+transform functionals over an s-grid and the four s-free values of a sweep
+group. The uses of one read share one pass and its term products.
 
 The server-away time A_i, the cycle less queue i's visit, has one home
 for its moments and one for its transform: `_cycle_moments_from` reads the
 queues' visit and switch-over laws, and `_away_lsts` runs each of those
 laws' transforms once over an s-grid and forms every queue's A_i from them.
-
-A one-point call is the one-row case of the grid pass. `sojourn_metrics`
-runs each queue's transform functionals once over the whole grid and
-shares `_away_lsts` across the queues; the scalar `sojourn_lst` is the
-same computation on a one-point grid. A sweep point whose fitted law has
-phases of its own is a stack of one law.
 
 Conventions: queue indices are 0-based everywhere in the library. Optional
 central-point travel laws can ride along on a queue spec for tour planning,
@@ -248,7 +244,7 @@ class SystemSpec:
                     f"queue {idx}: generating-function evaluation needs an "
                     "atomic visit law")
         for j in range(len(queues)):
-            _completion_prob(self, j)
+            _values(self, j)
         rates = np.array([q.arrival_rate for q in queues])
         atoms = [np.array(q.visit.atoms).T for q in queues]
         return _PgfConstants(
@@ -358,6 +354,13 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _floats(name: str, values) -> tuple[float, ...]:
+    """`values` as a tuple of floats; a str is not read as its characters."""
+    if isinstance(values, str):
+        raise DomainError(f"{name} must be a sequence of numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 def _queue_checked(system: SystemSpec, queue: int) -> QueueSpec:
     queue = _integer("queue index", queue)
     if not 0 <= queue < len(system.queues):
@@ -366,10 +369,16 @@ def _queue_checked(system: SystemSpec, queue: int) -> QueueSpec:
     return system.queues[queue]
 
 
-def _completion_prob(system: SystemSpec, queue: int) -> float:
-    """The queue's completion probability, rejected when it is zero."""
-    return _completing(
-        queue, _queue_checked(system, queue)._pair_values("min")[0][0])
+def _values(system: SystemSpec, queue: int, *uses, s=None) -> list:
+    """The queue's "min" pair, then the values of each of `uses`.
+
+    The one checked read of a queue: its index is checked, the uses its
+    spec does not keep run in one pass (`QueueSpec._pair_values`), and a
+    zero completion probability is rejected after it.
+    """
+    values = _queue_checked(system, queue)._pair_values("min", *uses, s=s)
+    _completing(queue, values[0][0])
+    return values
 
 
 def _completing(queue: int, p: float) -> float:
@@ -391,9 +400,8 @@ def derived_quantities(system: SystemSpec, queue: int) -> DerivedQueueQuantities
         visit), since then nothing present is ever served and stationary
         waiting quantities diverge.
     """
-    p = _completion_prob(system, queue)
+    [(p, mmin)] = _values(system, queue)
     spec = system.queues[queue]
-    mmin = spec._pair_values("min")[0][1]
     return DerivedQueueQuantities(
         completion_prob=p,
         min_mean=mmin,
@@ -619,16 +627,7 @@ def sojourn_mean(system: SystemSpec, queue: int) -> float:
     attempt adds the expected minimum of requirement and visit plus, on
     failure, the server-elsewhere remainder of the cycle.
     """
-    values = _mean_values(system, queue)
-    return _sojourn_mean(cycle_moments(system), queue,
-                         system.queues[queue].visit.mean(), *values)
-
-
-def _mean_values(system: SystemSpec, queue: int) -> tuple:
-    """The queue's "min" and "in_visit" values (one pass if not kept), p > 0."""
-    (p, emin), (served, overshoot) = _queue_checked(
-        system, queue)._pair_values("min", "in_visit")
-    return _completing(queue, p), emin, served, overshoot
+    return _sojourn(system, queue, np.zeros(0))[0]
 
 
 def _sojourn_mean(moments: CycleMoments, queue: int, ev: float, p: float,
@@ -660,17 +659,11 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
     depends on its outcome, so the wait from a polling instant has the
     transform succ / (1 - fail A(s)), with succ = E[exp(-s B); B <= V] and
     fail = E[exp(-s V); V < B]. Exact for every service and visit law.
+    It is 1 at s = 0, after the checks of `sojourn_mean`.
     """
     if not 0.0 <= s < math.inf:
         raise DomainError("transform argument s must be finite and >= 0")
-    if s == 0.0:
-        return 1.0
-    _completion_prob(system, queue)
-    grid = np.array([s], dtype=float)
-    spec = system.queues[queue]
-    transforms = _pair_uses(spec.service, spec.visit, ("transforms",), grid)[0]
-    return float(_sojourn_lst(system, queue, grid,
-                              _away_lsts(system, grid)[queue], transforms)[0])
+    return float(_sojourn(system, queue, np.array([s], dtype=float))[1][0])
 
 
 def _away_lsts(system: SystemSpec, s: np.ndarray) -> list:
@@ -689,30 +682,37 @@ def _away_lsts(system: SystemSpec, s: np.ndarray) -> list:
             for i in range(len(visits))]
 
 
-def _sojourn_lst(system: SystemSpec, queue: int, s: np.ndarray,
-                 away: np.ndarray, transforms: tuple) -> np.ndarray:
-    """`sojourn_lst` over a 1-D grid s of points > 0, one value per point.
+def _sojourn(system: SystemSpec, queue: int, grid: np.ndarray,
+             aways: list | None = None) -> tuple[float, np.ndarray]:
+    """`sojourn_mean` of the queue and its `sojourn_lst` over a 1-D grid.
 
-    `away` is the queue's server-away transform over the same grid, its
-    entry of `_away_lsts`, and `transforms` its four transform functionals
-    over the grid, the "transforms" use of `_pair_uses`. The caller has
-    checked that the queue's completion probability is positive.
+    Both come from one `_values` read: the s-free pairs, with the four
+    transform functionals over the grid's points s > 0 when it has any.
+    `aways` is `_away_lsts` over those points, formed here if not given.
+    Entries at s = 0 are 1.
     """
-    spec = system.queues[queue]
+    positive = grid > 0.0
+    s = grid[positive]
+    pairs = _values(system, queue, "in_visit",
+                    *(("transforms",) if s.size else ()), s=s)
     moments = cycle_moments(system)
-    ev, ec = spec.visit.mean(), moments.cycle_mean
+    ev, ec = system.queues[queue].visit.mean(), moments.cycle_mean
     ecmi = moments.partial_means[queue]
+    mean = _sojourn_mean(moments, queue, ev, *pairs[0], *pairs[1])
+    lst = np.ones(len(grid))
+    if not s.size:
+        return mean, lst
+    away = (_away_lsts(system, s) if aways is None else aways)[queue]
 
-    succ, fail, served, overshoot = transforms
+    succ, fail, served, overshoot = pairs[2]
     from_polling = succ / (1.0 - fail * away)
-
     residual_excess = overshoot / ev
     residual_away = (1.0 - away) / (s * ecmi)
-
     term_served = (ev / ec) * served
     term_overflow = (ev / ec) * residual_excess * away * from_polling
     term_outside = (ecmi / ec) * residual_away * from_polling
-    return term_served + term_overflow + term_outside
+    lst[positive] = term_served + term_overflow + term_outside
+    return mean, lst
 
 
 def _exponential_rates(system: SystemSpec, queue: int) -> tuple[float, float]:
@@ -750,9 +750,9 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
     """
     if not 0.0 <= s < math.inf:
         raise DomainError("transform argument s must be finite and >= 0")
+    gamma, mu = _exponential_rates(system, queue)
     if s == 0.0:
         return 1.0
-    gamma, mu = _exponential_rates(system, queue)
     ec = cycle_moments(system).cycle_mean
     queues = system.queues
     away = float(math.prod(
@@ -765,34 +765,23 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
 def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
     """Sojourn means for every queue plus a transform table over `s_grid`.
 
-    Each queue's transform functionals run in one pass over all the grid
-    points s > 0, with the s-free pairs of the queue that its spec does not
-    keep yet (`QueueSpec._pair_values`), so those parts share term products
-    with the transforms'. Every visit and switch-over transform runs once
-    over the grid and is shared by all the rows. Entries at s = 0 are 1.
-    `sojourn_lst` at one point is the one-point case of this pass, so each
-    entry equals it, whatever the rest of the grid.
+    Queue i's mean and row are one `_sojourn` read: one pass of its
+    transform functionals over all the grid points s > 0 with the s-free
+    pairs its spec does not keep yet, whose parts share term products.
+    Every visit and switch-over transform runs once over the grid and is
+    shared by all the rows. Entries at s = 0 are 1. `sojourn_lst` at one
+    point is the one-point case of this read, so each entry equals it,
+    whatever the rest of the grid. A str is not a grid.
     """
-    s_values = tuple(float(s) for s in s_grid)
+    s_values = _floats("transform grid", s_grid)
     if any(not 0.0 <= s < math.inf for s in s_values):
         raise DomainError("transform grid values must be finite and >= 0")
-    n = len(system.queues)
     grid = np.array(s_values)
-    positive = grid > 0.0
-    s = grid[positive]
-    transforms = []
-    for i, spec in enumerate(system.queues):
-        if positive.any():
-            transforms.append(spec._pair_values("min", "in_visit",
-                                                "transforms", s=s)[2])
-        # a queue whose completion probability is zero is rejected first
-        _completion_prob(system, i)
-    means = tuple(sojourn_mean(system, i) for i in range(n))
-    table = np.ones((n, len(s_values)))
-    if positive.any():
-        for i, away in enumerate(_away_lsts(system, s)):
-            table[i, positive] = _sojourn_lst(system, i, s, away, transforms[i])
-    return SojournMetrics(means=means, s_grid=s_values, lst_table=table)
+    s = grid[grid > 0.0]
+    aways = _away_lsts(system, s) if s.size else None
+    means, rows = zip(*(_sojourn(system, i, grid, aways)
+                        for i in range(len(system.queues))))
+    return SojournMetrics(means, s_values, np.array(rows))
 
 
 #: the law and moment a `sojourn_sweep` grid value sets
@@ -830,7 +819,7 @@ def sojourn_sweep(system: SystemSpec, queue: int, target: str, grid):
     field, moment = target.split("_")
     law = getattr(spec, field)
     laws = []
-    for value in grid:
+    for value in _floats("sweep grid", grid):
         if moment == "mean":
             mean, scv = value, law.scv()
         else:
@@ -873,7 +862,7 @@ def _sweep_points(system: SystemSpec, queue: int, field: str, laws) -> list:
         per_queue = tuple(
             _sojourn_mean(moments, i, visits[i].mean(),
                           *((_completing(queue, p), *row) if i == queue
-                            else _mean_values(system, i)))
+                            else sum(_values(system, i, "in_visit"), ())))
             for i in range(len(visits)))
         points.append((_rate_weighted(system, per_queue), per_queue))
     return points

@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import SystemSpec, _integer
+from .analytic import SystemSpec, _floats, _integer
 from .distributions import Distribution
 from .errors import DomainError
 from .optimizer import (CENTRAL_POINT, SERIAL, TourState, _check_order,
@@ -133,7 +133,7 @@ class SimConfig:
             raise DomainError("measured_cycles must be >= 1")
         _check_seeding(self.replications, self.master_seed)
         points = tuple((_integer("pgf point queue index", q),
-                        tuple(float(z) for z in zs))
+                        _floats("pgf point z-vector", zs))
                        for q, zs in self.pgf_points)
         if not all(math.isfinite(z) for _, zs in points for z in zs):
             raise DomainError("pgf_points z values must be finite")

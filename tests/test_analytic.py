@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import simd_dispatch
-from mginfpolling import analytic, cli
+from mginfpolling import analytic, cli, distributions
 from mginfpolling.analytic import (
     CycleMoments,
     QueueSpec,
@@ -983,6 +983,15 @@ class TestSojournLst:
             sojourn_mean_exponential(sys2, 0)
         with pytest.raises(UnsupportedModelError):
             sojourn_lst_exponential(sys2, 0, 1.0)
+        with pytest.raises(UnsupportedModelError):
+            sojourn_lst_exponential(sys2, 0, 0.0)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    @pytest.mark.parametrize("transform", [sojourn_lst, sojourn_lst_exponential])
+    def test_out_of_range_queue_is_rejected_at_every_s(self, transform, s):
+        with pytest.raises(DomainError,
+                           match="queue index 2 out of range for 2 queues"):
+            transform(reference_system(), 2, s)
 
     def test_closed_form_shares_no_helper_with_the_general_path(
             self, monkeypatch):
@@ -1089,6 +1098,42 @@ class TestSojournMetrics:
     def test_negative_grid_rejected(self):
         with pytest.raises(DomainError):
             sojourn_metrics(reference_system(), (-1.0,))
+
+    def test_a_str_is_not_a_grid(self):
+        # a str was read as its digits: "12" gave a table at s = 1 and 2
+        system = reference_system()
+        with pytest.raises(DomainError, match="grid must be a sequence"):
+            sojourn_metrics(system, "12")
+        want = sojourn_metrics(system, (1.0, 2.0))
+        for grid in ((1, 2), [1.0, 2], np.array([1.0, 2.0]),
+                     (s for s in (1, 2.0))):
+            got = sojourn_metrics(system, grid)
+            assert got.s_grid == want.s_grid == (1.0, 2.0)
+            assert got.means == want.means
+            assert (got.lst_table == want.lst_table).all()
+
+    def test_each_sojourn_read_is_one_pass(self, monkeypatch):
+        # every sojourn output of a queue is one read of it: with no point
+        # s > 0 a queue's (completion probability, expected minimum) and
+        # in-visit pairs share one pass, and a transform's pass keeps the
+        # pairs that a later mean reads
+        path = Path(__file__).resolve().parents[1] / (
+            "bench/workloads/general-wide.json")
+        raw = cli._load_config(str(path))["system"]
+        passes = []
+        run_pass = distributions._pass
+
+        def counted(parts):
+            passes.append(len(parts))
+            return run_pass(parts)
+        monkeypatch.setattr(distributions, "_pass", counted)
+        sojourn_metrics(cli._build_system(raw), ())
+        assert passes == [4] * 8
+        passes.clear()
+        system = cli._build_system(raw)
+        sojourn_lst(system, 2, 0.5)
+        sojourn_mean(system, 2)
+        assert passes == [8]
 
     @pytest.mark.parametrize("make", [reference_system, atomic_system,
                                       continuous_switch_system, mixed_system])
@@ -1228,6 +1273,7 @@ class TestCachedConstants:
         for call in (lambda: derived_quantities(never, 0),
                      lambda: sojourn_mean(never, 0),
                      lambda: sojourn_lst(never, 0, 0.5),
+                     lambda: sojourn_lst(never, 0, 0.0),
                      lambda: sojourn_metrics(never, (0.5,)),
                      lambda: pgf_eval(never, 1, np.ones(2)),
                      lambda: polling_means(never)):
@@ -1355,6 +1401,9 @@ _QUEUE_INDEX_CASES = {
         lambda: single_cycle_throughput(reference_system(), (0.6, 1.4),
                                         (1, 1), replications=10), 0.6),
     "sojourn_mean": (lambda: sojourn_mean(reference_system(), 0.5), 0.5),
+    "sojourn_lst": (lambda: sojourn_lst(reference_system(), 1.5, 0.0), 1.5),
+    "sojourn_lst_exponential": (
+        lambda: sojourn_lst_exponential(reference_system(), 1.5, 0.0), 1.5),
     "pgf_eval": (lambda: pgf_eval(reference_system(), 0.5, (0.5, 0.5)), 0.5),
     "sojourn_sweep": (
         lambda: sojourn_sweep(reference_system(), 1.0, "visit_scv", (0.5,)),

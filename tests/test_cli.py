@@ -57,6 +57,12 @@ def write_config(tmp_path, name="config.json", **blocks):
     return str(path)
 
 
+def read_csv(path) -> list[list[str]]:
+    """The rows of a CSV file; the file is closed before they are returned."""
+    with path.open(newline="") as f:
+        return list(csv.reader(f))
+
+
 def base_sim_block(**overrides):
     block = {"warmup_cycles": 100, "measured_cycles": 800,
              "replications": 6, "master_seed": 7}
@@ -318,7 +324,7 @@ class TestAnalyze:
         cfg = write_config(tmp_path)
         out_path = tmp_path / "analyze.csv"
         assert main(["analyze", "--config", cfg, "--out", str(out_path)]) == 0
-        rows = list(csv.reader(out_path.open(newline="")))
+        rows = read_csv(out_path)
         assert rows[0] == ["metric", "value"]
         table = dict(rows[1:])
         assert abs(float(table["sojourn_mean[1]"]) - 31 / 12) < 1e-9
@@ -384,7 +390,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, sim=base_sim_block())
         out_path = tmp_path / "sim.csv"
         assert main(["simulate", "--config", cfg, "--out", str(out_path)]) == 0
-        rows = list(csv.reader(out_path.open(newline="")))
+        rows = read_csv(out_path)
         assert rows[0] == ["replication", "metric", "estimate", "stderr"]
         assert rows[-1][0] == "all"
         polling_rows = [r for r in rows if r[1] == "polling_mean[1,1]"]
@@ -512,7 +518,7 @@ class TestSimulate:
         assert np.isnan(expected["completion_fraction[3]"][1])
 
         pooled = {r[1]: (float(r[2]), float(r[3]))
-                  for r in csv.reader(out_path.open(newline="")) if r[0] == "all"}
+                  for r in read_csv(out_path) if r[0] == "all"}
         assert list(pooled) == list(table)
         for metric, (mean, se) in expected.items():
             assert np.array_equal(pooled[metric], (mean, se), equal_nan=True), \
@@ -849,7 +855,7 @@ class TestOptimize:
         cfg = write_config(tmp_path, optimize={"counts": [3, 2]})
         out_path = tmp_path / "index.csv"
         assert main(["optimize", "--config", cfg, "--out", str(out_path)]) == 0
-        rows = list(csv.reader(out_path.open()))
+        rows = read_csv(out_path)
         assert rows[0] == ["metric", "value"]
         assert [r[0] for r in rows[1:]] == ["index[1]", "index[2]", "order",
                                             "expected_services"]
@@ -867,12 +873,12 @@ class TestOptimize:
         out_path = tmp_path / "tour.csv"
         assert main(["optimize", "--config", cfg, "--out", str(out_path)]) == 0
         assert "optimal order: (empty)" in capsys.readouterr().out
-        rows = list(csv.reader(out_path.open()))
+        rows = read_csv(out_path)
         assert rows[3:] == [["order", "(empty)"], ["expected_services", "0.0"]]
         # the brute-force CSV names the empty tour the same way
         assert main(["optimize", "--config", cfg, "--brute-force",
                      "--out", str(out_path)]) == 0
-        rows = list(csv.reader(out_path.open()))
+        rows = read_csv(out_path)
         assert rows == [["order", "expected_services"], ["(empty)", "0.0"]]
 
     def test_long_ranking_is_elided(self, tmp_path, capsys):
@@ -887,7 +893,7 @@ class TestOptimize:
         out = capsys.readouterr().out
         ranking = out.split("exhaustive ranking (120 orders):\n")[1].splitlines()
         assert len(ranking) == 21 and ranking[10] == "  ... 100 more ..."
-        rows = list(csv.reader(out_path.open()))[1:]
+        rows = read_csv(out_path)[1:]
         assert len(rows) == 120
         shown = rows[:10] + rows[-10:]
         for line, (order, value) in zip(ranking[:10] + ranking[11:], shown):

@@ -112,6 +112,15 @@ class TestValidation:
         with pytest.raises(DomainError, match="must be finite"):
             SimConfig(pgf_points=((0, (0.5, z)),))
 
+    def test_pgf_z_vector_is_not_a_str(self):
+        # a str was read as its digits: "05" stored z = (0.0, 5.0)
+        with pytest.raises(DomainError, match="z-vector must be a sequence"):
+            SimConfig(pgf_points=((0, "05"),))
+        for zs in ((0.5, 1), [0.5, 1], np.array([0.5, 1.0]),
+                   (z for z in (0.5, 1))):
+            assert SimConfig(pgf_points=((0, zs),)).pgf_points == \
+                ((0, (0.5, 1.0)),)
+
     def test_single_cycle_rejects_bad_orders(self):
         sys = base_system()
         with pytest.raises(DomainError):

@@ -280,6 +280,16 @@ def test_rejects_bad_queue_and_target():
         sojourn_sweep(readme_system(), 0, "switch_mean", [1.0])
 
 
+def test_a_str_is_not_a_grid():
+    # a str was read as its digits: "12" gave the points 1 and 2
+    system = readme_system()
+    with pytest.raises(DomainError, match="sweep grid must be a sequence"):
+        sojourn_sweep(system, 0, "visit_mean", "12")
+    want = sojourn_sweep(system, 0, "visit_mean", (1.0, 2.0))
+    for grid in ((1, 2), [1.0, 2], np.array([1.0, 2.0]), (v for v in (1, 2.0))):
+        assert sojourn_sweep(system, 0, "visit_mean", grid) == want
+
+
 @pytest.mark.parametrize("path, digest", [
     (DEMO, "18e524cb8fa77997b3cba420e6c77d99cf570eedac6dafd919de902a31f06792"),
     (WORKLOADS / "general-wide.json",
