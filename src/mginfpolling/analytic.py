@@ -67,6 +67,7 @@ import numpy as np
 
 from .distributions import (
     Distribution,
+    _check_s,
     _dot,
     _pair_uses,
     _stacks,
@@ -191,7 +192,7 @@ class SystemSpec:
     The spec computes its `CycleMoments`, for `pgf_eval` its
     `_PgfConstants` (arrival rates and per-queue visit atoms, `left` and
     `survive`), and every queue's `derived_quantities` (read by
-    `polling_means`, the CLI and the tour optimizer), on first use and
+    `polling_means` and the CLI), on first use and
     keeps them; it is frozen, so they cannot go stale, and
     `dataclasses.replace` returns a new spec that computes its own. A build
     whose checks fail keeps nothing and raises again on the next use.
@@ -355,10 +356,12 @@ def _integer(name: str, value) -> int:
 
 
 def _floats(name: str, values) -> tuple[float, ...]:
-    """`values` as a tuple of floats; a str is not read as its characters."""
-    if isinstance(values, str):
-        raise DomainError(f"{name} must be a sequence of numbers, got {values!r}")
-    return tuple(float(v) for v in values)
+    """`values` as a tuple of floats; a str or None is not a number."""
+    if not isinstance(values, str):
+        values = tuple(values)
+        if not any(v is None or isinstance(v, str) for v in values):
+            return tuple(float(v) for v in values)
+    raise DomainError(f"{name} must be a sequence of numbers, got {values!r}")
 
 
 def _queue_checked(system: SystemSpec, queue: int) -> QueueSpec:
@@ -661,8 +664,7 @@ def sojourn_lst(system: SystemSpec, queue: int, s: float) -> float:
     fail = E[exp(-s V); V < B]. Exact for every service and visit law.
     It is 1 at s = 0, after the checks of `sojourn_mean`.
     """
-    if not 0.0 <= s < math.inf:
-        raise DomainError("transform argument s must be finite and >= 0")
+    _check_s(s, "sojourn_lst", grid=False)
     return float(_sojourn(system, queue, np.array([s], dtype=float))[1][0])
 
 
@@ -748,8 +750,7 @@ def sojourn_lst_exponential(system: SystemSpec, queue: int, s: float) -> float:
     and forms A from the laws' transforms without the general path's
     helpers.
     """
-    if not 0.0 <= s < math.inf:
-        raise DomainError("transform argument s must be finite and >= 0")
+    _check_s(s, "sojourn_lst_exponential", grid=False)
     gamma, mu = _exponential_rates(system, queue)
     if s == 0.0:
         return 1.0
@@ -774,8 +775,7 @@ def sojourn_metrics(system: SystemSpec, s_grid=()) -> SojournMetrics:
     whatever the rest of the grid. A str is not a grid.
     """
     s_values = _floats("transform grid", s_grid)
-    if any(not 0.0 <= s < math.inf for s in s_values):
-        raise DomainError("transform grid values must be finite and >= 0")
+    _check_s(s_values, "sojourn_metrics")
     grid = np.array(s_values)
     s = grid[grid > 0.0]
     aways = _away_lsts(system, s) if s.size else None

@@ -230,14 +230,9 @@ def _build_sim(obj, path: str, n_queues: int) -> SimConfig:
         return SimConfig(**kwargs)
 
 
-@dataclasses.dataclass(frozen=True)
-class _SweepSpec:
-    queue: int  # 0-based
-    target: str
-    grid: tuple[float, ...]
-
-
-def _build_sweep(obj, path: str, n_queues: int) -> _SweepSpec:
+def _build_sweep(obj, path: str, n_queues: int
+                 ) -> tuple[int, str, tuple[float, ...]]:
+    """The 0-based queue, the target and the grid the "sweep" block describes."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object (the config needs a "
                           "'sweep' block for this command)")
@@ -269,7 +264,7 @@ def _build_sweep(obj, path: str, n_queues: int) -> _SweepSpec:
                           "start/stop/points object")
     if not grid:
         raise ConfigError(f"{path}.grid: grid must not be empty")
-    return _SweepSpec(queue=queue - 1, target=target, grid=grid)
+    return queue - 1, target, grid
 
 
 def _build_optimize(obj, path: str, n_queues: int) -> tuple[TourState, str]:
@@ -516,13 +511,13 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     raw, system = _inputs(args)
     n = len(system.queues)
-    spec = _build_sweep(raw.get("sweep"), "sweep", n)
+    queue, target, grid = _build_sweep(raw.get("sweep"), "sweep", n)
 
     header = ("grid_value", "ES_weighted") + tuple(f"ES[{i + 1}]"
                                                    for i in range(n))
-    points = sojourn_sweep(system, spec.queue, spec.target, spec.grid)
+    points = sojourn_sweep(system, queue, target, grid)
     rows = [(value, weighted) + per_queue
-            for value, (weighted, per_queue) in zip(spec.grid, points)]
+            for value, (weighted, per_queue) in zip(grid, points)]
     _write_csv(args.out, header, rows)
     return 0
 

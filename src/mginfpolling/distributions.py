@@ -846,7 +846,8 @@ class _Part(NamedTuple):
     An expectation E[Y^moment exp(-s Y) g(Y)] under `law` has f the density
     of `law` and takes g(Y-) when `left`; a survival product has `law`
     None and `f` and `g` the two survival sums. s is a scalar or a 1-D
-    grid, and either sum may be a `_Stack`'s.
+    grid, and either sum may be a `_Stack`'s. `finish`, if any, turns the
+    integral into the functional's value: a clip to 1 or a division.
     """
 
     law: object
@@ -855,6 +856,7 @@ class _Part(NamedTuple):
     moment: int
     s: object
     left: bool = False
+    finish: object = None
 
 
 def _survival_product(a, b, moment: int = 0, s=0.0) -> _Part:
@@ -899,7 +901,8 @@ def _pass(parts) -> list:
     integral that reads it and dropped after the last.
 
     A value is a float for a scalar s, one value per entry of a 1-D s, and
-    one value per law for a `_Stack`'s sum. Each has the bits of its part
+    one value per law for a `_Stack`'s sum, each put through its part's
+    `finish` once its slices are joined. Each has the bits of its part
     evaluated alone.
     """
     values = [None] * len(parts)  # per part, its value on each slice
@@ -946,15 +949,20 @@ def _pass(parts) -> list:
                         if last[sums] > n}
         for (k, i, *_), value in zip(members, _integral(ts)):
             values[k][i] = value
-    return [v[0] if len(v) == 1 else np.concatenate(v) for v in values]
+    values = [v[0] if len(v) == 1 else np.concatenate(v) for v in values]
+    return [value if part.finish is None else part.finish(value)
+            for part, value in zip(parts, values)]
 
 
-def _check_s(s, name: str):
-    """Reject an s that is not a scalar or 1-D array of finite values >= 0."""
+def _check_s(s, name: str, grid: bool = True) -> None:
+    """Reject an s that is not a finite number >= 0 or, when `grid`, a 1-D
+    array of them; a str or None is not a number, though numpy reads one."""
+    if s is None or np.asarray(s).dtype.kind in "SU":
+        raise DomainError(f"{name}: s must be a number, got {s!r}")
     s = np.asarray(s, dtype=float)
-    if s.ndim > 1:
-        raise DomainError(f"{name} takes a scalar or 1-D array s, "
-                          f"got shape {s.shape}")
+    if s.ndim > grid:
+        takes = "a scalar or 1-D array" if grid else "a scalar"
+        raise DomainError(f"{name} takes {takes} s, got shape {s.shape}")
     if not 0.0 <= s.min(initial=0.0) <= s.max(initial=0.0) < np.inf:
         raise DomainError(f"{name}: s must be finite and >= 0")
 
@@ -982,7 +990,7 @@ def completion_probability(service: Distribution, visit: Distribution) -> float:
     Computed as E[P[V >= B]], a sum of positive terms, which carries the
     shared-atom overlap term exactly when both laws are atomic.
     """
-    return _at_most_one(_pass([_completion(service, visit)])[0])
+    return _pass([_completion(service, visit, clip=True)])[0]
 
 
 def attempt_lst(service: Distribution, visit: Distribution, s):
@@ -1010,14 +1018,16 @@ def served_in_visit(service: Distribution, visit: Distribution,
     scalar s; for a 1-D array s, one value per entry.
     """
     _check_s(s, "served_in_visit")
-    return _pass([_served(service, visit, s, moment)])[0] / visit.mean()
+    return _pass([_served(service, visit, s, moment)])[0]
 
 
-# The parts of the public functionals, and the passes of a queue's uses.
+# The parts of the public functionals, each with its own finish, and the
+# passes of a queue's uses.
 
-def _completion(service, visit, s=0.0) -> _Part:
-    """E[exp(-s B); B <= V], as E[exp(-s B) P[V >= B]]."""
-    return _Part(service, None, visit._survival_terms, 0, s, left=True)
+def _completion(service, visit, s=0.0, clip: bool = False) -> _Part:
+    """E[exp(-s B); B <= V], as E[exp(-s B) P[V >= B]]; at most 1 if `clip`."""
+    return _Part(service, None, visit._survival_terms, 0, s, left=True,
+                 finish=_at_most_one if clip else None)
 
 
 def _failure(service, visit, s) -> _Part:
@@ -1026,8 +1036,10 @@ def _failure(service, visit, s) -> _Part:
 
 
 def _served(service, visit, s=0.0, moment: int = 0) -> _Part:
-    """E[B^moment exp(-s B) (V - B)^+], `served_in_visit` times E[V]."""
-    return _Part(service, None, visit._tail_terms, moment, s)
+    """`served_in_visit`: E[B^moment exp(-s B) (V - B)^+], divided by E[V]."""
+    mean = visit.mean()
+    return _Part(service, None, visit._tail_terms, moment, s,
+                 finish=lambda value: value / mean)
 
 
 def _at_most_one(p):
@@ -1038,7 +1050,8 @@ def _at_most_one(p):
 def _use_parts(use: str, service, visit, s) -> list[_Part]:
     """The parts of one use of a (service, visit) pair; see `_pair_uses`."""
     if use == "min":
-        return [_completion(service, visit), _survival_product(service, visit)]
+        return [_completion(service, visit, clip=True),
+                _survival_product(service, visit)]
     if use == "in_visit":
         return [_served(service, visit, moment=1),
                 _survival_product(visit, service, 1)]
@@ -1058,19 +1071,9 @@ def _pair_uses(service, visit, uses, s=None) -> list[tuple]:
     bits of its public functional called alone. A `_Stack` in place of
     either law gives one value per law, for the s-free uses.
     """
-    values = _pass([part for use in uses
-                    for part in _use_parts(use, service, visit, s)])
-    out, k = [], 0
-    for use in uses:
-        if use == "min":
-            out.append((_at_most_one(values[k]), values[k + 1]))
-        elif use == "in_visit":
-            out.append((values[k] / visit.mean(), values[k + 1]))
-        else:
-            out.append((*values[k:k + 2], values[k + 2] / visit.mean(),
-                        values[k + 3]))
-        k += len(out[-1])
-    return out
+    parts = [_use_parts(use, service, visit, s) for use in uses]
+    values = iter(_pass([part for use in parts for part in use]))
+    return [tuple(itertools.islice(values, len(use))) for use in parts]
 
 
 def fit_mixed_erlang(mean: float, scv: float) -> Distribution:

@@ -138,13 +138,12 @@ class _TourParams:
         self.visited = state.visited
 
         lam = np.array([q.arrival_rate for q in queues])
-        # kept on the system, so the index rule and the scan of one system
-        # share them
-        derived = system._derived_quantities
-        p = np.array([d.completion_prob for d in derived])
-        leftover = np.array([d.leftover_arrival_mean for d in derived])
+        # each queue's (P[B <= V], E[min(B, V)]), kept on its spec, so the
+        # index rule and the scan of one system share them; a queue whose
+        # service never completes in a visit has p = 0 and index 0
+        p, mmin = np.array([q._pair_values("min")[0] for q in queues]).T
         ev = np.array([q.visit.mean() for q in queues])
-        served_within = lam * ev - leftover
+        served_within = lam * ev - lam * mmin
 
         # a serial tour: no approach, and the switch-over as its return
         serial = state.mode == SERIAL

@@ -54,7 +54,8 @@ hands each replication, also in a worker process, the keys of its own
 streams. Per block, a queue's count stream gives one Poisson count, its
 position stream that many uniforms, and its service stream one
 requirement per customer in each retry round; `single_cycle_throughput`
-and `leftover_after_visit` instead draw one count per interval. Every call
+and `leftover_after_visit` instead play one visit in every replication at
+once (`_visit`), with one count per visit. Every call
 builds every stream it names; a one-atom law (`Deterministic`, a one-atom
 `Discrete`) draws nothing from its own. Reports aggregate replication
 means in replication order, making results bit-identical for a fixed
@@ -281,19 +282,29 @@ def _streams(master_seed: int, salt: int, rows: list) -> dict:
     return dict(zip(rows, _generators(_stream_keys(master_seed, salt, rows))))
 
 
-def _arrivals(rate: float, lengths: np.ndarray, count_rng: np.random.Generator,
-              position_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson arrivals over independent intervals of the given lengths.
+def _visit(service: Distribution, rate: float, v: np.ndarray, present,
+           count_rng: np.random.Generator, position_rng: np.random.Generator,
+           service_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One visit to a queue in every replication: v[r] is its length in r.
 
-    Draws one Poisson count per interval; returns each arrival's interval
-    index and its offset from that interval's start, uniform on
-    [0, length) given the count. `single_cycle_throughput` and
-    `leftover_after_visit` use it, one interval per replication; `run`
-    draws over a block's timeline with `_timeline_arrivals` instead.
+    The `present[r]` customers (`present` in each, for an int) attempt
+    with the whole visit; then one Poisson count of arrivals, each
+    at a uniform offset, attempt with the rest of it. Each attempt draws a
+    fresh requirement from `service_rng`, present customers first, and
+    completes when it fits. Returns per replication the customers served
+    and those left unserved at the visit end. Present counts of 0 draw no
+    requirement, so a visit to an empty queue reads only the arrivals'.
     """
-    counts = count_rng.poisson(rate * lengths)
-    owner = np.repeat(np.arange(lengths.size), counts)
-    return owner, position_rng.random(owner.size) * lengths[owner]
+    rep_ids = np.arange(v.size)
+    owner = np.repeat(rep_ids, present)
+    b = service.sample(service_rng, owner.size)
+    served = np.bincount(owner[b <= v[owner]], minlength=v.size)
+    counts = count_rng.poisson(rate * v)
+    owner = np.repeat(rep_ids, counts)
+    t_a = position_rng.random(owner.size) * v[owner]
+    b = service.sample(service_rng, owner.size)
+    served += np.bincount(owner[t_a + b <= v[owner]], minlength=v.size)
+    return served, present + counts - served
 
 
 def _timeline_arrivals(rate: float, ends: np.ndarray,
@@ -654,7 +665,6 @@ def single_cycle_throughput(system: SystemSpec, order, state,
     central = state.mode == CENTRAL_POINT
 
     reps = replications
-    rep_ids = np.arange(reps)
     per_queue = np.zeros((len(state.counts), reps))
     elapsed = np.zeros(reps)
 
@@ -676,18 +686,11 @@ def single_cycle_throughput(system: SystemSpec, order, state,
             after, after_rng = spec.switch, gen[0, q, _SWITCH]
         v = spec.visit.sample(gen[0, q, _VISIT], reps)
         rate = spec.arrival_rate
-        count_rng, service_rng = gen[0, q, _COUNT], gen[0, q, _SERVICE]
-
-        # the customers present at the polling instant attempt with the
-        # whole visit, then the visit's arrivals with the rest of it
-        owner = np.repeat(rep_ids,
-                          state.counts[q] + count_rng.poisson(rate * elapsed))
-        b = spec.service.sample(service_rng, owner.size)
-        per_queue[q] += np.bincount(owner[b <= v[owner]], minlength=reps)
-        owner, t_a = _arrivals(rate, v, count_rng, gen[0, q, _POSITION])
-        b = spec.service.sample(service_rng, owner.size)
-        per_queue[q] += np.bincount(owner[t_a + b <= v[owner]], minlength=reps)
-
+        count_rng = gen[0, q, _COUNT]
+        # the initial customers and those that arrived since the tour began
+        present = state.counts[q] + count_rng.poisson(rate * elapsed)
+        per_queue[q] += _visit(spec.service, rate, v, present, count_rng,
+                               gen[0, q, _POSITION], gen[0, q, _SERVICE])[0]
         elapsed = elapsed + v + after.sample(after_rng, reps)
 
     mean, stderr = _mean_and_stderr(per_queue.sum(axis=0))
@@ -715,7 +718,5 @@ def leftover_after_visit(arrival_rate: float, service: Distribution,
                    [(3, 0, purpose)
                     for purpose in (_VISIT, _COUNT, _SERVICE, _POSITION)])
     v = visit.sample(gen[3, 0, _VISIT], replications)
-    owner, t_a = _arrivals(arrival_rate, v, gen[3, 0, _COUNT], gen[3, 0, _POSITION])
-    b = service.sample(gen[3, 0, _SERVICE], owner.size)
-    stay = owner[t_a + b > v[owner]]
-    return np.bincount(stay, minlength=replications)
+    return _visit(service, arrival_rate, v, 0, gen[3, 0, _COUNT],
+                  gen[3, 0, _POSITION], gen[3, 0, _SERVICE])[1]

@@ -1299,7 +1299,8 @@ _S_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("s", [math.nan, -0.5])
+# a str is not a number, though numpy and float() would read one, nor is None
+@pytest.mark.parametrize("s", [math.nan, -0.5, "0.5", None])
 @pytest.mark.parametrize("name", sorted(_S_FUNCTIONS))
 def test_transform_argument_below_zero_or_nan_is_rejected(name, s):
     with pytest.raises(DomainError):
@@ -1313,11 +1314,18 @@ _ARRAY_S_FUNCTIONS["sojourn_metrics"] = (
     lambda s: sojourn_metrics(reference_system(), s))
 
 
-@pytest.mark.parametrize("bad", [math.nan, -0.5])
+@pytest.mark.parametrize("bad", [math.nan, -0.5, "0.5", None])
 @pytest.mark.parametrize("name", sorted(_ARRAY_S_FUNCTIONS))
 def test_array_with_one_entry_below_zero_or_nan_is_rejected(name, bad):
     with pytest.raises(DomainError):
         _ARRAY_S_FUNCTIONS[name](np.array([0.0, 0.5, bad, 2.0]))
+
+
+@pytest.mark.parametrize("name", sorted(set(_S_FUNCTIONS)
+                                        - set(_ARRAY_S_FUNCTIONS)))
+def test_scalar_functions_reject_an_array_s(name):
+    with pytest.raises(DomainError, match="takes a scalar s"):
+        _S_FUNCTIONS[name](np.array([0.5, 2.0]))
 
 
 def zero_switch_system() -> SystemSpec:

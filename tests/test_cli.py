@@ -926,18 +926,40 @@ class TestOptimize:
         assert main(["optimize", "--config", cfg]) == 2
         assert "approach" in capsys.readouterr().err
 
-    def test_zero_completion_is_a_model_error(self, tmp_path, capsys):
-        # only UnsupportedModelError reads as an optimize config error; a
-        # queue that never completes a service keeps its 1-based model error
+    def test_zero_completion_scores_index_zero(self, tmp_path, capsys):
+        # a queue that never completes a service is a valid tour stop: the
+        # tour reads its completion probability 0, not the stationary rule
         queues = json.loads(json.dumps(BASE_QUEUES))
         queues[1]["service"] = {"type": "deterministic", "value": 1.0}
         queues[1]["visit"] = {"type": "deterministic", "value": 0.5}
         cfg = write_config(tmp_path, queues=queues,
                            optimize={"counts": [1, 1]})
-        assert main(["optimize", "--config", cfg]) == 2
-        assert capsys.readouterr().err == (
-            "error: queue 2: service never completes within a visit "
-            "(completion probability 0)\n")
+        assert main(["optimize", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "    2            0\n" in captured.out
+        assert "optimal order: 2 -> 1" in captured.out
+
+    def test_never_completing_tour(self, tmp_path, capsys):
+        det = {"type": "deterministic"}
+        queues = [
+            {"arrival_rate": 0.5, "service": {**det, "value": 5.0},
+             "visit": {**det, "value": 1.0}, "switch": {**det, "value": 0.2}},
+            {"arrival_rate": 0.8, "service": {"type": "exponential", "rate": 1.0},
+             "visit": {"type": "exponential", "rate": 1.0},
+             "switch": {**det, "value": 0.25}},
+            {"arrival_rate": 0.3, "service": {"type": "exponential", "rate": 2.0},
+             "visit": {"type": "exponential", "rate": 1.5},
+             "switch": {**det, "value": 0.1}},
+        ]
+        cfg = write_config(tmp_path, queues=queues,
+                           optimize={"counts": [2, 3, 1]})
+        assert main(["optimize", "--config", cfg, "--brute-force"]) == 0
+        out = capsys.readouterr().out
+        assert "optimal order: 1 -> 3 -> 2" in out
+        assert "    1            0\n" in out
+        assert "exhaustive ranking (6 orders):\n     3.578095238  1 -> 3 -> 2\n" \
+            in out
 
     def test_identical_queues_tie_note(self, tmp_path, capsys):
         queues = [json.loads(json.dumps(BASE_QUEUES[0])) for _ in range(2)]

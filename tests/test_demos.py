@@ -14,7 +14,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path,
+    # a warning or a leaked handle fails a demo, as it fails the suite
+    proc = subprocess.run([sys.executable, "-W", "error", "-X", "dev",
+                           str(script)], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr

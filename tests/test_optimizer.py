@@ -343,27 +343,63 @@ class TestBruteForce:
         assert res.best.total == 0.0
         assert res.ranking == (((), 0.0),)
 
-    def test_index_rule_and_scan_share_the_derived_quantities(
-            self, monkeypatch):
+    def test_index_rule_and_scan_share_the_min_pairs(self, monkeypatch):
         # `optimize --brute-force` asks for both on one system: each queue's
-        # derived quantities are computed once, and a new system computes
-        # its own
-        calls = []
-        derived_quantities = analytic.derived_quantities
+        # (P[B <= V], E[min(B, V)]) pair is one pass, kept on its spec (the
+        # last queue is queue 1's spec, so 4 passes), and a system of new
+        # specs runs its own
+        passes = []
+        pair_uses = analytic._pair_uses
 
-        def counted(system, queue):
-            calls.append(queue)
-            return derived_quantities(system, queue)
-        monkeypatch.setattr(analytic, "derived_quantities", counted)
+        def counted(service, visit, uses, s=None):
+            passes.append(tuple(uses))
+            return pair_uses(service, visit, uses, s)
+        monkeypatch.setattr(analytic, "_pair_uses", counted)
         rng = np.random.default_rng(11)
         sys = random_tour_system(rng, 5)
         st = TourState((2, 0, 1, 3, 1), mode=CENTRAL_POINT)
         report = optimal_order(sys, st, "max")
         brute_force_order(sys, st, "max")
         expected_throughput(sys, st, report.order)
-        assert sorted(calls) == [0, 1, 2, 3, 4]
-        optimal_order(SystemSpec(sys.queues), st, "max")
-        assert sorted(calls) == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
+        assert passes == [("min",)] * 4
+        optimal_order(SystemSpec(tuple(dataclasses.replace(q)
+                                       for q in sys.queues)), st, "max")
+        assert passes == [("min",)] * 9
+
+
+def never_completing_tour():
+    """A serial tour whose first queue never completes a service: a
+    requirement of 5 never fits in a visit of 1."""
+    system = SystemSpec((
+        QueueSpec(0.5, Deterministic(5.0), Deterministic(1.0),
+                  Deterministic(0.2)),
+        QueueSpec(0.8, Exponential(1.0), Exponential(1.0), Deterministic(0.25)),
+        QueueSpec(0.3, Exponential(2.0), Exponential(1.5), Deterministic(0.1)),
+    ))
+    return system, TourState((2, 3, 1))
+
+
+class TestNeverCompletingQueue:
+    """A queue with completion probability 0 is a valid tour stop: it scores
+    index 0 and serves nothing, where the stationary analysis refuses it."""
+
+    def test_index_rule_matches_the_scan(self):
+        system, state = never_completing_tour()
+        report = optimal_order(system, state, "max")
+        assert report.index_values[0] == 0.0
+        assert report.per_queue[0] == 0.0
+        best = brute_force_order(system, state, "max").ranking[0]
+        assert report.order == best[0] == (0, 2, 1)
+        assert report.total == best[1]
+
+    @pytest.mark.parametrize("order", list(permutations(range(3))))
+    def test_every_order_matches_the_simulation(self, order):
+        system, state = never_completing_tour()
+        exact = expected_throughput(system, state, order)
+        mc = single_cycle_throughput(system, order, state,
+                                     replications=20_000)
+        assert mc.per_queue_mean[0] == 0.0
+        assert abs(mc.mean - exact.total) <= 3.0 * mc.stderr
 
 
 def bench_tour(name):

@@ -8,10 +8,11 @@ rate * length, is exact in floating point, so the seeded simulators must
 keep every count bit for bit and scale every sojourn by exactly c. The
 analytic outputs keep the relation to a stated bound at any c: the polling
 means and the pgf are unchanged, a sojourn mean is multiplied by c, the
-transform W(s) becomes W(s / c), and the index rule keeps its order and its
-total.
+transform W(s) becomes W(s / c), the index rule keeps its order and its
+total, and the exhaustive ranking keeps every order's value.
 
-Rotation. Rotating the queue indices rotates every analytic output.
+Rotation. Rotating the queue indices rotates every analytic output, the
+exhaustive ranking's orders included.
 
 A sweep keeps both relations: scaling time scales a mean target's grid,
 and rotation moves the swept queue.
@@ -51,7 +52,8 @@ from mginfpolling.distributions import (
     HyperExponential,
     MixedErlang,
 )
-from mginfpolling.optimizer import SERIAL, TourState, optimal_order
+from mginfpolling.optimizer import (SERIAL, TourState, brute_force_order,
+                                    optimal_order)
 from mginfpolling.simulator import SimConfig, run, single_cycle_throughput
 from test_simulator import single_cycle_pin_cases
 
@@ -232,6 +234,44 @@ def test_rotation_rotates_every_output(name):
                 pgf_values(rotated, range(n),
                            [[z[j] for j in old] for z in PGF_POINTS]),
                 pgf_values(system, old, PGF_POINTS)) <= PGF_ABS, k
+
+
+def ranked_values(system, state, label=None):
+    """Each order's value in the exhaustive ranking, keyed by the order with
+    its queues relabelled by `label` (rotated queue i is queue label[i])."""
+    return {tuple(q if label is None else label[q] for q in order): value
+            for order, value in brute_force_order(system, state).ranking}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_brute_force_ranking_is_time_scale_free(name):
+    raw, system = load(name)
+    state = tour_state(raw)
+    plain = ranked_values(system, state)
+    orders = list(plain)
+    for c in (*SCALES, 3.0):
+        scaled = ranked_values(scaled_system(system, c), state)
+        assert scaled.keys() == plain.keys(), c
+        assert worst_relative([scaled[o] for o in orders],
+                              [plain[o] for o in orders]) <= TOTAL_REL, c
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_brute_force_ranking_rotates(name):
+    raw, system = load(name)
+    state = tour_state(raw)
+    plain = ranked_values(system, state)
+    orders = list(plain)
+    n = len(system)
+    for k in range(1, n):
+        # rotated queue i is queue old[i]
+        old = [(i + k) % n for i in range(n)]
+        rotated = ranked_values(
+            SystemSpec(tuple(system.queues[j] for j in old)),
+            TourState(tuple(state.counts[j] for j in old), state.mode), old)
+        assert rotated.keys() == plain.keys(), k
+        assert worst_relative([rotated[o] for o in orders],
+                              [plain[o] for o in orders]) <= TOTAL_REL, k
 
 
 def swept(raw, system, target):

@@ -78,16 +78,17 @@ def readme_system():
 def config_sweep(path):
     raw = cli._load_config(str(path))
     system = cli._build_system(raw["system"])
-    spec = cli._build_sweep(raw["sweep"], "sweep", len(system.queues))
-    return system, spec
+    queue, target, grid = cli._build_sweep(raw["sweep"], "sweep",
+                                           len(system.queues))
+    return system, (queue, target, grid)
 
 
 @pytest.mark.parametrize("path", [DEMO, WORKLOADS / "general-wide.json",
                                   WORKLOADS / "atomic-pgf.json"],
                          ids=["demo", "general-wide", "atomic-pgf"])
 def test_bench_sweeps_match_the_point_loop(path):
-    system, spec = config_sweep(path)
-    assert_bit_equal(system, spec.queue, spec.target, spec.grid)
+    system, (queue, target, grid) = config_sweep(path)
+    assert_bit_equal(system, queue, target, grid)
 
 
 @pytest.mark.parametrize("target, grid", [
